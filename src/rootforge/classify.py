@@ -17,6 +17,7 @@ from itertools import combinations
 
 from .completion import EnhancedBasis, completion_nodes, enhanced_basis
 from .coregroups import (
+    SPECIAL_SIZES,
     core_group_model,
     extend_partial_map,
     parity as moset_parity,
@@ -30,15 +31,17 @@ from .diagrams import (
     _embeddings,
 )
 from .errors import (
+    InvariantViolation,
     MixedAmbient,
     NotEmbedding,
     NotInEnhancedBasis,
     NotOrthogonal,
     NotPiSystem,
+    Unsupported,
 )
 from .mosets import perfect_moset
 from .oracle import perm_from_word
-from .rootsystem import RootSet, RootSystem, components
+from .rootsystem import RootSet, RootSystem, components, e7_cut_root
 
 E7_SPECIAL = {"A5": 3, "A3+A1": 3, "3A1": 3, "A5+A1": 4, "A3+2A1": 4, "4A1": 4}
 E8_SPECIAL = {"A7": 4, "A5+A1": 4, "2A3": 4, "A3+2A1": 4, "4A1": 4}
@@ -204,15 +207,11 @@ class OrbitLabel:
         return out
 
 
-_LABEL_MEMO: dict = {}
-
-
 def orbit_label(rs: RootSet) -> OrbitLabel:
     """Orbit name of a Pi-system anywhere in its parent system."""
     sysm = rs.system
     nodes = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
-    memo_key = (id(sysm), nodes)
-    cached = _LABEL_MEMO.get(memo_key)
+    cached = sysm.label_memo.get(nodes)
     if cached is not None:
         return cached
     rs = RootSet(sysm, nodes)
@@ -232,10 +231,14 @@ def orbit_label(rs: RootSet) -> OrbitLabel:
             if ttext in table:
                 om = perfect_moset(rs)
                 charge = len(om.members)
-                assert charge == table[ttext]
+                if charge != table[ttext]:
+                    raise InvariantViolation(
+                        f"{ttext} in {sysm.name} has charge {charge},"
+                        f" expected {table[ttext]}"
+                    )
                 par = parity_of_orthogonal(sysm, om.members)
                 label = OrbitLabel(sysm.name, ttext, "ep", (charge, par))
-    _LABEL_MEMO[memo_key] = label
+    sysm.label_memo[nodes] = label
     return label
 
 
@@ -343,14 +346,38 @@ def _walk_to(system: RootSystem, comp: set, start: int, targets: set):
 
 
 def parity_of_orthogonal(system: RootSystem, subset) -> int:
-    """Parity of any orthogonal set in E7/E8: the label-sum parity of a
-    conjugate copy inside the model moset."""
-    model = core_group_model(system)
-    nodes = tuple(sorted({system.proj_rep(i) for i in subset}))
-    if all(n in model.labeling.labels for n in nodes):
-        return moset_parity(model, nodes)
-    _, mapping = weyl_into_moset(system, nodes)
-    return moset_parity(model, [mapping[n] for n in nodes])
+    """Parity of an orthogonal 3- or 4-set in E7 or 4-set in E8.
+
+    The parity is that of the F2^3 label sum (`coregroups.parity`) of any
+    Weyl-conjugate copy inside the model moset, and is read off the roots
+    directly: a 4-set has parity 0 exactly when half the sum of its roots
+    lies in the E8 lattice, which contains the E7 lattice; a 3-set in E7
+    is first completed to a 4-set in E8 by the root that E7 is cut out of
+    (`rootsystem.e7_cut_root`).  The test ignores the signs of the roots
+    and is Weyl-invariant, and every orthogonal set is conjugate into the
+    moset, so agreement on the moset's k-subsets (checked in the tests)
+    proves it.  At every other size the orthogonal k-sets form a single
+    orbit, so parity is no invariant there and Unsupported is raised.
+    """
+    if system.series != "E" or system.rank not in SPECIAL_SIZES:
+        raise Unsupported("parity is defined for orthogonal sets in E7 and E8")
+    nodes = sorted({system.proj_rep(i) for i in subset})
+    for a, b in combinations(nodes, 2):
+        if system.cartan(a, b) != 0:
+            raise NotOrthogonal("parity is defined for orthogonal sets")
+    if len(nodes) not in SPECIAL_SIZES[system.rank]:
+        raise Unsupported(
+            f"parity is not an orbit invariant of {len(nodes)}-sets in {system.name}"
+        )
+    vecs = [system.roots[i] for i in nodes]
+    if len(vecs) == 3:
+        vecs.append(e7_cut_root())
+    # Doubled coordinates: half the sum is y / 4, so it lies in E8 when the
+    # entries of y are all 0 or all 2 mod 4 and their sum is 0 mod 8.
+    y = [sum(col) for col in zip(*vecs)]
+    residue = y[0] % 4
+    in_e8 = residue in (0, 2) and all(v % 4 == residue for v in y) and sum(y) % 8 == 0
+    return 0 if in_e8 else 1
 
 
 # -- the moset embedding of the enhanced diagram's orthogonal subsets ----------

@@ -13,13 +13,18 @@ orbit structure of the computed group, never transcribed from pictures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
 from .rootsystem import RootSet, RootSystem, is_pi_system
+
+
+# Sizes of the orthogonal sets of E7 and E8 whose Weyl orbit splits in two,
+# told apart by the F2^3 label-sum parity.
+SPECIAL_SIZES = {7: (3, 4), 8: (4,)}
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,12 @@ class CoreGroupModel:
 
     def position(self, node: int) -> int:
         return self.moset.index(node)
+
+    @cached_property
+    def element_list(self) -> list:
+        """(permutation, word) pairs in sorted order, the scan order of
+        extend_partial_map."""
+        return sorted(self.elements.items())
 
     def to_json(self) -> dict:
         eb = enhanced_basis(self.system)
@@ -521,23 +532,9 @@ def conjugate_in_moset(model: CoreGroupModel, o1, o2) -> bool:
         p1 = frozenset(model.position(n) for n in o1)
         p2 = frozenset(model.position(n) for n in o2)
         return any(frozenset(perm[i] for i in p1) == p2 for perm in model.elements)
-    k = len(o1)
-    special = (3, 4) if model.system.rank == 7 else (4,)
-    if k in special:
+    if len(o1) in SPECIAL_SIZES[model.system.rank]:
         return parity(model, o1) == parity(model, o2)
     return True
-
-
-_ELEMENT_LIST_CACHE: dict = {}
-
-
-def _element_list(model: CoreGroupModel):
-    key = id(model)
-    out = _ELEMENT_LIST_CACHE.get(key)
-    if out is None:
-        out = sorted(model.elements.items())
-        _ELEMENT_LIST_CACHE[key] = out
-    return out
 
 
 def extend_partial_map(model: CoreGroupModel, mapping: dict):
@@ -548,7 +545,7 @@ def extend_partial_map(model: CoreGroupModel, mapping: dict):
         if src not in model.labeling.labels or dst not in model.labeling.labels:
             raise NotInMoset("partial map must stay inside the moset")
         items.append((model.position(src), model.position(dst)))
-    for perm, word in _element_list(model):
+    for perm, word in model.element_list:
         if all(perm[s] == d for s, d in items):
             return True, word
     return False, None

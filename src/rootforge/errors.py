@@ -83,3 +83,7 @@ class NotEmbedding(RootForgeError):
 
 class MixedAmbient(RootForgeError):
     pass
+
+
+class InvariantViolation(RootForgeError):
+    """An internal consistency check failed; the result cannot be trusted."""

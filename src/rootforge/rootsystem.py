@@ -44,6 +44,8 @@ class RootSystem:
         self._reflect: dict[tuple[int, int], int] = {}
         self.positive = tuple(i for i, r in enumerate(self.roots) if _lex_positive(r))
         self.simple_basis = self._find_simple_basis()
+        # Orbit labels by sorted projective nodes, filled by classify.orbit_label.
+        self.label_memo: dict = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -215,7 +217,7 @@ def build_root_system(series: str, rank_: int) -> RootSystem:
         if rank_ == 8:
             return RootSystem("E", 8, e8, 8)
         e8_sorted = sorted(e8)
-        alpha = e8_sorted[0]
+        alpha = e7_cut_root()
         if rank_ == 7:
             roots = [r for r in e8_sorted if dot(r, alpha) == 0]
             return RootSystem("E", 7, roots, 8)
@@ -223,6 +225,13 @@ def build_root_system(series: str, rank_: int) -> RootSystem:
         roots = [r for r in e8_sorted if dot(r, alpha) == 0 and dot(r, beta) == 0]
         return RootSystem("E", 6, roots, 8)
     raise UnsupportedType(f"unknown series {series!r}")
+
+
+@lru_cache(maxsize=None)
+def e7_cut_root() -> Vec:
+    """The E8 root alpha whose orthogonal complement is the E7 model: the
+    lexicographically least E8 root."""
+    return min(_e8_roots())
 
 
 def _e8_roots() -> list[Vec]:

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -209,6 +209,94 @@ def test_parity_of_orthogonal_off_moset():
         from rootforge.classify import weyl_into_moset
 
         weyl_into_moset(e7, adjacent)
+
+
+def test_parity_closed_form_matches_moset_labels():
+    # The closed form is Weyl-invariant and every orthogonal set is
+    # conjugate into the model moset, so agreeing with the F2^3 label
+    # parity on every k-subset of the moset (35 + 35 in E7, 70 in E8)
+    # proves it for all orthogonal sets.  Seeded conjugates are also
+    # checked against the walk into the moset.
+    from rootforge.classify import weyl_into_moset
+    from rootforge.coregroups import core_group_model, parity
+
+    rng = random.Random(17)
+    for rank, sizes, counts in ((7, (3, 4), (35, 35)), (8, (4,), (70,))):
+        s = build_root_system("E", rank)
+        model = core_group_model(s)
+        gens = simple_reflection_perms(s)
+        for k, count in zip(sizes, counts):
+            subsets = list(combinations(model.moset, k))
+            assert len(subsets) == count
+            for subset in subsets:
+                expected = parity(model, subset)
+                assert parity_of_orthogonal(s, subset) == expected
+                flipped = (s.negative(subset[0]),) + subset[1:]
+                assert parity_of_orthogonal(s, flipped) == expected
+            for _ in range(40):
+                w = identity_perm(s)
+                for _ in range(rng.randint(1, 12)):
+                    w = compose(rng.choice(gens), w)
+                moved = tuple(w[i] for i in rng.choice(subsets))
+                _, mapping = weyl_into_moset(s, moved)
+                walked = parity(model, list(mapping.values()))
+                assert parity_of_orthogonal(s, moved) == walked
+
+
+def test_parity_only_at_special_sizes():
+    from rootforge.coregroups import core_group_model
+    from rootforge.errors import Unsupported
+
+    e8 = build_root_system("E", 8)
+    moset8 = core_group_model(e8).moset
+    for k in (1, 2, 3, 5, 8):
+        with pytest.raises(Unsupported):
+            parity_of_orthogonal(e8, moset8[:k])
+    e7 = build_root_system("E", 7)
+    moset7 = core_group_model(e7).moset
+    for k in (1, 2, 5, 7):
+        with pytest.raises(Unsupported):
+            parity_of_orthogonal(e7, moset7[:k])
+    e6 = build_root_system("E", 6)
+    with pytest.raises(Unsupported):
+        parity_of_orthogonal(e6, core_group_model(e6).moset[:3])
+    adjacent = next(
+        (x, y)
+        for x in e8.simple_basis
+        for y in e8.simple_basis
+        if x != y and e8.cartan(x, y) != 0
+    )
+    with pytest.raises(NotOrthogonal):
+        parity_of_orthogonal(e8, adjacent + moset8[:2])
+
+
+def test_label_memo_belongs_to_its_system():
+    # Systems built directly are freed between calls, so a new one can
+    # take the address of the last; its labels must still be its own.
+    from rootforge.rootsystem import RootSystem
+
+    roots = {rank: list(build_root_system("A", rank).roots) for rank in (3, 4)}
+
+    def label_ambient(rank):
+        s = RootSystem("A", rank, roots[rank], rank + 1)
+        return orbit_label(RootSet(s, (10,))).ambient, s.name
+
+    for i in range(40):
+        ambient, name = label_ambient(3 + i % 2)
+        assert ambient == name
+
+
+def test_wrong_charge_raises_typed_error(monkeypatch):
+    from rootforge import classify
+    from rootforge.errors import InvariantViolation
+    from rootforge.rootsystem import RootSystem
+
+    e8 = build_root_system("E", 8)
+    a7 = enhanced_basis(e8).subset(["2", "4", "5", "6", "7", "8", "l5"])
+    fresh = RootSystem("E", 8, list(e8.roots), 8)  # same root order, empty memo
+    monkeypatch.setitem(classify.E8_SPECIAL, "A7", 3)
+    with pytest.raises(InvariantViolation):
+        orbit_label(RootSet(fresh, a7))
 
 
 def test_moset_embedding_tables():

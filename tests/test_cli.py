@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from rootforge.cli import main
@@ -99,3 +100,16 @@ def test_order_special(capsys):
 def test_usage_errors(capsys):
     assert main(["roots", "Q", "9"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_e8_tables_are_pinned(capsys):
+    # sha256 of the E8 orbit table and order graph, as pinned by the
+    # benchmark's answer check
+    expected = {
+        "classify": "e6c812c5e2717e87a6b18fe87f0e6fabafaf1d25bc573d3a8628dd1a039ac042",
+        "order": "a14769ce8d7db4fd38b650cccbb4dc01a9d20db07e22d5c4a74b5a4b7a0009cf",
+    }
+    for command, digest in expected.items():
+        code, out = run(capsys, command, "E8", "--json", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
