@@ -7,7 +7,6 @@ from .rootsystem import (
     build_root_system,
     cartan_pair,
     components,
-    elementary_transformations,
     extended_pi_system,
     is_pi_system,
     minimal_root,
@@ -26,6 +25,7 @@ from .diagrams import (
     automorphism_group,
     classify_components,
     delta_diagram,
+    elementary_transformations,
     find_subdiagrams,
     gamma_diagram,
     to_dot,

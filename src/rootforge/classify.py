@@ -12,10 +12,9 @@ replays on actual roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .completion import EnhancedBasis, completion_nodes, enhanced_basis
+from .completion import EnhancedBasis, _support, completion_nodes, enhanced_basis
 from .coregroups import (
     SPECIAL_SIZES,
     core_group_model,
@@ -23,11 +22,11 @@ from .coregroups import (
     parity as moset_parity,
 )
 from .diagrams import (
-    Irreducible,
     TypeLabel,
     classify_components,
     is_dynkin_shape,
     projective_diagram_of,
+    subsystem_type,  # re-exported, as is subsystem_basis below
     _embeddings,
 )
 from .errors import (
@@ -41,51 +40,23 @@ from .errors import (
 )
 from .mosets import perfect_moset
 from .oracle import perm_from_word
-from .rootsystem import RootSet, RootSystem, components, e7_cut_root
+from .rootsystem import (
+    RootSet,
+    RootSystem,
+    build_root_system,
+    cartan_neighbours,
+    components,
+    e7_cut_root,
+    subsystem_basis,
+    system_memo,
+    walk,
+)
 
 E7_SPECIAL = {"A5": 3, "A3+A1": 3, "3A1": 3, "A5+A1": 4, "A3+2A1": 4, "4A1": 4}
 E8_SPECIAL = {"A7": 4, "A5+A1": 4, "2A3": 4, "A3+2A1": 4, "4A1": 4}
 
 
 # -- types of subsystems and subsets ----------------------------------------
-
-
-def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
-    """Simple basis of a closed subsystem: indecomposable positive members."""
-    memberset = set(members)
-    pos = [i for i in members if system.proj_rep(i) == i]
-    posset = set(pos)
-    out = []
-    for i in pos:
-        decomposable = False
-        for j in pos:
-            if j == i:
-                continue
-            rest = tuple(
-                a - b for a, b in zip(system.roots[i], system.roots[j])
-            )
-            k = system.index(rest)
-            if k is not None and k in posset:
-                decomposable = True
-                break
-        if not decomposable:
-            out.append(i)
-    assert all(i in memberset for i in out)
-    return tuple(sorted(out))
-
-
-def subsystem_type(system: RootSystem, members) -> TypeLabel:
-    """Isomorphism type of a closed subsystem."""
-    if not members:
-        return TypeLabel(())
-    basis = subsystem_basis(system, members)
-    return classify_components(projective_diagram_of(system, basis))
-
-
-def component_type(system: RootSystem, comp) -> Irreducible:
-    label = subsystem_type(system, comp)
-    assert len(label.parts) == 1
-    return label.parts[0]
 
 
 def pi_type(system: RootSystem, members) -> TypeLabel:
@@ -106,10 +77,6 @@ def significant_part(rs: RootSet) -> RootSet:
 
 
 # -- D-series statistics ------------------------------------------------------
-
-
-def _support(vec) -> frozenset:
-    return frozenset(i for i, x in enumerate(vec) if x != 0)
 
 
 def _sum_form(vec) -> bool:
@@ -275,7 +242,7 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
         if system.proj_rep(cur) in targets:
             target = system.proj_rep(cur)
         else:
-            comp = _scope_component(system, scope, cur)
+            comp = walk(cur, cartan_neighbours(system, scope))
             local_targets = {t for t in targets if t in comp or system.negative(t) in comp}
             assert local_targets, "moset misses a component of the complement"
             step_word, landed = _walk_to(system, comp, cur, local_targets)
@@ -296,19 +263,6 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
         }
     mapping = {n: system.proj_rep(images[n]) for n in nodes}
     return tuple(word), mapping
-
-
-def _scope_component(system: RootSystem, scope: set, start: int) -> set:
-    comp = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for other in scope:
-            if other not in comp and system.cartan(cur, other) != 0:
-                comp.add(other)
-                queue.append(other)
-    comp.update(system.negative(i) for i in comp if system.negative(i) in scope)
-    return comp
 
 
 def _walk_to(system: RootSystem, comp: set, start: int, targets: set):
@@ -413,7 +367,7 @@ def _residual_table(eb: EnhancedBasis) -> dict:
     return {str(k): str(k - 1) for k in range(2, top + 1, 2)}
 
 
-@lru_cache(maxsize=None)
+@system_memo
 def _component_match(system: RootSystem, comp_nodes: tuple, moset_nodes: tuple):
     """Identify an enhanced-diagram component with its model diagram.
 
@@ -432,8 +386,6 @@ def _component_match(system: RootSystem, comp_nodes: tuple, moset_nodes: tuple):
             "E": [r for r in (6, 7, 8) if {6: 8, 7: 11, 8: 16}[r] == count],
         }[series]
         candidates.extend((series, r) for r in ranks)
-    from .rootsystem import build_root_system
-
     m_set = set(moset_nodes)
     for series, rank_ in candidates:
         try:
@@ -604,7 +556,8 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
         inv = _invert(perm)
         realized.append(a)
     for n in emb.source:
-        assert sysm.proj_rep(perm[n]) == sysm.proj_rep(emb.mapping[n])
+        if sysm.proj_rep(perm[n]) != sysm.proj_rep(emb.mapping[n]):
+            raise InvariantViolation(f"witness word does not replay on node {n}")
     return WeylDecision(True, "constructive", word, None)
 
 
@@ -631,28 +584,31 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
-    """All node subsets of the enhanced diagram that are Pi-systems.
-
-    Pi-ness is closed under taking subsets, so a depth-first growth over
-    sorted nodes visits exactly the family.
+def _pi_subsets(system: RootSystem, nodes) -> list[tuple[int, ...]]:
+    """Every nonempty subset of the nodes that is a Pi-system, in depth-first
+    order.  Pi-ness is closed under taking subsets, so growth over sorted
+    nodes that stops at the first non-Dynkin shape visits exactly the family.
     """
-    sysm = eb.system
-    nodes = sorted(eb.nodes)
+    nodes = sorted(nodes)
     out: list[tuple[int, ...]] = []
 
     def grow(current: tuple[int, ...], start: int):
-        out.append(current)
         for k in range(start, len(nodes)):
             cand = current + (nodes[k],)
-            if is_dynkin_shape(projective_diagram_of(sysm, cand)):
+            if is_dynkin_shape(projective_diagram_of(system, cand)):
+                out.append(cand)
                 grow(cand, k + 1)
 
     grow((), 0)
-    return [s for s in out if s]
+    return out
 
 
-@lru_cache(maxsize=None)
+def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
+    """All node subsets of the enhanced diagram that are Pi-systems."""
+    return _pi_subsets(eb.system, eb.nodes)
+
+
+@system_memo
 def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int, ...]], ...]:
     """All Weyl orbits of nonempty Pi-systems, each with its least
     representative inside the enhanced basis."""
@@ -668,25 +624,14 @@ def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int
 # -- order between orbits --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@system_memo
 def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> frozenset:
     """Labels of every Pi-system inside the subsystem generated by rep,
     read off from the completion of rep inside the enhanced basis."""
     sub_nodes = completion_nodes(RootSet(system, rep))
-    sysm = system
-    seen: set[OrbitLabel] = set()
-    nodes = sorted(sub_nodes)
-
-    def grow(current: tuple[int, ...], start: int):
-        if current:
-            seen.add(orbit_label(RootSet(sysm, current)))
-        for k in range(start, len(nodes)):
-            cand = current + (nodes[k],)
-            if is_dynkin_shape(projective_diagram_of(sysm, cand)):
-                grow(cand, k + 1)
-
-    grow((), 0)
-    return frozenset(seen)
+    return frozenset(
+        orbit_label(RootSet(system, s)) for s in _pi_subsets(system, sub_nodes)
+    )
 
 
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:

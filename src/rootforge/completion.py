@@ -11,12 +11,11 @@ series, primed labels for the D series).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .diagrams import ProjectiveDiagram, projective_diagram_of
+from .diagrams import ProjectiveDiagram, _path, projective_diagram_of
 from .errors import NotD4, NotIrreducible, NotSymmetric, RootForgeError
-from .rootsystem import RootSet, RootSystem, components
+from .rootsystem import RootSet, RootSystem, components, system_memo
 
 
 # -- D4 stars and extension roots -----------------------------------------
@@ -76,13 +75,7 @@ def is_complete(rs: RootSet) -> bool:
     """True iff every D4-type subset has its extension root in the set."""
     if not rs.symmetric:
         raise NotSymmetric("completeness is defined for symmetric sets")
-    sysm = rs.system
-    nodes = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
-    present = set(rs.members)
-    for center, ends in d4_stars(sysm, nodes):
-        if extension_root(sysm, center, ends) not in present:
-            return False
-    return True
+    return next(_d4_extensions(rs.system, rs.members, _star_nodes), None) is None
 
 
 def elementary_extension(
@@ -112,6 +105,34 @@ def elementary_extension(
     return tuple(sorted(nodes + (delta,))), delta
 
 
+def _d4_extensions(system: RootSystem, members, key, pick=min):
+    """Complete the symmetrized set one elementary extension at a time.
+
+    Among the D4 subdiagrams lacking their extension root, pick(..., key=key)
+    chooses the star (center, ends) to extend; the projective node of each
+    added root is yielded in turn.  key is applied afresh after every step,
+    so it may depend on what the caller has seen yielded.
+    """
+    members = set(system.symmetrize(tuple(members)))
+    while True:
+        nodes = tuple(sorted({system.proj_rep(i) for i in members}))
+        missing = []
+        for center, ends in d4_stars(system, nodes):
+            delta = extension_root(system, center, ends)
+            if delta not in members:
+                missing.append(((center, ends), delta))
+        if not missing:
+            return
+        delta = pick(missing, key=lambda item: key(item[0]))[1]
+        members.add(delta)
+        members.add(system.negative(delta))
+        yield system.proj_rep(delta)
+
+
+def _star_nodes(star) -> tuple[int, ...]:
+    return tuple(sorted(star[1] + (star[0],)))
+
+
 def complete(rs: RootSet, key=None) -> RootSet:
     """Minimal complete symmetric superset of the given set.
 
@@ -119,21 +140,8 @@ def complete(rs: RootSet, key=None) -> RootSet:
     key that lacks its extension root is extended, until none remains.
     """
     sysm = rs.system
-    members = set(sysm.symmetrize(rs.members))
-    keyfunc = key or (lambda star: tuple(sorted(star[1] + (star[0],))))
-    while True:
-        nodes = tuple(sorted({sysm.proj_rep(i) for i in members}))
-        missing = []
-        for center, ends in d4_stars(sysm, nodes):
-            delta = extension_root(sysm, center, ends)
-            if delta not in members:
-                missing.append(((center, ends), delta))
-        if not missing:
-            return RootSet(sysm, tuple(sorted(members)))
-        missing.sort(key=lambda item: keyfunc(item[0]))
-        delta = missing[0][1]
-        members.add(delta)
-        members.add(sysm.negative(delta))
+    added = tuple(_d4_extensions(sysm, rs.members, key or _star_nodes))
+    return RootSet(sysm, sysm.symmetrize(rs.members + added))
 
 
 def completion_nodes(rs: RootSet, key=None) -> tuple[int, ...]:
@@ -243,12 +251,8 @@ def _name_basis(system: RootSystem) -> dict:
     if system.series == "A":
         ends = [b for b in basis if len(adj[b]) <= 1]
         start = min(ends, key=lambda b: system.roots[b])
-        names[start] = "1"
-        prev, cur = None, start
-        for k in range(2, len(basis) + 1):
-            nxt = [x for x in adj[cur] if x != prev]
-            prev, cur = cur, nxt[0]
-            names[cur] = str(k)
+        for k, node in enumerate(_path(adj, None, start), start=1):
+            names[node] = str(k)
     elif system.series == "D":
         twins = [
             (a, b)
@@ -272,17 +276,7 @@ def _name_basis(system: RootSystem) -> dict:
     else:
         branch = next(b for b in basis if len(adj[b]) == 3)
         names[branch] = "4"
-        arms = []
-        for first in adj[branch]:
-            arm = [first]
-            prev, cur = branch, first
-            while True:
-                nxt = [x for x in adj[cur] if x != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                arm.append(cur)
-            arms.append(arm)
+        arms = [_path(adj, branch, first) for first in adj[branch]]
         arms.sort(key=lambda arm: (len(arm), system.roots[arm[-1]]))
         short = arms[0]
         assert len(short) == 1
@@ -306,7 +300,7 @@ def _unique(candidates, what: str):
     return candidates[0]
 
 
-def _name_added(system: RootSystem, nodes, names, added_order) -> dict:
+def _name_added(system: RootSystem, nodes, names) -> dict:
     """Extend basis names to the extra nodes of the completion."""
     names = dict(names)
     added = [n for n in nodes if n not in names]
@@ -334,48 +328,37 @@ def _name_added(system: RootSystem, nodes, names, added_order) -> dict:
     def named(label):
         return next(k for k, v in names.items() if v == label)
 
-    def pick(pred, what):
-        return _unique([n for n in added if n not in names.values() and pred(n)], what)
+    def pick(label, what, pred=lambda n: True):
+        node = _unique([n for n in added if n not in names and pred(n)], what)
+        names[node] = label
+        return node
 
-    l1 = _unique(
-        [n for n in added if {named("1"), named("4"), named("6")} <= nbrs(n)],
+    l1 = pick(
+        "l1",
         "the extra node joined to basis nodes 1, 4 and 6",
+        lambda n: {named("1"), named("4"), named("6")} <= nbrs(n),
     )
-    names[l1] = "l1"
-    rest = [n for n in added if n != l1]
     if system.rank == 6:
-        l2 = _unique(rest, "the second extra node of E6")
-        names[l2] = "l2"
+        pick("l2", "the second extra node of E6")
         return names
-    l2 = _unique([n for n in rest if l1 in nbrs(n)], "the extra node joined to l1")
-    names[l2] = "l2"
-    rest = [n for n in rest if n != l2]
-    l3 = _unique(
-        [n for n in rest if named("1") in nbrs(n) and named("6") in nbrs(n)],
+    l2 = pick("l2", "the extra node joined to l1", lambda n: l1 in nbrs(n))
+    l3 = pick(
+        "l3",
         "the extra node joined to 1 and 6",
+        lambda n: named("1") in nbrs(n) and named("6") in nbrs(n),
     )
-    names[l3] = "l3"
-    rest = [n for n in rest if n != l3]
-    l4 = _unique(
-        [n for n in rest if named("1") in nbrs(n) and l2 in nbrs(n)],
+    l4 = pick(
+        "l4",
         "the extra node joined to 1 and l2",
+        lambda n: named("1") in nbrs(n) and l2 in nbrs(n),
     )
-    names[l4] = "l4"
-    rest = [n for n in rest if n != l4]
     if system.rank == 7:
-        assert not rest
+        assert len(names) == len(nodes)
         return names
-    l5 = _unique([n for n in rest if named("8") in nbrs(n)], "the extra node joined to 8")
-    names[l5] = "l5"
-    rest = [n for n in rest if n != l5]
-    l6 = _unique([n for n in rest if l4 in nbrs(n)], "the extra node joined to l4")
-    names[l6] = "l6"
-    rest = [n for n in rest if n != l6]
-    l7 = _unique([n for n in rest if named("7") in nbrs(n)], "the extra node joined to 7")
-    names[l7] = "l7"
-    rest = [n for n in rest if n != l7]
-    l8 = _unique(rest, "the last extra node of E8")
-    names[l8] = "l8"
+    pick("l5", "the extra node joined to 8", lambda n: named("8") in nbrs(n))
+    pick("l6", "the extra node joined to l4", lambda n: l4 in nbrs(n))
+    pick("l7", "the extra node joined to 7", lambda n: named("7") in nbrs(n))
+    l8 = pick("l8", "the last extra node of E8")
     assert l3 in nbrs(l8) and named("3") in nbrs(l8)
     return names
 
@@ -399,7 +382,7 @@ def _moset_nodes(system: RootSystem, names: dict) -> tuple[int, ...]:
     return nodes
 
 
-@lru_cache(maxsize=None)
+@system_memo
 def enhanced_basis(system: RootSystem, policy: str = "least") -> EnhancedBasis:
     """Enhanced basis of an irreducible system: the completion of its
     simple basis, with canonical node names and the boldfaced moset.
@@ -411,33 +394,17 @@ def enhanced_basis(system: RootSystem, policy: str = "least") -> EnhancedBasis:
         raise NotIrreducible("enhanced bases are defined for irreducible systems")
     base_names = _name_basis(system)
     temp = dict(base_names)
-    counter = [0]
 
     def star_key(star):
         center, ends = star
-        labels = sorted(_label_key(temp[x]) for x in ends + (center,))
-        return tuple(labels)
+        return tuple(sorted(_label_key(temp[x]) for x in ends + (center,)))
 
-    sysm = system
-    members = set(sysm.symmetrize(tuple(sysm.simple_basis)))
+    pick = max if policy == "greatest" else min
     added_order = []
-    while True:
-        nodes = tuple(sorted({sysm.proj_rep(i) for i in members}))
-        missing = []
-        for center, ends in d4_stars(sysm, nodes):
-            delta = extension_root(sysm, center, ends)
-            if delta not in members:
-                missing.append(((center, ends), sysm.proj_rep(delta)))
-        if not missing:
-            break
-        missing.sort(key=lambda item: star_key(item[0]), reverse=(policy == "greatest"))
-        delta = missing[0][1]
-        counter[0] += 1
-        temp[delta] = f"l{counter[0]}"
+    for delta in _d4_extensions(system, system.simple_basis, star_key, pick):
         added_order.append(delta)
-        members.add(delta)
-        members.add(sysm.negative(delta))
-    nodes = tuple(sorted({sysm.proj_rep(i) for i in members}))
-    names = _name_added(sysm, nodes, base_names, added_order)
-    moset = _moset_nodes(sysm, names)
-    return EnhancedBasis(sysm, nodes, names, moset, tuple(added_order))
+        temp[delta] = f"l{len(added_order)}"
+    nodes = tuple(sorted(system.simple_basis + tuple(added_order)))
+    names = _name_added(system, nodes, base_names)
+    moset = _moset_nodes(system, names)
+    return EnhancedBasis(system, nodes, names, moset, tuple(added_order))

@@ -13,13 +13,21 @@ orbit structure of the computed group, never transcribed from pictures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations, product
+from math import factorial
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
-from .rootsystem import RootSet, RootSystem, is_pi_system
+from .rootsystem import (
+    RootSet,
+    RootSystem,
+    is_pi_system,
+    subsystem_basis,
+    subsystem_generated,
+    system_memo,
+)
 
 
 # Sizes of the orthogonal sets of E7 and E8 whose Weyl orbit splits in two,
@@ -101,41 +109,15 @@ def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
 
 
 def core_order_formula(series: str, rank: int) -> int:
-    mu_ = _mu_formula(series, rank)
     if series == "A" or (series == "E" and rank == 6):
-        out = 1
-        for k in range(2, mu_ + 1):
-            out *= k
-        return out
+        return factorial(_mu_formula(series, rank))
     if series == "D":
         m = rank // 2
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        return (2 ** (m - 1) if rank % 2 == 0 else 2**m) * fact
+        return (2 ** (m - 1) if rank % 2 == 0 else 2**m) * factorial(m)
     return {7: 168, 8: 1344}[rank]
 
 
 # -- honest generation from small subsystems --------------------------------
-
-
-def _closure_roots(system: RootSystem, seeds: tuple[int, ...]) -> tuple[int, ...]:
-    """Roots of the subsystem generated by a Pi-set, by additive closure."""
-    members = set(seeds)
-    members.update(system.negative(i) for i in seeds)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for a in list(members):
-            for b in frontier:
-                s = tuple(x + y for x, y in zip(system.roots[a], system.roots[b]))
-                idx = system.index(s)
-                if idx is not None and idx not in members:
-                    members.add(idx)
-                    members.add(system.negative(idx))
-                    new.append(idx)
-        frontier = new
-    return tuple(sorted(members))
 
 
 def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
@@ -150,23 +132,12 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     if len(touched) < 2:
         return []
     pos = {n: k for k, n in enumerate(moset)}
-    state0 = tuple(sub) + tuple(touched)
-    seen = {state0: ()}
-    frontier = [state0]
-    from .classify import subsystem_basis
-
-    gens = subsystem_basis(system, sub)
+    seen = _closure_words(
+        tuple(sub) + tuple(touched),
+        [(g, (g,)) for g in subsystem_basis(system, sub)],
+        lambda state, g: tuple(system.reflect(x, g) for x in state),
+    )
     out = []
-    while frontier:
-        new = []
-        for state in frontier:
-            word = seen[state]
-            for g in gens:
-                nxt = tuple(system.reflect(x, g) for x in state)
-                if nxt not in seen:
-                    seen[nxt] = word + (g,)
-                    new.append(nxt)
-        frontier = new
     for state, word in seen.items():
         images = state[len(sub):]
         projs = [system.proj_rep(x) for x in images]
@@ -180,8 +151,8 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
 
 
 def _generator_pool(system: RootSystem, eb: EnhancedBasis):
-    """Candidate subsystems: D4 stars of the enhanced diagram whose four
-    ends lie in the moset, and A3 paths through two moset nodes."""
+    """Seeds of the candidate subsystems: D4 stars of the enhanced diagram
+    whose four ends lie in the moset, and A3 paths through two moset nodes."""
     nodes = eb.nodes
     m_set = set(eb.moset)
     pools = []
@@ -196,63 +167,66 @@ def _generator_pool(system: RootSystem, eb: EnhancedBasis):
                 continue
             if system.cartan(a, c) != 0 and system.cartan(b, c) != 0:
                 pools.append(tuple(sorted((a, c, b))))
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for seed in pools:
-        sub = _closure_roots(system, seed)
-        if sub not in seen:
-            seen.add(sub)
-            out.append(sub)
-    return out
+    return pools
 
 
 def _pi_subdiagram_pool(system: RootSystem, eb: EnhancedBasis, max_size: int = 4):
-    """Fallback pool: subsystems spanned by every small Pi-subdiagram."""
-    nodes = eb.nodes
-    seen: set[tuple[int, ...]] = set()
-    out = []
+    """Fallback seeds: every small Pi-subdiagram."""
     for size in range(2, max_size + 1):
-        for combo in combinations(nodes, size):
-            if not is_pi_system(RootSet(system, combo)):
-                continue
-            sub = _closure_roots(system, combo)
-            if len(sub) > 60:
-                continue
-            if sub not in seen:
-                seen.add(sub)
-                out.append(sub)
-    return out
+        for combo in combinations(eb.nodes, size):
+            if is_pi_system(RootSet(system, combo)):
+                yield combo
+
+
+def _subsystems(system: RootSystem, seeds, max_roots: int | None = None):
+    """The distinct subsystems the seeds generate, in first-seen order,
+    leaving out those with more than max_roots roots."""
+    out: dict[tuple[int, ...], None] = {}
+    for seed in seeds:
+        sub = subsystem_generated(RootSet(system, seed)).members
+        if max_roots is None or len(sub) <= max_roots:
+            out.setdefault(sub)
+    return list(out)
+
+
+def _closure_words(start, generators, act) -> dict:
+    """Breadth-first closure of start under act(state, g) for the (g, word)
+    pairs of generators, mapping each state to the first word reaching it."""
+    words = {start: ()}
+    frontier = [start]
+    while frontier:
+        new = []
+        for cur in frontier:
+            cur_word = words[cur]
+            for g, gword in generators:
+                nxt = act(cur, g)
+                if nxt not in words:
+                    words[nxt] = cur_word + gword
+                    new.append(nxt)
+        frontier = new
+    return words
 
 
 def _close_group(generators: dict, npoints: int) -> dict:
     """Closure of moset permutations, concatenating reflection words."""
-    ident = tuple(range(npoints))
-    elements = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for cur in frontier:
-            cur_word = elements[cur]
-            for gperm, gword in generators.items():
-                nxt = tuple(gperm[cur[k]] for k in range(npoints))
-                if nxt not in elements:
-                    elements[nxt] = cur_word + gword
-                    new.append(nxt)
-        frontier = new
-    return elements
+    return _closure_words(
+        tuple(range(npoints)),
+        list(generators.items()),
+        lambda cur, gperm: tuple(gperm[k] for k in cur),
+    )
 
 
 def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
     moset = eb.moset
     target = core_order_formula(system.series, system.rank)
     gens: dict = {}
-    for sub in _generator_pool(system, eb):
+    for sub in _subsystems(system, _generator_pool(system, eb)):
         for perm, word in _local_stabilizer_perms(system, sub, moset):
             if perm not in gens or len(word) < len(gens[perm]):
                 gens[perm] = word
     elements = _close_group(gens, len(moset))
     if len(elements) != target:
-        for sub in _pi_subdiagram_pool(system, eb):
+        for sub in _subsystems(system, _pi_subdiagram_pool(system, eb), 60):
             for perm, word in _local_stabilizer_perms(system, sub, moset):
                 if perm not in gens:
                     gens[perm] = word
@@ -357,62 +331,68 @@ def _derive_labeling(system: RootSystem, eb: EnhancedBasis, elements) -> MosetLa
 # -- structured series models -------------------------------------------------
 
 
-def _gl3_permutations():
-    """All invertible linear maps of F2^3 as permutations of 1..7."""
+def _gl3_matrices():
+    """All invertible linear maps of F2^3, as their column triples."""
     mats = []
-    vecs = list(range(1, 8))
-    for cols in permutations(vecs, 3):
+    for cols in permutations(range(1, 8), 3):
         # invertibility: columns independent
         a, b, c = cols
         if a ^ b == 0 or a ^ b == c or a ^ c == 0 or b ^ c == 0 or a ^ b ^ c == 0:
             continue
         mats.append(cols)
+    return mats
 
-    def apply(cols, x):
-        out = 0
-        for bit, col in zip((1, 2, 4), cols):
-            if x & bit:
-                out ^= col
-        return out
 
-    return mats, apply
+def _dn_action(labeling: MosetLabeling, moset):
+    """The D matrix model as a map (column permutation, row flips) -> moset
+    position tuple: column c moves to colperm[c - 1] and its rows swap
+    when flips[c - 1] is set."""
+    slot_of = {labeling.labels[n]: i for i, n in enumerate(moset)}
+    cells = [labeling.labels[n] for n in moset]
+
+    def act(colperm, flips):
+        return tuple(slot_of[(colperm[col - 1], row ^ flips[col - 1])] for col, row in cells)
+
+    return act
+
+
+def _f2_action(labeling: MosetLabeling, moset):
+    """The affine maps of F2^3 as a map (columns, translation) -> moset
+    position tuple."""
+    labels = [labeling.labels[n] for n in moset]
+    slot_of = {v: i for i, v in enumerate(labels)}
+
+    def act(cols, t=0):
+        out = []
+        for x in labels:
+            y = t
+            for bit, col in zip((1, 2, 4), cols):
+                if x & bit:
+                    y ^= col
+            out.append(slot_of[y])
+        return tuple(out)
+
+    return act
 
 
 def _model_element_set(system: RootSystem, labeling: MosetLabeling, moset):
     """Every permutation the series model allows, as moset position tuples."""
-    k = len(moset)
     if labeling.kind == "plain":
-        return {tuple(p) for p in permutations(range(k))}
+        return set(permutations(range(len(moset))))
     if labeling.kind == "dn_matrix":
         m = system.rank // 2
         even_only = system.rank % 2 == 0
-        slot_of = {labeling.labels[n]: i for i, n in enumerate(moset)}
-        out = set()
-        for colperm in permutations(range(1, m + 1)):
-            for flips in product((0, 1), repeat=m):
-                if even_only and sum(flips) % 2 == 1:
-                    continue
-                perm = [0] * k
-                for i, n in enumerate(moset):
-                    col, row = labeling.labels[n]
-                    newcol = colperm[col - 1]
-                    newrow = row ^ flips[col - 1]
-                    perm[i] = slot_of[(newcol, newrow)]
-                out.add(tuple(perm))
-        return out
+        act = _dn_action(labeling, moset)
+        return {
+            act(colperm, flips)
+            for colperm in permutations(range(1, m + 1))
+            for flips in product((0, 1), repeat=m)
+            if not (even_only and sum(flips) % 2 == 1)
+        }
     # f2cube: GL3 for E7, affine maps for E8
-    label_of = {i: labeling.labels[n] for i, n in enumerate(moset)}
-    slot_of = {v: i for i, v in label_of.items()}
-    mats, apply = _gl3_permutations()
-    out = set()
+    act = _f2_action(labeling, moset)
     translations = [0] if system.rank == 7 else list(range(8))
-    for cols in mats:
-        for t in translations:
-            perm = tuple(
-                slot_of[apply(cols, label_of[i]) ^ t] for i in range(len(moset))
-            )
-            out.add(perm)
-    return out
+    return {act(cols, t) for cols in _gl3_matrices() for t in translations}
 
 
 def _model_generators(system: RootSystem, labeling: MosetLabeling, moset):
@@ -427,49 +407,29 @@ def _model_generators(system: RootSystem, labeling: MosetLabeling, moset):
         return tuple(gens)
     if labeling.kind == "dn_matrix":
         m = system.rank // 2
-        slot_of = {labeling.labels[n]: i for i, n in enumerate(moset)}
-
-        def from_action(colperm, flips):
-            perm = [0] * k
-            for i, n in enumerate(moset):
-                col, row = labeling.labels[n]
-                perm[i] = slot_of[(colperm[col - 1], row ^ flips[col - 1])]
-            return tuple(perm)
-
+        act = _dn_action(labeling, moset)
         gens = []
         ident_cols = list(range(1, m + 1))
         for i in range(m - 1):
             cp = ident_cols[:]
             cp[i], cp[i + 1] = cp[i + 1], cp[i]
-            gens.append(from_action(cp, (0,) * m))
+            gens.append(act(cp, (0,) * m))
         if system.rank % 2 == 1:
-            gens.append(from_action(ident_cols, (1,) + (0,) * (m - 1)))
+            gens.append(act(ident_cols, (1,) + (0,) * (m - 1)))
         elif m >= 2:
-            gens.append(from_action(ident_cols, (1, 1) + (0,) * (m - 2)))
+            gens.append(act(ident_cols, (1, 1) + (0,) * (m - 2)))
         return tuple(gens)
-    label_of = {i: labeling.labels[n] for i, n in enumerate(moset)}
-    slot_of = {v: i for i, v in label_of.items()}
-
-    def linear(cols, t=0):
-        def apply(x):
-            out = 0
-            for bit, col in zip((1, 2, 4), cols):
-                if x & bit:
-                    out ^= col
-            return out
-
-        return tuple(slot_of[apply(label_of[i]) ^ t] for i in range(k))
-
-    gens = [linear((2, 1, 4)), linear((2, 4, 1)), linear((3, 2, 4))]
+    act = _f2_action(labeling, moset)
+    gens = [act((2, 1, 4)), act((2, 4, 1)), act((3, 2, 4))]
     if system.rank == 8:
-        gens.append(linear((1, 2, 4), t=7))
+        gens.append(act((1, 2, 4), 7))
     return tuple(gens)
 
 
 # -- public interface ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@system_memo
 def core_group_model(system: RootSystem) -> CoreGroupModel:
     """Core group of the system on the enhanced diagram's moset.
 

@@ -11,9 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .errors import TooLarge, UnrecognizedComponent
-from .rootsystem import RootSet, RootSystem
+from .errors import NotPiSystem, TooLarge, UnrecognizedComponent
+from .rootsystem import (
+    RootSet,
+    RootSystem,
+    components,
+    extended_pi_system,
+    is_pi_system,
+    subsystem_basis,
+    walk,
+)
 
 MAX_NODES = 64
 
@@ -169,27 +178,18 @@ def _graph_view(d: Diagram | ProjectiveDiagram):
 def classify_components(d: Diagram | ProjectiveDiagram) -> TypeLabel:
     """Recognize every connected component as an ADE or extended ADE shape."""
     nodes, adj, quads = _graph_view(d)
+
+    def neighbours(cur, seen):
+        return adj[cur].difference(seen)
+
     seen: set = set()
     parts = []
     for start in nodes:
-        if start in seen:
-            continue
-        comp = _component(start, adj)
-        seen.update(comp)
-        parts.append(_classify_one(comp, adj, quads))
+        if start not in seen:
+            comp = set(walk(start, neighbours))
+            seen.update(comp)
+            parts.append(_classify_one(comp, adj, quads))
     return TypeLabel(tuple(parts))
-
-
-def _component(start, adj):
-    comp = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for nxt in adj[cur]:
-            if nxt not in comp:
-                comp.add(nxt)
-                queue.append(nxt)
-    return comp
 
 
 def _classify_one(comp: set, adj, quads) -> Irreducible:
@@ -214,7 +214,8 @@ def _classify_one(comp: set, adj, quads) -> Irreducible:
         raise UnrecognizedComponent("degree-4 node outside the extended D4 star")
     branch = [x for x in comp if len(adj[x] & comp) == 3]
     if len(branch) == 1:
-        arms = sorted(_arm_lengths(branch[0], comp, adj))
+        # adj[x] lies inside comp for every x in comp, a component of adj.
+        arms = sorted(len(_path(adj, branch[0], x)) for x in adj[branch[0]])
         table = {
             (1, 2, 2): Irreducible("E", 6),
             (1, 2, 3): Irreducible("E", 7),
@@ -240,19 +241,16 @@ def _classify_one(comp: set, adj, quads) -> Irreducible:
     raise UnrecognizedComponent("tree with more than one branching node")
 
 
-def _arm_lengths(branch, comp, adj):
-    arms = []
-    for first in adj[branch] & comp:
-        length = 1
-        prev, cur = branch, first
-        while True:
-            nxt = [x for x in adj[cur] & comp if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+def _path(adj, prev, cur) -> list:
+    """Nodes of the unbranched path entered from prev at cur, in order, up
+    to its far end; adj maps each node of a tree to its neighbours."""
+    out = [cur]
+    while True:
+        nxt = [x for x in adj[cur] if x != prev]
+        if not nxt:
+            return out
+        prev, cur = cur, nxt[0]
+        out.append(cur)
 
 
 def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
@@ -262,6 +260,20 @@ def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
     except UnrecognizedComponent:
         return False
     return all(not p.extended for p in label.parts)
+
+
+def subsystem_type(system: RootSystem, members) -> TypeLabel:
+    """Isomorphism type of a closed subsystem."""
+    if not members:
+        return TypeLabel(())
+    basis = subsystem_basis(system, members)
+    return classify_components(projective_diagram_of(system, basis))
+
+
+def component_type(system: RootSystem, comp) -> Irreducible:
+    label = subsystem_type(system, comp)
+    assert len(label.parts) == 1
+    return label.parts[0]
 
 
 # -- subdiagram search and isomorphism -------------------------------------
@@ -393,6 +405,34 @@ def automorphism_group(d: ProjectiveDiagram) -> list[dict]:
     if len(d.nodes) > MAX_NODES:
         raise TooLarge(f"{len(d.nodes)} nodes exceeds the {MAX_NODES}-node bound")
     return list(_embeddings(d, d, induced=True))
+
+
+# -- elementary transformations ---------------------------------------------
+
+
+class ElementaryTransformation(NamedTuple):
+    result: RootSet
+    trivial: bool  # isomorphic to the input set
+
+
+def elementary_transformations(rs: RootSet) -> list[ElementaryTransformation]:
+    """All sets obtained by extending one irreducible component and deleting
+    a single element of the extension, each flagged as trivial when it is
+    isomorphic to the input."""
+    sysm = rs.system
+    if not is_pi_system(rs):
+        raise NotPiSystem("elementary transformations need a Pi-system")
+    base = delta_diagram(rs)
+    out = []
+    for comp in components(sysm, rs.members):
+        rest = tuple(i for i in rs.members if i not in comp)
+        hat = extended_pi_system(RootSet(sysm, comp)).members
+        for drop in hat:
+            cand = RootSet(sysm, rest + tuple(i for i in hat if i != drop))
+            if is_pi_system(cand):
+                trivial = are_isomorphic(base, delta_diagram(cand))[0]
+                out.append(ElementaryTransformation(cand, trivial))
+    return out
 
 
 # -- DOT export -------------------------------------------------------------

@@ -45,10 +45,6 @@ class NotOrthogonalSeed(RootForgeError):
     pass
 
 
-class NoPerfectMoset(RootForgeError):
-    pass
-
-
 class NotMoset(RootForgeError):
     pass
 

@@ -15,20 +15,8 @@ def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def scale(u: Vec, k: int) -> Vec:
-    return tuple(k * a for a in u)
 
 
 def rank(vectors: list[Vec]) -> int:
@@ -50,80 +38,6 @@ def rank(vectors: list[Vec]) -> int:
         if r == len(rows):
             break
     return r
-
-
-class IntLattice:
-    """Integer row lattice kept in echelon form, supporting membership tests.
-
-    Rows are maintained so that each has a unique pivot column and pivots
-    increase down the list (a Hermite-style form, enough for membership).
-    """
-
-    def __init__(self, dim: int, vectors: list[Vec] | None = None):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-        for v in vectors or []:
-            self.add(v)
-
-    @staticmethod
-    def _pivot(row: list[int]) -> int | None:
-        for j, x in enumerate(row):
-            if x != 0:
-                return j
-        return None
-
-    def add(self, vec: Vec) -> None:
-        v = list(vec)
-        while True:
-            p = self._pivot(v)
-            if p is None:
-                return
-            hit = None
-            for idx, row in enumerate(self.rows):
-                if self._pivot(row) == p:
-                    hit = idx
-                    break
-            if hit is None:
-                if v[p] < 0:
-                    v = [-x for x in v]
-                self.rows.append(v)
-                self.rows.sort(key=lambda r: self._pivot(r))
-                return
-            row = self.rows[hit]
-            a, b = row[p], v[p]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                # Replace the stored row by one whose pivot entry is gcd(a, b).
-                g, s, t = _xgcd(a, b)
-                new_row = [s * x + t * y for x, y in zip(row, v)]
-                rest = [b // g * x - a // g * y for x, y in zip(row, v)]
-                self.rows[hit] = new_row
-                v = rest
-
-    def __contains__(self, vec: Vec) -> bool:
-        v = list(vec)
-        for row in self.rows:
-            p = self._pivot(row)
-            if v[p] != 0:
-                if v[p] % row[p] != 0:
-                    return False
-                q = v[p] // row[p]
-                v = [x - q * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def solve_integer_combination(basis: list[Vec], target: Vec) -> list[int] | None:

@@ -5,12 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .diagrams import component_type, is_dynkin_shape, projective_diagram_of
 from .errors import NotIrreducible, NotOrthogonalSeed, NotPiSystem, OracleCapExceeded
+from .oracle import subset_orbit_bfs
 from .rootsystem import (
     RootSet,
     RootSystem,
+    cartan_neighbours,
     components,
     orthogonal_complement,
+    walk,
 )
 
 
@@ -73,8 +77,6 @@ def _mu_formula(series: str, rank: int) -> int:
 
 
 def _mu_of_component(system: RootSystem, comp: tuple[int, ...]) -> int:
-    from .classify import component_type  # local import to avoid a cycle
-
     part = component_type(system, comp)
     return _mu_formula(part.series, part.rank)
 
@@ -88,21 +90,12 @@ def perfect_moset(rs: RootSet) -> Moset:
     toward the class containing the smallest node.
     """
     sysm = rs.system
-    from .diagrams import is_dynkin_shape, projective_diagram_of
-
     nodes = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
     if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
     chosen: list[int] = []
     for comp in components(sysm, nodes):
-        color = {comp[0]: 0}
-        queue = [comp[0]]
-        while queue:
-            cur = queue.pop()
-            for other in comp:
-                if other not in color and sysm.cartan(cur, other) != 0:
-                    color[other] = 1 - color[cur]
-                    queue.append(other)
+        color = walk(comp[0], cartan_neighbours(sysm, comp))
         cls = [
             tuple(sorted(x for x in comp if color[x] == c)) for c in (0, 1)
         ]
@@ -141,8 +134,6 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
 def all_mosets_conjugate_check(system: RootSystem, cap: int = 10**6) -> bool:
     """Enumerate all mosets, verify the uniform cardinality, and verify by a
     generator orbit walk that they form a single Weyl orbit."""
-    from .oracle import subset_orbit_bfs
-
     if len(system.roots) > 130:
         raise OracleCapExceeded("moset conjugacy scan is limited to small ranks")
     if len(components(system, tuple(range(len(system.roots))))) != 1:

@@ -13,7 +13,7 @@ import pickle
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, system_memo
 
 CACHE_ENV = "ROOTFORGE_CACHE_DIR"
 CACHE_VERSION = 1
@@ -37,16 +37,9 @@ def simple_reflection_perms(system: RootSystem) -> list[bytes]:
     return [reflection_perm(system, j) for j in system.simple_basis]
 
 
-_REFLECTION_CACHE: dict = {}
-
-
+@system_memo
 def reflection_perm(system: RootSystem, j: int) -> bytes:
-    key = (id(system), j)
-    out = _REFLECTION_CACHE.get(key)
-    if out is None:
-        out = bytes(system.reflect(i, j) for i in range(len(system.roots)))
-        _REFLECTION_CACHE[key] = out
-    return out
+    return bytes(system.reflect(i, j) for i in range(len(system.roots)))
 
 
 def compose(outer: bytes, inner: bytes) -> bytes:

@@ -9,8 +9,7 @@ length 8, and the Cartan pairing of roots a, b is dot(a, b) // 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, wraps
 from itertools import combinations, product
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     NotPiSystem,
     UnsupportedType,
 )
-from .intlin import IntLattice, Vec, dot, neg, rank, solve_integer_combination
+from .intlin import Vec, dot, neg, rank, solve_integer_combination
 
 SERIES = ("A", "D", "E")
 
@@ -43,9 +42,11 @@ class RootSystem:
         self._cartan: dict[tuple[int, int], int] = {}
         self._reflect: dict[tuple[int, int], int] = {}
         self.positive = tuple(i for i, r in enumerate(self.roots) if _lex_positive(r))
-        self.simple_basis = self._find_simple_basis()
+        self.simple_basis = subsystem_basis(self, range(len(self.roots)))
         # Orbit labels by sorted projective nodes, filled by classify.orbit_label.
         self.label_memo: dict = {}
+        # Results of the functions decorated with system_memo.
+        self.memo: dict = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -104,25 +105,6 @@ class RootSystem:
         out.update(self._neg[i] for i in members)
         return tuple(sorted(out))
 
-    # -- simple basis ---------------------------------------------------
-
-    def _find_simple_basis(self) -> tuple[int, ...]:
-        pos = set(self.positive)
-        simple = []
-        for i in self.positive:
-            decomposable = False
-            for j in self.positive:
-                if j == i:
-                    continue
-                rest = tuple(a - b for a, b in zip(self.roots[i], self.roots[j]))
-                k = self._index.get(rest)
-                if k is not None and k in pos:
-                    decomposable = True
-                    break
-            if not decomposable:
-                simple.append(i)
-        return tuple(simple)
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
@@ -169,6 +151,22 @@ class RootSet:
             "system": self.system.name,
             "members": list(self.members),
         }
+
+
+def system_memo(fn):
+    """Memoise fn(system, *args) in system.memo, so that every result lives
+    exactly as long as the system it describes."""
+
+    @wraps(fn)
+    def memoised(system: RootSystem, *args):
+        key = (fn, *args)
+        try:
+            return system.memo[key]
+        except KeyError:
+            out = system.memo[key] = fn(system, *args)
+            return out
+
+    return memoised
 
 
 # -- construction -------------------------------------------------------
@@ -285,36 +283,99 @@ def is_pi_system(rs: RootSet) -> bool:
     return True
 
 
+def walk(start, neighbours) -> dict:
+    """Every node reachable from start, mapped to the parity of its depth in
+    the walk: its distance parity when the graph is bipartite, as the
+    diagrams of Pi-systems are.
+
+    neighbours(node, seen) returns the neighbours of node that are not yet
+    keys of seen; skipping them there keeps the walk from testing an edge
+    into a visited node.
+    """
+    seen = {start: 0}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        side = 1 - seen[node]
+        for nxt in neighbours(node, seen):
+            seen[nxt] = side
+            stack.append(nxt)
+    return seen
+
+
+def cartan_neighbours(system: RootSystem, pool):
+    """The neighbours function of `walk` for the non-orthogonality graph on
+    pool."""
+    return lambda cur, seen: [
+        x for x in pool if x not in seen and system.cartan(cur, x) != 0
+    ]
+
+
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components under the non-orthogonality relation."""
-    mem = list(members)
+    neighbours = cartan_neighbours(system, members)
     seen: set[int] = set()
     out = []
-    for start in mem:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for other in mem:
-                if other not in seen and system.cartan(cur, other) != 0:
-                    seen.add(other)
-                    comp.append(other)
-                    queue.append(other)
-        out.append(tuple(sorted(comp)))
+    for start in members:
+        if start not in seen:
+            comp = walk(start, neighbours)
+            seen.update(comp)
+            out.append(tuple(sorted(comp)))
     return out
 
 
+def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
+    """Simple basis of a closed subsystem: indecomposable positive members."""
+    memberset = set(members)
+    pos = [i for i in members if system.proj_rep(i) == i]
+    posset = set(pos)
+    out = []
+    for i in pos:
+        decomposable = False
+        for j in pos:
+            if j == i:
+                continue
+            rest = tuple(
+                a - b for a, b in zip(system.roots[i], system.roots[j])
+            )
+            k = system.index(rest)
+            if k is not None and k in posset:
+                decomposable = True
+                break
+        if not decomposable:
+            out.append(i)
+    assert all(i in memberset for i in out)
+    return tuple(sorted(out))
+
+
 def subsystem_generated(rs: RootSet) -> RootSet:
-    """Intersection of the parent system with the integer span of the set."""
+    """Intersection of the parent system with the integer span of the set.
+
+    Computed as the additive closure of the symmetrized set: add a + b
+    whenever it is a root.  The closure C is closed under reflections
+    (s_a(b) is b + a or b - a when <b|a> = -1 or 1), so it is a root system
+    with the same integer span L as the set.  In a simply laced root
+    lattice the norm-2 vectors are exactly the roots (Conway-Sloane,
+    Sphere Packings, Lattices and Groups, ch. 4), and norms add over the
+    orthogonal components of C, so the roots in L are the norm-2 vectors of
+    L, which are C.
+    """
     sysm = rs.system
-    if not rs.members:
-        return RootSet(sysm, ())
-    lat = IntLattice(sysm.ambient_dim, [sysm.roots[i] for i in rs.members])
-    out = tuple(i for i, r in enumerate(sysm.roots) if r in lat)
-    return RootSet(sysm, out)
+    roots = sysm.roots
+    members = set(sysm.symmetrize(rs.members))
+    frontier = list(members)
+    while frontier:
+        grown = []
+        for a in list(members):
+            ra = roots[a]
+            for b in frontier:
+                idx = sysm.index(tuple(x + y for x, y in zip(ra, roots[b])))
+                if idx is not None and idx not in members:
+                    members.add(idx)
+                    members.add(sysm.negative(idx))
+                    grown.append(idx)
+        frontier = grown
+    return RootSet(sysm, tuple(members))
 
 
 def minimal_root(rs: RootSet) -> int:
@@ -344,33 +405,6 @@ def extended_pi_system(rs: RootSet) -> RootSet:
     """The set together with the minimal root of the subsystem it generates."""
     extra = minimal_root(rs)
     return RootSet(rs.system, rs.members + (extra,))
-
-
-class ElementaryTransformation(NamedTuple):
-    result: "RootSet"
-    trivial: bool  # isomorphic to the input set
-
-
-def elementary_transformations(rs: RootSet) -> list[ElementaryTransformation]:
-    """All sets obtained by extending one irreducible component and deleting
-    a single element of the extension, each flagged as trivial when it is
-    isomorphic to the input."""
-    from .diagrams import are_isomorphic, delta_diagram
-
-    sysm = rs.system
-    if not is_pi_system(rs):
-        raise NotPiSystem("elementary transformations need a Pi-system")
-    base = delta_diagram(rs)
-    out = []
-    for comp in components(sysm, rs.members):
-        rest = tuple(i for i in rs.members if i not in comp)
-        hat = extended_pi_system(RootSet(sysm, comp)).members
-        for drop in hat:
-            cand = RootSet(sysm, rest + tuple(i for i in hat if i != drop))
-            if is_pi_system(cand):
-                trivial = are_isomorphic(base, delta_diagram(cand))[0]
-                out.append(ElementaryTransformation(cand, trivial))
-    return out
 
 
 def orthogonal_complement(system: RootSystem, x: tuple[int, ...], scope: tuple[int, ...]) -> tuple[int, ...]:

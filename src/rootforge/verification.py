@@ -19,11 +19,10 @@ from .classify import (
     orbit_label,
     order_between_orbits,
     pi_node_subsets,
-    subsystem_type,
 )
 from .completion import complete, enhanced_basis
 from .coregroups import core_group_model, core_order_formula
-from .diagrams import are_isomorphic, automorphism_group
+from .diagrams import are_isomorphic, automorphism_group, subsystem_type
 from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (
     compose,

@@ -548,3 +548,36 @@ def test_hasse_outputs():
     assert dot.startswith("digraph") and "[A5+A1]^0" in dot
     payload = h.to_json()
     assert payload["schema"] == "rootforge/1" and len(payload["edges"]) == 16
+
+
+def test_system_caches_are_freed_with_the_system():
+    import gc
+    import weakref
+
+    from rootforge.coregroups import core_group_model
+    from rootforge.rootsystem import RootSystem
+
+    s = RootSystem("D", 5, list(build_root_system("D", 5).roots), 5)
+    ref = weakref.ref(s)
+    enhanced_basis(s)
+    core_group_model(s)
+    enumerate_pi_orbits(s)
+    del s
+    gc.collect()
+    assert ref() is None
+
+
+def test_witness_replay_failure_raises_typed_error(monkeypatch):
+    # The replay check must hold under python -O too, so it raises rather
+    # than asserts; a witness that replays as the identity must trip it.
+    # The domain is orthogonal, so the witness is replayed only once.
+    from rootforge import classify
+    from rootforge.errors import InvariantViolation
+
+    e7 = build_root_system("E", 7)
+    eb = enhanced_basis(e7)
+    emb = EmbeddingMap(e7, {eb.node("2"): eb.node("5"), eb.node("3"): eb.node("7")})
+    assert is_weyl_embedding(emb).is_weyl
+    monkeypatch.setattr(classify, "perm_from_word", lambda system, word: identity_perm(system))
+    with pytest.raises(InvariantViolation):
+        is_weyl_embedding(emb)

@@ -165,3 +165,19 @@ def test_words_compose_in_application_order():
     w = perm_from_word(s, (i, j))  # s_i applied first, then s_j
     x = s.reflect(s.reflect(0, i), j)
     assert w[0] == x
+
+
+def test_reflection_perm_belongs_to_its_system():
+    # Systems built directly are freed between calls, so a new one can
+    # take the address of the last; its permutations must still be its own.
+    from rootforge.rootsystem import RootSystem
+
+    roots = {rank: list(build_root_system("A", rank).roots) for rank in (3, 4)}
+
+    def perm_length(rank):
+        s = RootSystem("A", rank, roots[rank], rank + 1)
+        return len(reflection_perm(s, 0)), len(s.roots)
+
+    for i in range(40):
+        got, expected = perm_length(3 + i % 2)
+        assert got == expected

@@ -245,3 +245,24 @@ def test_json_round_trip():
     assert len(payload["roots"]) == 6 and len(payload["basis"]) == 2
     rs = RootSet(s, s.simple_basis)
     assert rs.to_json()["members"] == sorted(s.simple_basis)
+
+
+def test_subsystem_generated_is_the_integer_span():
+    # Independent of the additive closure: a root lies in the generated
+    # subsystem exactly when it is an integer combination of the seeds.
+    from rootforge import enhanced_basis
+    from rootforge.classify import pi_node_subsets
+    from rootforge.intlin import solve_integer_combination
+
+    for series, rank in [("D", 6), ("E", 7)]:
+        s = build_root_system(series, rank)
+        for seed in pi_node_subsets(enhanced_basis(s)):
+            if len(seed) > 3:
+                continue
+            vecs = [s.roots[i] for i in seed]
+            expected = tuple(
+                i
+                for i, r in enumerate(s.roots)
+                if solve_integer_combination(vecs, r) is not None
+            )
+            assert subsystem_generated(RootSet(s, seed)).members == expected
