@@ -351,14 +351,15 @@ def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
 def subsystem_generated(rs: RootSet) -> RootSet:
     """Intersection of the parent system with the integer span of the set.
 
-    Computed as the additive closure of the symmetrized set: add a + b
-    whenever it is a root.  The closure C is closed under reflections
-    (s_a(b) is b + a or b - a when <b|a> = -1 or 1), so it is a root system
-    with the same integer span L as the set.  In a simply laced root
-    lattice the norm-2 vectors are exactly the roots (Conway-Sloane,
-    Sphere Packings, Lattices and Groups, ch. 4), and norms add over the
-    orthogonal components of C, so the roots in L are the norm-2 vectors of
-    L, which are C.
+    Computed as the additive closure C of the symmetrized set: a + b joins
+    C whenever it is a root.  C is closed under reflections (s_a(b) is
+    b + a or b - a when <b|a> is -1 or 1), so it is a root system spanning
+    the same lattice L as the set, and L is the orthogonal sum of the root
+    lattices of C's irreducible components.  Every root has norm 2, and in
+    a simply laced root lattice the norm-2 vectors are exactly the roots
+    (Conway-Sloane, Sphere Packings, Lattices and Groups, ch. 4); as norms
+    add over an orthogonal sum, a norm-2 vector of L lies in a single
+    component's lattice, so the roots in L are exactly C.
     """
     sysm = rs.system
     roots = sysm.roots
