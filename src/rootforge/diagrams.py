@@ -186,21 +186,23 @@ def classify_components(d: Diagram | ProjectiveDiagram) -> TypeLabel:
     parts = []
     for start in nodes:
         if start not in seen:
-            comp = set(walk(start, neighbours))
+            comp = walk(start, neighbours)
             seen.update(comp)
             parts.append(_classify_one(comp, adj, quads))
     return TypeLabel(tuple(parts))
 
 
-def _classify_one(comp: set, adj, quads) -> Irreducible:
+def _classify_one(comp, adj, quads) -> Irreducible:
+    # comp is a connected component of adj, so adj[x] lies inside comp for
+    # every x in comp: degrees and arms are read off adj directly.
     n = len(comp)
-    comp_quads = [q for q in quads if q <= comp]
+    comp_quads = [q for q in quads if not q.isdisjoint(comp)]
     if comp_quads:
         if n == 2 and len(comp_quads) == 1:
             return Irreducible("A", 1, extended=True)
         raise UnrecognizedComponent("quadruple bond inside a larger component")
-    edges = sum(len(adj[x] & comp) for x in comp) // 2
-    degs = sorted(len(adj[x] & comp) for x in comp)
+    degs = sorted(len(adj[x]) for x in comp)
+    edges = sum(degs) // 2
     if edges == n and n >= 3 and degs == [2] * n:
         return Irreducible("A", n - 1, extended=True)
     if edges != n - 1:
@@ -212,9 +214,8 @@ def _classify_one(comp: set, adj, quads) -> Irreducible:
         if n == 5 and degs == [1, 1, 1, 1, 4]:
             return Irreducible("D", 4, extended=True)
         raise UnrecognizedComponent("degree-4 node outside the extended D4 star")
-    branch = [x for x in comp if len(adj[x] & comp) == 3]
+    branch = [x for x in comp if len(adj[x]) == 3]
     if len(branch) == 1:
-        # adj[x] lies inside comp for every x in comp, a component of adj.
         arms = sorted(len(_path(adj, branch[0], x)) for x in adj[branch[0]])
         table = {
             (1, 2, 2): Irreducible("E", 6),
@@ -230,11 +231,8 @@ def _classify_one(comp: set, adj, quads) -> Irreducible:
             return table[tuple(arms)]
         raise UnrecognizedComponent(f"branching tree with arms {arms}")
     if len(branch) == 2:
-        ok = all(
-            len(adj[x] & comp) <= 2 for x in comp if x not in branch
-        ) and all(
-            sum(1 for y in adj[x] & comp if len(adj[y] & comp) == 1) == 2
-            for x in branch
+        ok = all(len(adj[x]) <= 2 for x in comp if x not in branch) and all(
+            sum(1 for y in adj[x] if len(adj[y]) == 1) == 2 for x in branch
         )
         if ok:
             return Irreducible("D", n - 1, extended=True)

@@ -158,12 +158,12 @@ def system_memo(fn):
     exactly as long as the system it describes."""
 
     @wraps(fn)
-    def memoised(system: RootSystem, *args):
-        key = (fn, *args)
+    def memoised(system: RootSystem, *args, **kwargs):
+        key = (fn, args, *kwargs.items())
         try:
             return system.memo[key]
         except KeyError:
-            out = system.memo[key] = fn(system, *args)
+            out = system.memo[key] = fn(system, *args, **kwargs)
             return out
 
     return memoised

@@ -258,3 +258,10 @@ def test_bases_inside_phi_conjugate_by_stabilizer():
                 frozenset(s.proj_rep(w.perm[i]) for i in base0) == target
                 for w in stab
             )
+
+
+def test_enhanced_basis_policy_by_keyword():
+    s = build_root_system("E", 7)
+    by_keyword = enhanced_basis(s, policy="greatest")
+    assert by_keyword is enhanced_basis(s, policy="greatest")
+    assert by_keyword.names == enhanced_basis(s, "greatest").names

@@ -249,7 +249,8 @@ def test_json_round_trip():
 
 def test_subsystem_generated_is_the_integer_span():
     # Independent of the additive closure: a root lies in the generated
-    # subsystem exactly when it is an integer combination of the seeds.
+    # subsystem exactly when it is an integer combination of the seeds
+    # (solved for the positive roots; r and -r are in it together).
     from rootforge import enhanced_basis
     from rootforge.classify import pi_node_subsets
     from rootforge.intlin import solve_integer_combination
@@ -260,9 +261,10 @@ def test_subsystem_generated_is_the_integer_span():
             if len(seed) > 3:
                 continue
             vecs = [s.roots[i] for i in seed]
-            expected = tuple(
+            positive = [
                 i
-                for i, r in enumerate(s.roots)
-                if solve_integer_combination(vecs, r) is not None
-            )
+                for i in s.positive
+                if solve_integer_combination(vecs, s.roots[i]) is not None
+            ]
+            expected = s.symmetrize(tuple(positive))
             assert subsystem_generated(RootSet(s, seed)).members == expected
