@@ -305,10 +305,18 @@ def walk(start, neighbours) -> dict:
 
 def cartan_neighbours(system: RootSystem, pool):
     """The neighbours function of `walk` for the non-orthogonality graph on
-    pool."""
-    return lambda cur, seen: [
-        x for x in pool if x not in seen and system.cartan(cur, x) != 0
-    ]
+    pool.  A node it returns has been reached and leaves the pool, so each
+    later call, in this walk or a later one over the same pool, scans only
+    the nodes no walk has reached yet."""
+    rest = dict.fromkeys(pool)
+
+    def neighbours(cur, seen):
+        found = [x for x in rest if x not in seen and system.cartan(cur, x) != 0]
+        for x in found:
+            del rest[x]
+        return found
+
+    return neighbours
 
 
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
