@@ -109,7 +109,7 @@ def dn_tag(rs: RootSet) -> DnTag:
     """
     sysm = rs.system
     assert sysm.series == "D"
-    members = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
+    members = sysm.projective(rs.members)
     supports = {i: _support(sysm.roots[i]) for i in members}
     thick_pairs = [
         (a, b)
@@ -177,7 +177,7 @@ class OrbitLabel:
 def orbit_label(rs: RootSet) -> OrbitLabel:
     """Orbit name of a Pi-system anywhere in its parent system."""
     sysm = rs.system
-    nodes = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
+    nodes = sysm.projective(rs.members)
     cached = sysm.label_memo.get(nodes)
     if cached is not None:
         return cached
@@ -227,7 +227,7 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     already placed targets, walking roots with reflections.
     """
     model = core_group_model(system)
-    nodes = sorted({system.proj_rep(i) for i in subset})
+    nodes = system.projective(subset)
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("only orthogonal sets can enter the moset")
@@ -272,8 +272,6 @@ def _walk_to(system: RootSystem, comp: set, start: int, targets: set):
     frontier = [start]
     gens = sorted(g for g in comp if system.proj_rep(g) == g)
     landed = None
-    if system.proj_rep(start) in targets:
-        return (), start
     while frontier and landed is None:
         new = []
         for cur in frontier:
@@ -315,7 +313,7 @@ def parity_of_orthogonal(system: RootSystem, subset) -> int:
     """
     if system.series != "E" or system.rank not in SPECIAL_SIZES:
         raise Unsupported("parity is defined for orthogonal sets in E7 and E8")
-    nodes = sorted({system.proj_rep(i) for i in subset})
+    nodes = system.projective(subset)
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("parity is defined for orthogonal sets")

@@ -115,7 +115,7 @@ def _d4_extensions(system: RootSystem, members, key, pick=min):
     """
     members = set(system.symmetrize(tuple(members)))
     while True:
-        nodes = tuple(sorted({system.proj_rep(i) for i in members}))
+        nodes = system.projective(members)
         missing = []
         for center, ends in d4_stars(system, nodes):
             delta = extension_root(system, center, ends)
@@ -146,9 +146,7 @@ def complete(rs: RootSet, key=None) -> RootSet:
 
 def completion_nodes(rs: RootSet, key=None) -> tuple[int, ...]:
     """Projective node set of the completion."""
-    full = complete(rs, key=key)
-    sysm = rs.system
-    return tuple(sorted({sysm.proj_rep(i) for i in full.members}))
+    return rs.system.projective(complete(rs, key=key).members)
 
 
 # -- enhanced bases --------------------------------------------------------

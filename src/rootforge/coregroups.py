@@ -451,10 +451,6 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
     return CoreGroupModel(system, eb.moset, labeling, generators, elements)
 
 
-def moset_of_model(system: RootSystem) -> tuple[int, ...]:
-    return core_group_model(system).moset
-
-
 def derive_labeling(system: RootSystem) -> MosetLabeling:
     """Labeling of the model moset: matrix slots for D, F2^3 vectors for
     E7/E8 (derived from the core group's orbit structure), plain otherwise."""
@@ -530,7 +526,7 @@ def induced_group_on(model: CoreGroupModel, subset) -> set[tuple[int, ...]]:
 
 def verify_moset(system: RootSystem, members) -> None:
     """Raise NotMoset unless members form a moset of the whole system."""
-    nodes = tuple(sorted({system.proj_rep(i) for i in members}))
+    nodes = system.projective(members)
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotMoset("members are not pairwise orthogonal")

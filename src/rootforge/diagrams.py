@@ -140,12 +140,12 @@ def gamma_diagram(rs: RootSet) -> Diagram:
 
 def delta_diagram(rs: RootSet) -> ProjectiveDiagram:
     sysm = rs.system
-    nodes = sorted({sysm.proj_rep(i) for i in rs.members})
+    nodes = sysm.projective(rs.members)
     adj = set()
     for a, b in combinations(nodes, 2):
         if sysm.cartan(a, b) != 0:
             adj.add(frozenset((a, b)))
-    return ProjectiveDiagram(tuple(nodes), frozenset(adj))
+    return ProjectiveDiagram(nodes, frozenset(adj))
 
 
 def projective_diagram_of(system: RootSystem, nodes: tuple[int, ...]) -> ProjectiveDiagram:

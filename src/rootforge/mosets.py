@@ -27,10 +27,6 @@ class Moset:
     scope: tuple[int, ...]
 
 
-def _proj_scope(system: RootSystem, scope) -> tuple[int, ...]:
-    return tuple(sorted({system.proj_rep(i) for i in scope}))
-
-
 def extend_to_moset(system: RootSystem, seed, scope) -> Moset:
     """Greedy completion of an orthogonal seed to a moset of the scope.
 
@@ -38,8 +34,8 @@ def extend_to_moset(system: RootSystem, seed, scope) -> Moset:
     reproducible; by conjugacy of mosets the choice is immaterial for any
     classification question.
     """
-    scope_p = _proj_scope(system, scope)
-    seed_p = tuple(sorted({system.proj_rep(i) for i in seed}))
+    scope_p = system.projective(scope)
+    seed_p = system.projective(seed)
     for a, b in combinations(seed_p, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonalSeed("seed must be pairwise orthogonal")
@@ -90,7 +86,7 @@ def perfect_moset(rs: RootSet) -> Moset:
     toward the class containing the smallest node.
     """
     sysm = rs.system
-    nodes = tuple(sorted({sysm.proj_rep(i) for i in rs.members}))
+    nodes = sysm.projective(rs.members)
     if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
     chosen: list[int] = []
@@ -110,7 +106,7 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
     Mosets are the maximal cliques of the orthogonality graph on projective
     roots, enumerated by Bron-Kerbosch with pivoting.
     """
-    scope_p = _proj_scope(system, scope or range(len(system.roots)))
+    scope_p = system.projective(scope or range(len(system.roots)))
     orth = {
         a: {b for b in scope_p if b != a and system.cartan(a, b) == 0}
         for a in scope_p

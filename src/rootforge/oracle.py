@@ -152,7 +152,7 @@ def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:
 
 def induced_action(system: RootSystem, subset, stabilizer) -> set[tuple[int, ...]]:
     """Permutations induced on the sorted projective subset by a stabilizer."""
-    base = sorted(frozenset(system.proj_rep(i) for i in subset))
+    base = system.projective(subset)
     pos = {n: k for k, n in enumerate(base)}
     out = set()
     for w in stabilizer:

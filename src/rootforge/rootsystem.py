@@ -96,6 +96,10 @@ class RootSystem:
         """
         return i if _lex_positive(self.roots[i]) else self._neg[i]
 
+    def projective(self, members) -> tuple[int, ...]:
+        """Sorted canonical representatives of the projective roots of members."""
+        return tuple(sorted({self.proj_rep(i) for i in members}))
+
     @property
     def proj_nodes(self) -> tuple[int, ...]:
         return self.positive
