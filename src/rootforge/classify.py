@@ -265,7 +265,7 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     return tuple(word), mapping
 
 
-def _walk_to(system: RootSystem, comp: set, start: int, targets: set):
+def _walk_to(system: RootSystem, comp, start: int, targets: set):
     """Breadth-first walk from a root to any target by reflections in the
     component's roots; returns (word, landing root)."""
     parents: dict[int, tuple[int, int] | None] = {start: None}
@@ -582,28 +582,29 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-def _pi_subsets(system: RootSystem, nodes) -> list[tuple[int, ...]]:
-    """Every nonempty subset of the nodes that is a Pi-system, in depth-first
-    order.  Pi-ness is closed under taking subsets, so growth over sorted
-    nodes that stops at the first non-Dynkin shape visits exactly the family.
+def _pi_subsets(system: RootSystem, nodes, visit) -> None:
+    """Call visit on every nonempty subset of the nodes that is a Pi-system,
+    in depth-first order.  Pi-ness is closed under taking subsets, so growth
+    over sorted nodes that stops at the first non-Dynkin shape visits exactly
+    the family.
     """
     nodes = sorted(nodes)
-    out: list[tuple[int, ...]] = []
 
     def grow(current: tuple[int, ...], start: int):
         for k in range(start, len(nodes)):
             cand = current + (nodes[k],)
             if is_dynkin_shape(projective_diagram_of(system, cand)):
-                out.append(cand)
+                visit(cand)
                 grow(cand, k + 1)
 
     grow((), 0)
-    return out
 
 
 def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     """All node subsets of the enhanced diagram that are Pi-systems."""
-    return _pi_subsets(eb.system, eb.nodes)
+    out: list[tuple[int, ...]] = []
+    _pi_subsets(eb.system, eb.nodes, out.append)
+    return out
 
 
 @system_memo
@@ -626,10 +627,13 @@ def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int
 def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> frozenset:
     """Labels of every Pi-system inside the subsystem generated by rep,
     read off from the completion of rep inside the enhanced basis."""
-    sub_nodes = completion_nodes(RootSet(system, rep))
-    return frozenset(
-        orbit_label(RootSet(system, s)) for s in _pi_subsets(system, sub_nodes)
+    labels: set[OrbitLabel] = set()
+    _pi_subsets(
+        system,
+        completion_nodes(RootSet(system, rep)),
+        lambda s: labels.add(orbit_label(RootSet(system, s))),
     )
+    return frozenset(labels)
 
 
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
