@@ -182,9 +182,10 @@ def orbit_label(rs: RootSet) -> OrbitLabel:
     if cached is not None:
         return cached
     rs = RootSet(sysm, nodes)
-    if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
+    diagram = projective_diagram_of(sysm, nodes)
+    if not is_dynkin_shape(diagram):
         raise NotPiSystem("orbit labels are defined for Pi-systems")
-    ttext = pi_type(sysm, nodes).render()
+    ttext = classify_components(diagram).render()
     if sysm.series == "D":
         tag = dn_tag(rs)
         if tag.distinguished:
@@ -235,7 +236,6 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     scope = set(range(len(system.roots)))
     word: list[int] = []
     images = {n: n for n in nodes}
-    placed: list[int] = []
     for n in nodes:
         cur = images[n]
         targets = {m for m in moset if m in scope or system.negative(m) in scope}
@@ -244,7 +244,8 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
         else:
             comp = walk(cur, cartan_neighbours(system, scope))
             local_targets = {t for t in targets if t in comp or system.negative(t) in comp}
-            assert local_targets, "moset misses a component of the complement"
+            if not local_targets:
+                raise InvariantViolation("moset misses a component of the complement")
             step_word, landed = _walk_to(system, comp, cur, local_targets)
             word.extend(step_word)
             for k in images:
@@ -253,8 +254,8 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
                     img = system.reflect(img, j)
                 images[k] = img
             target = system.proj_rep(images[n])
-            assert target in local_targets
-        placed.append(target)
+            if target not in local_targets:
+                raise InvariantViolation("walk landed outside the moset targets")
         moset.discard(target)
         scope = {
             r
@@ -286,7 +287,8 @@ def _walk_to(system: RootSystem, comp, start: int, targets: set):
             if landed is not None:
                 break
         frontier = new
-    assert landed is not None, "target unreachable inside the component"
+    if landed is None:
+        raise InvariantViolation("target unreachable inside the component")
     word = []
     cur = landed
     while parents[cur] is not None:
@@ -434,7 +436,8 @@ def moset_embedding(eb: EnhancedBasis, subset) -> dict:
             model_name = model_eb.names[model_node]
             image_name = table[model_name]
             mapping[n] = emb[model_eb.node(image_name)]
-    assert all(mapping[n] in m_set for n in nodes)
+    if not all(mapping[n] in m_set for n in nodes):
+        raise InvariantViolation("moset embedding leaves the moset")
     return mapping
 
 
@@ -493,7 +496,8 @@ def _reduction_schedule(system: RootSystem, members, core):
             if len(nbrs) == 1 and nbrs[0] not in core:
                 step = (nbrs[0], e)
                 break
-        assert step is not None, "reduction stalled before the perfect moset"
+        if step is None:
+            raise InvariantViolation("reduction stalled before the perfect moset")
         current.discard(step[0])
         out.append(step)
     return out
@@ -534,17 +538,13 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     word = tuple(word1) + tuple(gword) + tuple(reversed(word2))
     perm = perm_from_word(sysm, word)
     inv = _invert(perm)
-    realized = list(core)
     for a, e in reversed(schedule):
         fa = emb.mapping[a]
         g_img = inv[fa]
         if sysm.proj_rep(g_img) == sysm.proj_rep(a):
-            realized.append(a)
             continue
         if sysm.cartan(a, g_img) == 0:
-            g_img2 = sysm.reflect(g_img, e)
-            assert sysm.cartan(a, g_img2) != 0
-            gamma = _join_root(sysm, a, g_img2)
+            gamma = _join_root(sysm, a, sysm.reflect(g_img, e))
             extra = (gamma, sysm.proj_rep(e))
         else:
             gamma = _join_root(sysm, a, g_img)
@@ -552,7 +552,6 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
         word = extra + word
         perm = perm_from_word(sysm, word)
         inv = _invert(perm)
-        realized.append(a)
     for n in emb.source:
         if sysm.proj_rep(perm[n]) != sysm.proj_rep(emb.mapping[n]):
             raise InvariantViolation(f"witness word does not replay on node {n}")
@@ -571,50 +570,54 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
     fixing everything orthogonal to both: gamma = a + b after flipping b
     so the pairing is negative."""
     c = system.cartan(a, b)
-    assert c != 0
+    if c == 0:
+        raise InvariantViolation(f"roots {a} and {b} are orthogonal")
     bb = system.negative(b) if c > 0 else b
     coords = tuple(x + y for x, y in zip(system.roots[a], system.roots[bb]))
     idx = system.index(coords)
-    assert idx is not None
+    if idx is None:
+        raise InvariantViolation(f"roots {a} and {b} do not sum to a root")
     return system.proj_rep(idx)
 
 
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-def _pi_subsets(system: RootSystem, nodes, visit) -> None:
-    """Call visit on every nonempty subset of the nodes that is a Pi-system,
-    in depth-first order.  Pi-ness is closed under taking subsets, so growth
-    over sorted nodes that stops at the first non-Dynkin shape visits exactly
-    the family.
+def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
+    """All node subsets of the enhanced diagram that are Pi-systems, in
+    depth-first (lexicographic) order.  Pi-ness is closed under taking
+    subsets, so growth over sorted nodes that stops at the first non-Dynkin
+    shape visits exactly the family.
     """
-    nodes = sorted(nodes)
+    system = eb.system
+    nodes = sorted(eb.nodes)
+    out: list[tuple[int, ...]] = []
 
     def grow(current: tuple[int, ...], start: int):
         for k in range(start, len(nodes)):
             cand = current + (nodes[k],)
             if is_dynkin_shape(projective_diagram_of(system, cand)):
-                visit(cand)
+                out.append(cand)
                 grow(cand, k + 1)
 
     grow((), 0)
-
-
-def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
-    """All node subsets of the enhanced diagram that are Pi-systems."""
-    out: list[tuple[int, ...]] = []
-    _pi_subsets(eb.system, eb.nodes, out.append)
     return out
+
+
+@system_memo
+def _pi_table(system: RootSystem) -> tuple[list, list]:
+    """The enhanced diagram's Pi-subsets and their orbit labels, as two
+    parallel lists (one tuple per subset would cost more memory)."""
+    subsets = pi_node_subsets(enhanced_basis(system))
+    return subsets, [orbit_label(RootSet(system, s)) for s in subsets]
 
 
 @system_memo
 def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int, ...]], ...]:
     """All Weyl orbits of nonempty Pi-systems, each with its least
     representative inside the enhanced basis."""
-    eb = enhanced_basis(system)
     reps: dict[OrbitLabel, tuple[int, ...]] = {}
-    for subset in pi_node_subsets(eb):
-        label = orbit_label(RootSet(system, subset))
+    for subset, label in zip(*_pi_table(system)):
         if label not in reps or subset < reps[label]:
             reps[label] = subset
     return tuple(sorted(reps.items()))
@@ -625,15 +628,16 @@ def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int
 
 @system_memo
 def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> frozenset:
-    """Labels of every Pi-system inside the subsystem generated by rep,
-    read off from the completion of rep inside the enhanced basis."""
-    labels: set[OrbitLabel] = set()
-    _pi_subsets(
-        system,
-        completion_nodes(RootSet(system, rep)),
-        lambda s: labels.add(orbit_label(RootSet(system, s))),
-    )
-    return frozenset(labels)
+    """Labels of every Pi-system inside the subsystem generated by rep.
+
+    The enhanced basis is complete, so rep's completion stays among its
+    nodes, and the Pi-systems of the completion are read off the one table.
+    """
+    inside = frozenset(completion_nodes(RootSet(system, rep)))
+    if not inside <= frozenset(enhanced_basis(system).nodes):
+        raise InvariantViolation(f"completion of {rep} leaves the enhanced basis")
+    subsets, labels = _pi_table(system)
+    return frozenset(l for s, l in zip(subsets, labels) if inside.issuperset(s))
 
 
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
@@ -676,17 +680,11 @@ class HasseDiagram:
 def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     """Transitive reduction of the orbit order over the given labels
     (default: all orbits)."""
-    if labels is None:
-        labels = [l for l, _ in enumerate_pi_orbits(system)]
-    labels = list(labels)
-    below = {
-        l: {
-            other
-            for other in labels
-            if other != l and order_between_orbits(other, l, system)
-        }
-        for l in labels
-    }
+    reps = dict(enumerate_pi_orbits(system))
+    labels = list(reps if labels is None else labels)
+    if any(l.ambient != system.name for l in labels):
+        raise MixedAmbient("orbit labels come from different ambient systems")
+    below = {l: _labels_below(system, reps[l]).intersection(labels) - {l} for l in labels}
     edges = []
     for upper in labels:
         for lower in below[upper]:

@@ -8,6 +8,7 @@ length 8, and the Cartan pairing of roots a, b is dot(a, b) // 4.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
@@ -159,15 +160,27 @@ class RootSet:
 
 def system_memo(fn):
     """Memoise fn(system, *args) in system.memo, so that every result lives
-    exactly as long as the system it describes."""
+    exactly as long as the system it describes.
+
+    The key is the full positional argument tuple: keywords are folded into
+    their positions and defaults filled in, so every spelling of one call
+    shares one entry.  Calls that pass every argument by position skip the
+    binding; they are the hot ones.
+    """
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters) - 1
 
     @wraps(fn)
     def memoised(system: RootSystem, *args, **kwargs):
-        key = (fn, args, *kwargs.items())
+        if kwargs or len(args) != arity:
+            bound = signature.bind(system, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn, args)
         try:
             return system.memo[key]
         except KeyError:
-            out = system.memo[key] = fn(system, *args, **kwargs)
+            out = system.memo[key] = fn(system, *args)
             return out
 
     return memoised

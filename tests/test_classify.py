@@ -581,3 +581,69 @@ def test_witness_replay_failure_raises_typed_error(monkeypatch):
     monkeypatch.setattr(classify, "perm_from_word", lambda system, word: identity_perm(system))
     with pytest.raises(InvariantViolation):
         is_weyl_embedding(emb)
+
+
+def test_hasse_rejects_labels_of_another_system():
+    a3_labels = [l for l, _ in enumerate_pi_orbits(build_root_system("A", 3))]
+    with pytest.raises(MixedAmbient):
+        hasse_diagram(build_root_system("A", 4), a3_labels)
+
+
+def _reference_labels_below(system, rep):
+    # The depth-first search over the completion's own node subsets that the
+    # orbit order used before it read them off the enhanced diagram's table.
+    from rootforge.completion import completion_nodes
+    from rootforge.diagrams import is_dynkin_shape, projective_diagram_of
+
+    nodes = sorted(completion_nodes(RootSet(system, rep)))
+    labels = set()
+
+    def grow(current, start):
+        for k in range(start, len(nodes)):
+            cand = current + (nodes[k],)
+            if is_dynkin_shape(projective_diagram_of(system, cand)):
+                labels.add(orbit_label(RootSet(system, cand)))
+                grow(cand, k + 1)
+
+    grow((), 0)
+    return frozenset(labels)
+
+
+def test_labels_below_matches_search_over_the_completion():
+    from rootforge.classify import _labels_below
+    from rootforge.verification import SMALL
+
+    for series, rank in SMALL:
+        s = build_root_system(series, rank)
+        for _, rep in enumerate_pi_orbits(s):
+            assert _labels_below(s, rep) == _reference_labels_below(s, rep), (s.name, rep)
+
+
+def test_completion_outside_the_enhanced_basis_raises(monkeypatch):
+    # Typed, so that it holds under python -O too.
+    from rootforge import classify
+    from rootforge.classify import _labels_below
+    from rootforge.errors import InvariantViolation
+    from rootforge.rootsystem import RootSystem
+
+    s = RootSystem("A", 3, list(build_root_system("A", 3).roots), 4)
+    eb = enhanced_basis(s)
+    outsider = next(s.proj_rep(i) for i in range(len(s.roots)) if s.proj_rep(i) not in eb.nodes)
+    monkeypatch.setattr(classify, "completion_nodes", lambda rs: tuple(sorted(eb.nodes + (outsider,))))
+    with pytest.raises(InvariantViolation):
+        _labels_below(s, eb.nodes[:1])
+    with pytest.raises(InvariantViolation):
+        hasse_diagram(s)
+
+
+def test_moset_embedding_off_the_moset_raises_typed_error(monkeypatch):
+    # A residual table that maps each node to itself leaves the moset; the
+    # final check must catch it under python -O too.
+    from rootforge import classify
+    from rootforge.errors import InvariantViolation
+
+    e7 = build_root_system("E", 7)
+    eb = enhanced_basis(e7)
+    monkeypatch.setattr(classify, "_residual_table", lambda model_eb: {n: n for n in model_eb.names.values()})
+    with pytest.raises(InvariantViolation):
+        moset_embedding(eb, eb.subset(["1", "4", "6", "l2"]))

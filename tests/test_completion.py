@@ -265,3 +265,16 @@ def test_enhanced_basis_policy_by_keyword():
     by_keyword = enhanced_basis(s, policy="greatest")
     assert by_keyword is enhanced_basis(s, policy="greatest")
     assert by_keyword.names == enhanced_basis(s, "greatest").names
+
+
+def test_enhanced_basis_spellings_share_one_memo_entry():
+    from rootforge.rootsystem import RootSystem
+
+    e6 = build_root_system("E", 6)
+    s = RootSystem("E", 6, list(e6.roots), e6.ambient_dim)  # empty memo
+    eb = enhanced_basis(s)
+    assert enhanced_basis(s, "least") is eb
+    assert enhanced_basis(s, policy="least") is eb
+    assert sum(1 for key in s.memo if key[0] is enhanced_basis.__wrapped__) == 1
+    with pytest.raises(TypeError):
+        enhanced_basis(s, "least", policy="least")

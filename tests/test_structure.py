@@ -1,15 +1,23 @@
-"""Static checks on the package sources.
+"""Static checks on the package sources, and what the benchmark relies on.
 
 Imports inside function bodies hide import cycles, and caches keyed by
 id() outlive the objects they describe; neither may come back.  The one
 deferred import allowed is cli.cmd_verify's, which keeps the acceptance
-suite out of every other command's start-up.
+suite out of every other command's start-up.  The benchmark under
+`perfbench/` wraps functions by name and shuffles the subset lists it is
+given, so those names and that freedom are checked here too.
 """
 
 import ast
+import importlib
+import importlib.util
+import random
 from pathlib import Path
 
 import rootforge
+from rootforge import build_root_system, enhanced_basis, enumerate_pi_orbits, hasse_diagram
+from rootforge.classify import pi_node_subsets
+from rootforge.rootsystem import RootSystem
 
 SOURCES = sorted(Path(rootforge.__file__).parent.glob("*.py"))
 ALLOWED_LOCAL_IMPORTS = {("cli.py", "cmd_verify")}
@@ -44,3 +52,31 @@ def test_no_id_calls():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_traced_names_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in tracing.TRACED.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"rootforge.{mod}"), fn, None))
+    ]
+    assert not missing, missing
+
+
+def test_pi_node_subsets_lists_are_the_callers_own():
+    reference = build_root_system("D", 5)
+    s = RootSystem("D", 5, list(reference.roots), 5)
+    eb = enhanced_basis(s)
+    random.Random(0).shuffle(pi_node_subsets(eb))
+    orbits = enumerate_pi_orbits(s)
+    subsets = pi_node_subsets(eb)
+    random.Random(1).shuffle(subsets)
+    subsets.clear()
+    assert pi_node_subsets(eb) == pi_node_subsets(enhanced_basis(reference))
+    assert orbits == enumerate_pi_orbits(s) == enumerate_pi_orbits(reference)
+    assert hasse_diagram(s) == hasse_diagram(reference)
