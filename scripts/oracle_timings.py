@@ -2,7 +2,6 @@
 """Time the brute-force machinery: Weyl enumeration and orbit walks.
 
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6]
-Set ROOTFORGE_CACHE_DIR to persist enumerations between runs.
 """
 
 import sys

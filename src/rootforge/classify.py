@@ -24,6 +24,7 @@ from .coregroups import (
 from .diagrams import (
     TypeLabel,
     classify_components,
+    dynkin_type,
     is_dynkin_shape,
     projective_diagram_of,
     subsystem_type,  # re-exported, as is subsystem_basis below
@@ -126,11 +127,11 @@ def dn_tag(rs: RootSet) -> DnTag:
                 d3 += 1
     width = len(frozenset().union(*supports.values())) if members else 0
     thin = d2 == 0
-    significant = all(
+    # Only thin sets of full width can be distinguished; only they need the type.
+    distinguished = thin and width == sysm.rank and all(
         p.series == "A" and p.rank % 2 == 1
         for p in pi_type(sysm, members).parts
     )
-    distinguished = thin and significant and width == sysm.rank
     side = None
     if distinguished:
         core = perfect_moset(RootSet(sysm, members)).members
@@ -176,16 +177,18 @@ class OrbitLabel:
 
 def orbit_label(rs: RootSet) -> OrbitLabel:
     """Orbit name of a Pi-system anywhere in its parent system."""
-    sysm = rs.system
-    nodes = sysm.projective(rs.members)
-    cached = sysm.label_memo.get(nodes)
-    if cached is not None:
-        return cached
-    rs = RootSet(sysm, nodes)
-    diagram = projective_diagram_of(sysm, nodes)
-    if not is_dynkin_shape(diagram):
+    return _orbit_label(rs.system, rs.system.projective(rs.members))
+
+
+@system_memo
+def _orbit_label(sysm: RootSystem, nodes: tuple[int, ...]) -> OrbitLabel:
+    """orbit_label of the sorted projective nodes; its diagram is built and
+    classified once."""
+    ttype = dynkin_type(projective_diagram_of(sysm, nodes))
+    if ttype is None:
         raise NotPiSystem("orbit labels are defined for Pi-systems")
-    ttext = classify_components(diagram).render()
+    ttext = ttype.render()
+    rs = RootSet(sysm, nodes)
     if sysm.series == "D":
         tag = dn_tag(rs)
         if tag.distinguished:
@@ -206,7 +209,13 @@ def orbit_label(rs: RootSet) -> OrbitLabel:
                     )
                 par = parity_of_orthogonal(sysm, om.members)
                 label = OrbitLabel(sysm.name, ttext, "ep", (charge, par))
-    sysm.label_memo[nodes] = label
+    return _interned(sysm, label)
+
+
+@system_memo
+def _interned(system: RootSystem, label: OrbitLabel) -> OrbitLabel:
+    """The system's one copy of an equal label: the 22,910 Pi-subsets of
+    E8 then share the objects of its 76 orbit labels."""
     return label
 
 
@@ -376,22 +385,19 @@ def _component_match(system: RootSystem, comp_nodes: tuple, moset_nodes: tuple):
     moset.
     """
     comp_diagram = projective_diagram_of(system, comp_nodes)
-    label = None
     count = len(comp_nodes)
-    candidates = []
-    for series in ("A", "D", "E"):
-        ranks = {
-            "A": [count],
-            "D": [r for r in range(4, 9) if (3 * (r // 2) - 1 if r % 2 == 0 else 3 * (r // 2)) == count],
-            "E": [r for r in (6, 7, 8) if {6: 8, 7: 11, 8: 16}[r] == count],
-        }[series]
-        candidates.extend((series, r) for r in ranks)
+    # The enhanced diagram of A_n has n nodes; that of D_n has 3(n // 2) - 1
+    # (n even) or 3(n // 2) (n odd), more than n; E6, E7, E8 have 8, 11, 16.
+    candidates = [("A", count)]
+    candidates += [
+        ("D", r)
+        for r in range(4, count)
+        if 3 * (r // 2) - (r % 2 == 0) == count
+    ]
+    candidates += [("E", r) for r in (6, 7, 8) if {6: 8, 7: 11, 8: 16}[r] == count]
     m_set = set(moset_nodes)
     for series, rank_ in candidates:
-        try:
-            model_eb = enhanced_basis(build_root_system(series, rank_))
-        except Exception:
-            continue
+        model_eb = enhanced_basis(build_root_system(series, rank_))
         model_d = model_eb.diagram()
         if len(model_d.nodes) != count:
             continue
@@ -585,41 +591,51 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 
 def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     """All node subsets of the enhanced diagram that are Pi-systems, in
-    depth-first (lexicographic) order.  Pi-ness is closed under taking
-    subsets, so growth over sorted nodes that stops at the first non-Dynkin
-    shape visits exactly the family.
+    depth-first (lexicographic) order, as a list of the caller's own.
+
+    Both completion policies give the same node set, so the table of the
+    system's default enhanced basis serves every policy.
     """
-    system = eb.system
-    nodes = sorted(eb.nodes)
-    out: list[tuple[int, ...]] = []
-
-    def grow(current: tuple[int, ...], start: int):
-        for k in range(start, len(nodes)):
-            cand = current + (nodes[k],)
-            if is_dynkin_shape(projective_diagram_of(system, cand)):
-                out.append(cand)
-                grow(cand, k + 1)
-
-    grow((), 0)
-    return out
+    return list(_pi_table(eb.system)[0])
 
 
 @system_memo
 def _pi_table(system: RootSystem) -> tuple[list, list]:
-    """The enhanced diagram's Pi-subsets and their orbit labels, as two
-    parallel lists (one tuple per subset would cost more memory)."""
-    subsets = pi_node_subsets(enhanced_basis(system))
-    return subsets, [orbit_label(RootSet(system, s)) for s in subsets]
+    """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
+    order and their orbit labels, as two parallel lists (one tuple per
+    subset would cost more memory).
+
+    Pi-ness is closed under taking subsets, so growth over sorted nodes
+    that stops at each candidate orbit_label rejects visits exactly the
+    family, and labels each member in the walk that finds it.
+    """
+    nodes = sorted(enhanced_basis(system).nodes)
+    subsets: list[tuple[int, ...]] = []
+    labels: list[OrbitLabel] = []
+
+    def grow(current: tuple[int, ...], start: int):
+        for k in range(start, len(nodes)):
+            cand = current + (nodes[k],)
+            try:
+                label = orbit_label(RootSet(system, cand))
+            except NotPiSystem:
+                continue
+            subsets.append(cand)
+            labels.append(label)
+            grow(cand, k + 1)
+
+    grow((), 0)
+    return subsets, labels
 
 
 @system_memo
 def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int, ...]], ...]:
     """All Weyl orbits of nonempty Pi-systems, each with its least
-    representative inside the enhanced basis."""
+    representative inside the enhanced basis: the first in the table,
+    whose depth-first order is lexicographic."""
     reps: dict[OrbitLabel, tuple[int, ...]] = {}
     for subset, label in zip(*_pi_table(system)):
-        if label not in reps or subset < reps[label]:
-            reps[label] = subset
+        reps.setdefault(label, subset)
     return tuple(sorted(reps.items()))
 
 

@@ -133,20 +133,23 @@ def _star_nodes(star) -> tuple[int, ...]:
     return tuple(sorted(star[1] + (star[0],)))
 
 
-def complete(rs: RootSet, key=None) -> RootSet:
+def complete(rs: RootSet) -> RootSet:
     """Minimal complete symmetric superset of the given set.
 
-    The set is symmetrized first; then the D4 subdiagram with the smallest
-    key that lacks its extension root is extended, until none remains.
+    The set is symmetrized first; then the D4 subdiagram with the least
+    sorted node tuple that lacks its extension root is extended, until none
+    remains.  Every added root lies in every complete superset, so the
+    result is the least complete superset (complete sets are closed under
+    intersection), whatever order the extensions take.
     """
     sysm = rs.system
-    added = tuple(_d4_extensions(sysm, rs.members, key or _star_nodes))
+    added = tuple(_d4_extensions(sysm, rs.members, _star_nodes))
     return RootSet(sysm, sysm.symmetrize(rs.members + added))
 
 
-def completion_nodes(rs: RootSet, key=None) -> tuple[int, ...]:
+def completion_nodes(rs: RootSet) -> tuple[int, ...]:
     """Projective node set of the completion."""
-    return rs.system.projective(complete(rs, key=key).members)
+    return rs.system.projective(complete(rs).members)
 
 
 # -- enhanced bases --------------------------------------------------------
@@ -386,7 +389,9 @@ def enhanced_basis(system: RootSystem, policy: str = "least") -> EnhancedBasis:
     simple basis, with canonical node names and the boldfaced moset.
 
     policy picks which extendable D4 subdiagram is used first ("least" or
-    "greatest" by node labels); the resulting diagrams are isomorphic.
+    "greatest" by node labels).  The completion is the least complete
+    superset either way, so both policies give the same nodes; only the
+    names of the added nodes may differ.
     """
     if len(components(system, tuple(range(len(system.roots))))) != 1:
         raise NotIrreducible("enhanced bases are defined for irreducible systems")

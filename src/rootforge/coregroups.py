@@ -23,7 +23,6 @@ from .mosets import _mu_formula
 from .rootsystem import (
     RootSet,
     RootSystem,
-    is_pi_system,
     subsystem_basis,
     subsystem_generated,
     system_memo,
@@ -170,22 +169,11 @@ def _generator_pool(system: RootSystem, eb: EnhancedBasis):
     return pools
 
 
-def _pi_subdiagram_pool(system: RootSystem, eb: EnhancedBasis, max_size: int = 4):
-    """Fallback seeds: every small Pi-subdiagram."""
-    for size in range(2, max_size + 1):
-        for combo in combinations(eb.nodes, size):
-            if is_pi_system(RootSet(system, combo)):
-                yield combo
-
-
-def _subsystems(system: RootSystem, seeds, max_roots: int | None = None):
-    """The distinct subsystems the seeds generate, in first-seen order,
-    leaving out those with more than max_roots roots."""
+def _subsystems(system: RootSystem, seeds):
+    """The distinct subsystems the seeds generate, in first-seen order."""
     out: dict[tuple[int, ...], None] = {}
     for seed in seeds:
-        sub = subsystem_generated(RootSet(system, seed)).members
-        if max_roots is None or len(sub) <= max_roots:
-            out.setdefault(sub)
+        out.setdefault(subsystem_generated(RootSet(system, seed)).members)
     return list(out)
 
 
@@ -225,12 +213,6 @@ def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
             if perm not in gens or len(word) < len(gens[perm]):
                 gens[perm] = word
     elements = _close_group(gens, len(moset))
-    if len(elements) != target:
-        for sub in _subsystems(system, _pi_subdiagram_pool(system, eb), 60):
-            for perm, word in _local_stabilizer_perms(system, sub, moset):
-                if perm not in gens:
-                    gens[perm] = word
-        elements = _close_group(gens, len(moset))
     if len(elements) != target:
         raise LabelingInfeasible(
             f"core group generation reached order {len(elements)}, expected {target}"

@@ -251,13 +251,19 @@ def _path(adj, prev, cur) -> list:
         out.append(cur)
 
 
-def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
-    """True iff every component is a plain (non-extended) ADE diagram."""
+def dynkin_type(d: ProjectiveDiagram) -> TypeLabel | None:
+    """The type of d when every component is a plain (non-extended) ADE
+    diagram, and None otherwise."""
     try:
         label = classify_components(d)
     except UnrecognizedComponent:
-        return False
-    return all(not p.extended for p in label.parts)
+        return None
+    return None if any(p.extended for p in label.parts) else label
+
+
+def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
+    """True iff every component is a plain (non-extended) ADE diagram."""
+    return dynkin_type(d) is not None
 
 
 def subsystem_type(system: RootSystem, members) -> TypeLabel:

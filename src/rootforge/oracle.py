@@ -1,23 +1,21 @@
 """Brute-force Weyl group machinery used as ground truth at small rank.
 
 Elements are stored as permutations of the root index list, packed into
-bytes (every supported system has fewer than 256 roots).  Full enumeration
-is only feasible up to W(E7); orbit questions about subsets are answered
-by a generator walk that never materializes the whole group.
+bytes, so the oracle serves systems of at most 256 roots (E8 has 240; A16
+and D12 are the first systems beyond it).  Full enumeration is only
+feasible up to W(E7); orbit questions about subsets are answered by a
+generator walk that never materializes the whole group.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Unsupported
 from .rootsystem import RootSystem, system_memo
 
-CACHE_ENV = "ROOTFORGE_CACHE_DIR"
-CACHE_VERSION = 1
 DEFAULT_CAP = 10**7
+MAX_ROOTS = 256  # a byte holds root indices 0..255
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,17 @@ def simple_reflection_perms(system: RootSystem) -> list[bytes]:
     return [reflection_perm(system, j) for j in system.simple_basis]
 
 
+def _check_size(system: RootSystem) -> None:
+    if len(system.roots) > MAX_ROOTS:
+        raise Unsupported(
+            f"{system.name} has {len(system.roots)} roots; permutations are"
+            f" packed into bytes and hold at most {MAX_ROOTS}"
+        )
+
+
 @system_memo
 def reflection_perm(system: RootSystem, j: int) -> bytes:
+    _check_size(system)
     return bytes(system.reflect(i, j) for i in range(len(system.roots)))
 
 
@@ -48,6 +55,7 @@ def compose(outer: bytes, inner: bytes) -> bytes:
 
 
 def identity_perm(system: RootSystem) -> bytes:
+    _check_size(system)
     return bytes(range(len(system.roots)))
 
 
@@ -62,11 +70,6 @@ def perm_from_word(system: RootSystem, word) -> bytes:
 def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     """All Weyl group elements by breadth-first closure of the simple
     reflections.  Raises CapExceeded when the group outgrows the cap."""
-    cached = _cache_load(system)
-    if cached is not None:
-        if len(cached) > cap:
-            raise CapExceeded(f"|W| = {len(cached)} exceeds cap {cap}")
-        return [WeylElement(p) for p in cached]
     gens = simple_reflection_perms(system)
     ident = identity_perm(system)
     seen = {ident}
@@ -82,9 +85,7 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylEleme
                     if len(seen) > cap:
                         raise CapExceeded(f"Weyl enumeration exceeded cap {cap}")
         frontier = new
-    perms = sorted(seen)
-    _cache_store(system, perms)
-    return [WeylElement(p) for p in perms]
+    return [WeylElement(p) for p in sorted(seen)]
 
 
 def weyl_order(system: RootSystem, cap: int = DEFAULT_CAP) -> int:
@@ -158,31 +159,3 @@ def induced_action(system: RootSystem, subset, stabilizer) -> set[tuple[int, ...
     for w in stabilizer:
         out.add(tuple(pos[system.proj_rep(w.perm[n])] for n in base))
     return out
-
-
-# -- cache ------------------------------------------------------------------
-
-
-def _cache_path(system: RootSystem) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(
-        root, f"weyl-{system.series}{system.rank}-v{CACHE_VERSION}.pkl"
-    )
-
-
-def _cache_load(system: RootSystem):
-    path = _cache_path(system)
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    return None
-
-
-def _cache_store(system: RootSystem, perms) -> None:
-    path = _cache_path(system)
-    if path:
-        with open(path, "wb") as fh:
-            pickle.dump(perms, fh, protocol=pickle.HIGHEST_PROTOCOL)

@@ -647,3 +647,88 @@ def test_moset_embedding_off_the_moset_raises_typed_error(monkeypatch):
     monkeypatch.setattr(classify, "_residual_table", lambda model_eb: {n: n for n in model_eb.names.values()})
     with pytest.raises(InvariantViolation):
         moset_embedding(eb, eb.subset(["1", "4", "6", "l2"]))
+
+
+def _reference_pi_table(system):
+    # The walk pi_node_subsets made before the table labelled as it walked:
+    # is_dynkin_shape over each candidate's diagram, then orbit_label on a
+    # fresh system with the same roots, so that no memo entry is shared.
+    from rootforge.diagrams import is_dynkin_shape, projective_diagram_of
+    from rootforge.rootsystem import RootSystem
+
+    nodes = sorted(enhanced_basis(system).nodes)
+    subsets = []
+
+    def grow(current, start):
+        for k in range(start, len(nodes)):
+            cand = current + (nodes[k],)
+            if is_dynkin_shape(projective_diagram_of(system, cand)):
+                subsets.append(cand)
+                grow(cand, k + 1)
+
+    grow((), 0)
+    fresh = RootSystem(system.series, system.rank, list(system.roots), system.ambient_dim)
+    return subsets, [orbit_label(RootSet(fresh, s)) for s in subsets]
+
+
+def test_pi_table_matches_the_separate_walk_and_labels():
+    from rootforge.classify import _pi_table
+    from rootforge.verification import SMALL
+
+    for series, rank in SMALL + [("D", 9), ("A", 12)]:
+        s = build_root_system(series, rank)
+        assert _pi_table(s) == _reference_pi_table(s), s.name
+
+
+def test_fresh_label_classifies_its_diagram_once(monkeypatch):
+    from rootforge import classify, diagrams
+    from rootforge.rootsystem import RootSystem
+
+    fresh = RootSystem("E", 6, list(build_root_system("E", 6).roots), 8)
+    subset = enhanced_basis(fresh).subset(["1", "3", "4"])
+    original = diagrams.classify_components
+    seen = []
+    for module in (classify, diagrams):
+        monkeypatch.setattr(module, "classify_components", lambda d: seen.append(d) or original(d))
+    assert orbit_label(RootSet(fresh, subset)).render() == "A3"
+    assert len(seen) == 1
+
+
+def test_both_completion_policies_give_the_same_pi_subsets():
+    from rootforge.verification import SMALL
+
+    for series, rank in SMALL + [("D", 9), ("D", 10)]:
+        s = build_root_system(series, rank)
+        least, greatest = enhanced_basis(s), enhanced_basis(s, "greatest")
+        assert sorted(greatest.nodes) == sorted(least.nodes), s.name
+        assert pi_node_subsets(greatest) == pi_node_subsets(least)
+
+
+def test_moset_embedding_beyond_d8():
+    # Orthogonal 1- and 2-subsets off the moset; D9 and D10 components were
+    # once matched against D4-D8 models only.
+    for rank in (9, 10):
+        s = build_root_system("D", rank)
+        eb = enhanced_basis(s)
+        subsets = [
+            c
+            for k in (1, 2)
+            for c in combinations(eb.nodes, k)
+            if all(s.cartan(a, b) == 0 for a, b in combinations(c, 2))
+            and not set(c) <= set(eb.moset)
+        ]
+        assert subsets
+        for c in subsets:
+            mapping = moset_embedding(eb, c)
+            assert set(mapping.values()) <= set(eb.moset)
+            assert is_weyl_embedding(EmbeddingMap(s, mapping)).is_weyl, (s.name, c)
+
+
+def test_labels_of_one_orbit_share_one_object():
+    # The table keeps one label per Pi-subset; equal labels must not each
+    # hold their own strings (22,910 subsets of E8 against 76 orbits).
+    from rootforge.classify import _pi_table
+
+    _, labels = _pi_table(build_root_system("D", 6))
+    first = {}
+    assert all(first.setdefault(l, l) is l for l in labels)

@@ -181,3 +181,20 @@ def test_reflection_perm_belongs_to_its_system():
     for i in range(40):
         got, expected = perm_length(3 + i % 2)
         assert got == expected
+
+
+def test_permutations_beyond_a_byte_raise_typed_error():
+    # Permutations are packed into bytes; D12 (264 roots) does not fit.
+    from rootforge import EmbeddingMap, enhanced_basis, is_weyl_embedding
+    from rootforge.errors import Unsupported
+    from rootforge.oracle import identity_perm
+
+    d12 = build_root_system("D", 12)
+    with pytest.raises(Unsupported, match="256"):
+        identity_perm(d12)
+    with pytest.raises(Unsupported, match="256"):
+        reflection_perm(d12, 0)
+    node = enhanced_basis(d12).nodes[0]
+    with pytest.raises(Unsupported, match="256"):
+        is_weyl_embedding(EmbeddingMap(d12, {node: node}))
+    assert len(identity_perm(build_root_system("E", 8))) == 240

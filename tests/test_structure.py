@@ -1,7 +1,8 @@
 """Static checks on the package sources, and what the benchmark relies on.
 
-Imports inside function bodies hide import cycles, and caches keyed by
-id() outlive the objects they describe; neither may come back.  The one
+Imports inside function bodies hide import cycles, caches keyed by id()
+outlive the objects they describe, and a pickle or environment variable
+lets unchecked state reach an answer; none may come back.  The one
 deferred import allowed is cli.cmd_verify's, which keeps the acceptance
 suite out of every other command's start-up.  The benchmark under
 `perfbench/` wraps functions by name and shuffles the subset lists it is
@@ -80,3 +81,23 @@ def test_pi_node_subsets_lists_are_the_callers_own():
     assert pi_node_subsets(eb) == pi_node_subsets(enhanced_basis(reference))
     assert orbits == enumerate_pi_orbits(s) == enumerate_pi_orbits(reference)
     assert hasse_diagram(s) == hasse_diagram(reference)
+
+
+def test_no_pickle_and_no_environment():
+    # Nothing from a user-set directory or variable may reach an answer.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if {"pickle", "environ", "getenv"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
