@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .completion import EnhancedBasis, _support, completion_nodes, enhanced_basis
 from .coregroups import (
@@ -23,6 +24,7 @@ from .coregroups import (
 )
 from .diagrams import (
     TypeLabel,
+    _classify_one,
     classify_components,
     dynkin_type,
     is_dynkin_shape,
@@ -37,9 +39,10 @@ from .errors import (
     NotInEnhancedBasis,
     NotOrthogonal,
     NotPiSystem,
+    UnrecognizedComponent,
     Unsupported,
 )
-from .mosets import perfect_moset
+from .mosets import _perfect_moset
 from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
@@ -109,34 +112,43 @@ def dn_tag(rs: RootSet) -> DnTag:
     does.
     """
     sysm = rs.system
-    assert sysm.series == "D"
+    if sysm.series != "D":
+        raise Unsupported(f"D-series tags are defined in D systems, not {sysm.name}")
     members = sysm.projective(rs.members)
-    supports = {i: _support(sysm.roots[i]) for i in members}
+    d2, d3, width = _dn_counts(sysm, members)
+    side = None
+    # Only thin sets of full width can be distinguished; only they need the type.
+    if d2 == 0 and width == sysm.rank:
+        side = _distinguished_side(sysm, members, pi_type(sysm, members).parts)
+    return DnTag(d2, d3, d2 == 0, width, side is not None, side)
+
+
+def _dn_counts(sysm: RootSystem, nodes: tuple[int, ...]) -> tuple[int, int, int]:
+    """(d2, d3, width) of dn_tag for sorted projective nodes."""
+    supports = {i: _support(sysm.roots[i]) for i in nodes}
     thick_pairs = [
         (a, b)
-        for a, b in combinations(members, 2)
+        for a, b in combinations(nodes, 2)
         if supports[a] == supports[b]
     ]
-    d2 = len(thick_pairs)
     d3 = 0
     for a, b in thick_pairs:
-        for c in members:
+        for c in nodes:
             if c in (a, b):
                 continue
             if sysm.cartan(a, c) != 0 and sysm.cartan(b, c) != 0:
                 d3 += 1
-    width = len(frozenset().union(*supports.values())) if members else 0
-    thin = d2 == 0
-    # Only thin sets of full width can be distinguished; only they need the type.
-    distinguished = thin and width == sysm.rank and all(
-        p.series == "A" and p.rank % 2 == 1
-        for p in pi_type(sysm, members).parts
-    )
-    side = None
-    if distinguished:
-        core = perfect_moset(RootSet(sysm, members)).members
-        side = sum(1 for i in core if _sum_form(sysm.roots[i])) % 2
-    return DnTag(d2, d3, thin, width, distinguished, side)
+    return len(thick_pairs), d3, len(frozenset().union(*supports.values()))
+
+
+def _distinguished_side(sysm: RootSystem, nodes: tuple[int, ...], parts) -> int | None:
+    """Side bit of a thin Pi-system of full width whose components have the
+    shapes parts, or None unless they are all of type A with odd rank (the
+    set is then not distinguished)."""
+    if not all(p.series == "A" and p.rank % 2 == 1 for p in parts):
+        return None
+    core = _perfect_moset(sysm, nodes)
+    return sum(1 for i in core if _sum_form(sysm.roots[i])) % 2
 
 
 # -- orbit labels --------------------------------------------------------------
@@ -187,41 +199,53 @@ def _orbit_label(sysm: RootSystem, nodes: tuple[int, ...]) -> OrbitLabel:
     ttype = dynkin_type(projective_diagram_of(sysm, nodes))
     if ttype is None:
         raise NotPiSystem("orbit labels are defined for Pi-systems")
-    ttext = ttype.render()
-    rs = RootSet(sysm, nodes)
+    counts = _dn_counts(sysm, nodes) if sysm.series == "D" else None
+    return _label_of(sysm, nodes, ttype.parts, ttype.render(), counts)
+
+
+def _label_of(sysm: RootSystem, nodes: tuple[int, ...], parts, ttext: str, counts) -> OrbitLabel:
+    """The orbit label of a Pi-system whose diagram is classified: nodes are
+    its sorted projective roots, parts and ttext the shapes of its
+    components and their rendering, counts its (d2, d3, width) when sysm
+    is a D system.  orbit_label and the Pi-subset table both label here.
+    """
     if sysm.series == "D":
-        tag = dn_tag(rs)
-        if tag.distinguished:
-            label = OrbitLabel(sysm.name, ttext, "dn_dist", (tag.side,))
+        d2, d3, width = counts
+        side = None
+        if d2 == 0 and width == sysm.rank:
+            side = _distinguished_side(sysm, nodes, parts)
+        if side is None:
+            label = OrbitLabel(sysm.name, ttext, "dn", (d2, d3))
         else:
-            label = OrbitLabel(sysm.name, ttext, "dn", (tag.d2, tag.d3))
+            label = OrbitLabel(sysm.name, ttext, "dn_dist", (side,))
     else:
         label = OrbitLabel(sysm.name, ttext, "plain", ())
         if sysm.series == "E" and sysm.rank in (7, 8):
             table = E7_SPECIAL if sysm.rank == 7 else E8_SPECIAL
             if ttext in table:
-                om = perfect_moset(rs)
-                charge = len(om.members)
+                core = _perfect_moset(sysm, nodes)
+                charge = len(core)
                 if charge != table[ttext]:
                     raise InvariantViolation(
                         f"{ttext} in {sysm.name} has charge {charge},"
                         f" expected {table[ttext]}"
                     )
-                par = parity_of_orthogonal(sysm, om.members)
+                par = parity_of_orthogonal(sysm, core)
                 label = OrbitLabel(sysm.name, ttext, "ep", (charge, par))
     return _interned(sysm, label)
 
 
 @system_memo
 def _interned(system: RootSystem, label: OrbitLabel) -> OrbitLabel:
-    """The system's one copy of an equal label: the 22,910 Pi-subsets of
-    E8 then share the objects of its 76 orbit labels."""
+    """The system's one copy of an equal label: orbit_label and the
+    Pi-subset table give one object per orbit, such as E8's 76."""
     return label
 
 
 def are_conjugate(rs1: RootSet, rs2: RootSet) -> bool:
     """Weyl conjugacy of two Pi-systems, decided by orbit label equality."""
-    assert rs1.system is rs2.system
+    if rs1.system is not rs2.system:
+        raise MixedAmbient("conjugacy is decided inside one root system")
     return orbit_label(rs1) == orbit_label(rs2)
 
 
@@ -483,7 +507,8 @@ class WeylDecision:
     reason: str | None = None
 
     def witness_perm(self, system: RootSystem) -> bytes:
-        assert self.witness_word is not None
+        if self.witness_word is None:
+            raise Unsupported("the decision carries no witness word")
         return perm_from_word(system, self.witness_word)
 
 
@@ -524,7 +549,7 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     if not is_dynkin_shape(projective_diagram_of(sysm, src.members)):
         raise NotPiSystem("Weyl membership is decided for Pi-system domains")
     model = core_group_model(sysm)
-    core = perfect_moset(src).members
+    core = _perfect_moset(sysm, src.members)
     schedule = _reduction_schedule(sysm, src.members, core)
     f_core = {n: emb.mapping[n] for n in core}
     word1, map1 = weyl_into_moset(sysm, core)
@@ -589,6 +614,40 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _PiTable(NamedTuple):
+    """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
+    order, each an int mask whose bit i stands for nodes[i].
+
+    ends[i] is the index where the subtree of subset i ends: the first
+    later subset that does not contain it.  codes[i] is the code of its
+    orbit label; index maps the distinct labels to their codes, which
+    count up in order of appearance.
+    """
+
+    nodes: tuple[int, ...]
+    masks: list[int]
+    ends: list[int]
+    codes: list[int]
+    index: dict
+
+    def subset(self, mask: int) -> tuple[int, ...]:
+        return tuple(self.nodes[i] for i in _bits(mask))
+
+    @property
+    def orbits(self) -> list[OrbitLabel]:
+        return list(self.index)
+
+
 def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     """All node subsets of the enhanced diagram that are Pi-systems, in
     depth-first (lexicographic) order, as a list of the caller's own.
@@ -596,36 +655,93 @@ def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     Both completion policies give the same node set, so the table of the
     system's default enhanced basis serves every policy.
     """
-    return list(_pi_table(eb.system)[0])
+    table = _pi_table(eb.system)
+    return [table.subset(m) for m in table.masks]
 
 
 @system_memo
-def _pi_table(system: RootSystem) -> tuple[list, list]:
-    """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
-    order and their orbit labels, as two parallel lists (one tuple per
-    subset would cost more memory).
+def _pi_table(system: RootSystem) -> _PiTable:
+    """The labelled Pi-subsets of the enhanced diagram: the only walk over
+    Pi-subsets.
 
     Pi-ness is closed under taking subsets, so growth over sorted nodes
-    that stops at each candidate orbit_label rejects visits exactly the
-    family, and labels each member in the walk that finds it.
+    that stops at each candidate that is not a Pi-system visits exactly the
+    family.  The walk keeps the components of a subset as (mask, shape)
+    pairs.  A new node merges exactly the components it touches, so only
+    the merged one is classified, once per component mask, and one that is
+    not plain ADE prunes the candidate.  In a D system the tag counts grow
+    along: node k adds a thick pair for each twin t (same coordinate
+    support) in the subset, counted in d3 once per common neighbour of k
+    and t, and k is a new common neighbour of each thick pair around it.
     """
-    nodes = sorted(enhanced_basis(system).nodes)
-    subsets: list[tuple[int, ...]] = []
-    labels: list[OrbitLabel] = []
+    nodes = tuple(sorted(enhanced_basis(system).nodes))
+    pos = range(len(nodes))
+    adj = [
+        sum(1 << j for j in pos if j != i and system.cartan(nodes[i], nodes[j]) != 0)
+        for i in pos
+    ]
+    if system.series == "D":
+        support = [sum(1 << c for c in _support(system.roots[v])) for v in nodes]
+        twin = [sum(1 << j for j in pos if j != i and support[j] == support[i]) for i in pos]
+        around = [
+            [1 << a | 1 << b for a in _bits(adj[k]) for b in _bits(twin[a] & adj[k]) if a < b]
+            for k in pos
+        ]
+    else:  # no tag outside the D series: the counts stay 0
+        support, twin, around = [0] * len(nodes), [0] * len(nodes), [()] * len(nodes)
+    kinds: dict = {}  # component shape -> its index, in order of appearance
+    shapes: dict[int, int | None] = {}  # component mask -> index of its shape
+    types: dict[tuple, tuple] = {}  # sorted shape indices -> (parts, text)
+    masks: list[int] = []
+    ends: list[int] = []
+    codes: list[int] = []
+    index: dict[OrbitLabel, int] = {}
 
-    def grow(current: tuple[int, ...], start: int):
-        for k in range(start, len(nodes)):
-            cand = current + (nodes[k],)
+    def shape(comp: int) -> int | None:
+        """Index of the component's shape; None unless plain ADE."""
+        if comp not in shapes:
+            members = _bits(comp)
             try:
-                label = orbit_label(RootSet(system, cand))
-            except NotPiSystem:
-                continue
-            subsets.append(cand)
-            labels.append(label)
-            grow(cand, k + 1)
+                part = _classify_one(members, {i: _bits(adj[i] & comp) for i in members}, ())
+            except UnrecognizedComponent:
+                part = None
+            plain = part is not None and not part.extended
+            shapes[comp] = kinds.setdefault(part, len(kinds)) if plain else None
+        return shapes[comp]
 
-    grow((), 0)
-    return subsets, labels
+    def grow(mask, members, comps, d2, d3, width, start):
+        for k in range(start, len(nodes)):
+            near = adj[k]
+            merged, rest = 1 << k, []
+            for comp in comps:
+                if comp[0] & near:
+                    merged |= comp[0]
+                else:
+                    rest.append(comp)
+            kind = shape(merged)
+            if kind is None:
+                continue
+            rest.append((merged, kind))
+            key = tuple(sorted(kind for _, kind in rest))
+            if key not in types:
+                parts = list(kinds)
+                ttype = TypeLabel(tuple(parts[i] for i in key))
+                types[key] = (ttype.parts, ttype.render())
+            c2, c3 = d2, d3 + sum(1 for pair in around[k] if pair & mask == pair)
+            for t in _bits(twin[k] & mask):
+                c2 += 1
+                c3 += (near & adj[t] & mask).bit_count()
+            child, cand, cwidth = mask | 1 << k, members + (nodes[k],), width | support[k]
+            label = _label_of(system, cand, *types[key], (c2, c3, cwidth.bit_count()))
+            at = len(masks)
+            masks.append(child)
+            codes.append(index.setdefault(label, len(index)))
+            ends.append(at)
+            grow(child, cand, rest, c2, c3, cwidth, k + 1)
+            ends[at] = len(masks)
+
+    grow(0, (), [], 0, 0, 0, 0)
+    return _PiTable(nodes, masks, ends, codes, index)
 
 
 @system_memo
@@ -633,27 +749,43 @@ def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int
     """All Weyl orbits of nonempty Pi-systems, each with its least
     representative inside the enhanced basis: the first in the table,
     whose depth-first order is lexicographic."""
-    reps: dict[OrbitLabel, tuple[int, ...]] = {}
-    for subset, label in zip(*_pi_table(system)):
-        reps.setdefault(label, subset)
-    return tuple(sorted(reps.items()))
+    table = _pi_table(system)
+    first: dict[int, int] = {}
+    for mask, code in zip(table.masks, table.codes):
+        first.setdefault(code, mask)
+    orbits = table.orbits
+    return tuple(sorted((orbits[c], table.subset(m)) for c, m in first.items()))
 
 
 # -- order between orbits --------------------------------------------------------
 
 
 @system_memo
-def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> frozenset:
-    """Labels of every Pi-system inside the subsystem generated by rep.
+def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> int:
+    """Labels of every Pi-system inside the subsystem generated by rep, as
+    a bitset over the table's label codes.
 
     The enhanced basis is complete, so rep's completion stays among its
-    nodes, and the Pi-systems of the completion are read off the one table.
+    nodes, and the Pi-systems of the completion are the table's subsets
+    inside it.  A subset with a node outside is skipped with its whole
+    depth-first subtree, so the scan visits the subsets inside and the
+    roots of the subtrees it skips.
     """
-    inside = frozenset(completion_nodes(RootSet(system, rep)))
-    if not inside <= frozenset(enhanced_basis(system).nodes):
+    table = _pi_table(system)
+    inside = set(completion_nodes(RootSet(system, rep)))
+    if not inside <= set(table.nodes):
         raise InvariantViolation(f"completion of {rep} leaves the enhanced basis")
-    subsets, labels = _pi_table(system)
-    return frozenset(l for s, l in zip(subsets, labels) if inside.issuperset(s))
+    outside = sum(1 << i for i, v in enumerate(table.nodes) if v not in inside)
+    masks, ends, codes = table.masks, table.ends, table.codes
+    found = set()
+    i = 0
+    while i < len(masks):
+        if masks[i] & outside:
+            i = ends[i]
+        else:
+            found.add(codes[i])
+            i += 1
+    return sum(1 << c for c in found)
 
 
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
@@ -664,7 +796,8 @@ def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> 
     if l1 == l2:
         return True
     reps = dict(enumerate_pi_orbits(system))
-    return l1 in _labels_below(system, reps[l2])
+    code = _pi_table(system).index.get(l1)
+    return code is not None and _labels_below(system, reps[l2]) >> code & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -695,15 +828,25 @@ class HasseDiagram:
 
 def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     """Transitive reduction of the orbit order over the given labels
-    (default: all orbits)."""
+    (default: all orbits).
+
+    Lower sets are bitsets over the table's label codes: with B the labels
+    strictly below u, the covers of u are B & ~OR(below[m] for m in B).
+    """
     reps = dict(enumerate_pi_orbits(system))
     labels = list(reps if labels is None else labels)
     if any(l.ambient != system.name for l in labels):
         raise MixedAmbient("orbit labels come from different ambient systems")
-    below = {l: _labels_below(system, reps[l]).intersection(labels) - {l} for l in labels}
+    table = _pi_table(system)
+    code = {l: table.index[l] for l in labels}
+    chosen = sum(1 << c for c in set(code.values()))
+    below = {code[l]: _labels_below(system, reps[l]) & chosen & ~(1 << code[l]) for l in labels}
+    orbits = table.orbits
     edges = []
     for upper in labels:
-        for lower in below[upper]:
-            if not any(lower in below[mid] for mid in below[upper] if mid != lower):
-                edges.append((upper, lower))
+        lower = below[code[upper]]
+        covered = 0
+        for m in _bits(lower):
+            covered |= below[m]
+        edges.extend((upper, orbits[m]) for m in _bits(lower & ~covered))
     return HasseDiagram(system.name, tuple(sorted(labels)), tuple(sorted(edges)))

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagrams import ProjectiveDiagram, _path, projective_diagram_of
-from .errors import NotD4, NotIrreducible, NotSymmetric, RootForgeError
+from .errors import (
+    InvariantViolation,
+    NotD4,
+    NotIrreducible,
+    NotSymmetric,
+    RootForgeError,
+    Unsupported,
+)
 from .rootsystem import RootSet, RootSystem, components, system_memo
 
 
@@ -204,7 +211,8 @@ class EnhancedBasis:
 
     def columns(self) -> list[tuple[int, int]]:
         """Twin columns of a D-series enhanced diagram, ordered by label."""
-        assert self.system.series == "D"
+        if self.system.series != "D":
+            raise Unsupported("twin columns exist in D-series enhanced diagrams")
         m = self.system.rank // 2
         out = []
         for i in range(1, m + 1):
@@ -260,14 +268,16 @@ def _name_basis(system: RootSystem) -> dict:
             for a, b in combinations(basis, 2)
             if _support(system.roots[a]) == _support(system.roots[b])
         ]
-        assert len(twins) == 1
+        if len(twins) != 1:
+            raise InvariantViolation(f"{len(twins)} twin pairs in the basis of {system.name}")
         a, b = twins[0]
         if system.roots[b] < system.roots[a]:
             a, b = b, a
         names[a] = "1"
         names[b] = "1'"
         common = [x for x in adj[a] if x in adj[b]]
-        assert len(common) == 1
+        if len(common) != 1:
+            raise InvariantViolation(f"the twins of {system.name} share {len(common)} neighbours")
         prev, cur = None, common[0]
         names[cur] = "2"
         for k in range(3, len(basis)):
@@ -280,7 +290,8 @@ def _name_basis(system: RootSystem) -> dict:
         arms = [_path(adj, branch, first) for first in adj[branch]]
         arms.sort(key=lambda arm: (len(arm), system.roots[arm[-1]]))
         short = arms[0]
-        assert len(short) == 1
+        if len(short) != 1:
+            raise InvariantViolation(f"the short arm of {system.name} has {len(short)} nodes")
         names[short[0]] = "2"
         if system.rank == 6:
             two_a, two_b = arms[1], arms[2]
@@ -310,7 +321,8 @@ def _name_added(system: RootSystem, nodes, names) -> dict:
         return {x for x in nodes if x != n and system.cartan(n, x) != 0}
 
     if system.series == "A":
-        assert not added
+        if added:
+            raise InvariantViolation(f"the completion of {system.name} added nodes")
         return names
     if system.series == "D":
         support_of = {n: _support(system.roots[n]) for n in nodes}
@@ -354,13 +366,15 @@ def _name_added(system: RootSystem, nodes, names) -> dict:
         lambda n: named("1") in nbrs(n) and l2 in nbrs(n),
     )
     if system.rank == 7:
-        assert len(names) == len(nodes)
+        if len(names) != len(nodes):
+            raise InvariantViolation("an extra node of E7 is left unnamed")
         return names
     pick("l5", "the extra node joined to 8", lambda n: named("8") in nbrs(n))
     pick("l6", "the extra node joined to l4", lambda n: l4 in nbrs(n))
     pick("l7", "the extra node joined to 7", lambda n: named("7") in nbrs(n))
     l8 = pick("l8", "the last extra node of E8")
-    assert l3 in nbrs(l8) and named("3") in nbrs(l8)
+    if not {l3, named("3")} <= nbrs(l8):
+        raise InvariantViolation("l8 is not joined to l3 and 3")
     return names
 
 
@@ -379,7 +393,8 @@ def _moset_nodes(system: RootSystem, names: dict) -> tuple[int, ...]:
         labels = ["2", "3", "5", "7", "l1", "l3", "l4", "l5"]
     nodes = tuple(sorted(by_name[l] for l in labels))
     for a, b in combinations(nodes, 2):
-        assert system.cartan(a, b) == 0, "boldfaced nodes must be orthogonal"
+        if system.cartan(a, b) != 0:
+            raise InvariantViolation("boldfaced nodes must be orthogonal")
     return nodes
 
 

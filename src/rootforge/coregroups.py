@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
-from .errors import LabelingInfeasible, NotInMoset, NotMoset, Unsupported
+from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
 from .rootsystem import (
     RootSet,
@@ -232,7 +232,8 @@ def _orbit_partition(elements, subsets):
     while remaining:
         start = min(remaining, key=sorted)
         orbit = {frozenset(perm[i] for i in start) for perm in elements}
-        assert orbit <= remaining
+        if not orbit <= remaining:
+            raise InvariantViolation("a group orbit leaves the given subsets")
         orbits.append(orbit)
         remaining -= orbit
     return orbits
@@ -429,7 +430,8 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
         )
     generators = _model_generators(system, labeling, eb.moset)
     span = _close_group({g: () for g in generators}, len(eb.moset))
-    assert set(span) == set(elements), "structured generators fail to generate"
+    if set(span) != set(elements):
+        raise InvariantViolation("structured generators fail to generate")
     return CoreGroupModel(system, eb.moset, labeling, generators, elements)
 
 

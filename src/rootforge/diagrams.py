@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import NotPiSystem, TooLarge, UnrecognizedComponent
+from .errors import NotIrreducible, NotPiSystem, TooLarge, UnrecognizedComponent
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -276,7 +276,8 @@ def subsystem_type(system: RootSystem, members) -> TypeLabel:
 
 def component_type(system: RootSystem, comp) -> Irreducible:
     label = subsystem_type(system, comp)
-    assert len(label.parts) == 1
+    if len(label.parts) != 1:
+        raise NotIrreducible(f"expected an irreducible subsystem, got {label.render()}")
     return label.parts[0]
 
 
@@ -289,7 +290,8 @@ def find_subdiagrams(d: ProjectiveDiagram, pattern: TypeLabel) -> list[dict]:
 
     Results are sorted by node subset; one witness per subset.
     """
-    assert len(pattern.parts) == 1, "pattern must be irreducible"
+    if len(pattern.parts) != 1:
+        raise NotIrreducible("pattern must be irreducible")
     model = _model_diagram(pattern.parts[0])
     out = {}
     for emb in _embeddings(model, d, induced=True):

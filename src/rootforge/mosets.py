@@ -6,7 +6,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagrams import component_type, is_dynkin_shape, projective_diagram_of
-from .errors import NotIrreducible, NotOrthogonalSeed, NotPiSystem, OracleCapExceeded
+from .errors import (
+    InvariantViolation,
+    NotIrreducible,
+    NotOrthogonalSeed,
+    NotPiSystem,
+    OracleCapExceeded,
+)
 from .oracle import subset_orbit_bfs
 from .rootsystem import (
     RootSet,
@@ -60,7 +66,8 @@ def mu(system: RootSystem) -> int:
     recursed = 1 + sum(
         _mu_of_component(system, comp) for comp in components(system, psi)
     ) if psi else 1
-    assert value == recursed, "moset cardinality recursion failed"
+    if value != recursed:
+        raise InvariantViolation("moset cardinality recursion failed")
     return value
 
 
@@ -89,15 +96,28 @@ def perfect_moset(rs: RootSet) -> Moset:
     nodes = sysm.projective(rs.members)
     if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
+    return Moset(sysm, _perfect_moset(sysm, nodes), tuple(rs.members))
+
+
+def _perfect_moset(system: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
+    """Members of perfect_moset for projective nodes already known to form
+    a Pi-system, for callers that have just classified their diagram."""
+    # One walk per component both finds and colours it; the colour classes
+    # do not depend on where it starts.
+    neighbours = cartan_neighbours(system, nodes)
+    seen: set[int] = set()
     chosen: list[int] = []
-    for comp in components(sysm, nodes):
-        color = walk(comp[0], cartan_neighbours(sysm, comp))
+    for start in nodes:
+        if start in seen:
+            continue
+        color = walk(start, neighbours)
+        seen.update(color)
         cls = [
-            tuple(sorted(x for x in comp if color[x] == c)) for c in (0, 1)
+            tuple(sorted(x for x in color if color[x] == c)) for c in (0, 1)
         ]
         cls.sort(key=lambda t: (-len(t), t))
         chosen.extend(cls[0])
-    return Moset(sysm, tuple(sorted(chosen)), tuple(rs.members))
+    return tuple(sorted(chosen))
 
 
 def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, Unsupported
+from .errors import CapExceeded, InvariantViolation, Unsupported
 from .rootsystem import RootSystem, system_memo
 
 DEFAULT_CAP = 10**7
@@ -135,8 +135,8 @@ def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> dict:
         orbit = subset_orbit_bfs(system, s, cap=cap)
         rep = min(tuple(sorted(x)) for x in orbit)
         for member in orbit:
-            if member in out:
-                assert out[member] == rep
+            if out.get(member, rep) != rep:
+                raise InvariantViolation("one subset lies in two orbits")
             out[member] = rep
     return out
 

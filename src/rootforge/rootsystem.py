@@ -14,6 +14,7 @@ from functools import lru_cache, wraps
 from itertools import combinations, product
 
 from .errors import (
+    InvariantViolation,
     NotIrreducible,
     NotIrreducibleParent,
     NotOrthogonal,
@@ -369,7 +370,8 @@ def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
                 break
         if not decomposable:
             out.append(i)
-    assert all(i in memberset for i in out)
+    if not memberset.issuperset(out):
+        raise InvariantViolation("a simple root lies outside the subsystem")
     return tuple(sorted(out))
 
 
@@ -423,7 +425,8 @@ def minimal_root(rs: RootSet) -> int:
         s = sum(coeffs)
         if best_sum is None or s < best_sum:
             best, best_sum = i, s
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("no root of the subsystem is a combination of the set")
     return best
 
 
@@ -452,5 +455,6 @@ def theta_component(system: RootSystem, o: tuple[int, ...]) -> tuple[int, ...]:
     big = [c for c in components(system, psi) if len(c) > 2]
     if not big:
         return ()
-    assert len(big) == 1, "orthogonal complement has two non-A1 components"
+    if len(big) != 1:
+        raise InvariantViolation("orthogonal complement has two non-A1 components")
     return big[0]

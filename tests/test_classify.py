@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations, permutations
 
@@ -29,6 +30,7 @@ from rootforge.oracle import (
     perm_from_word,
     simple_reflection_perms,
 )
+from rootforge.verification import SMALL
 
 
 def test_significant_part():
@@ -609,14 +611,47 @@ def _reference_labels_below(system, rep):
     return frozenset(labels)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_order(series, rank):
+    # Every orbit's reference lower set, shared by the two tests below.
+    s = build_root_system(series, rank)
+    return {label: _reference_labels_below(s, rep) for label, rep in enumerate_pi_orbits(s)}
+
+
+ORDER_SYSTEMS = SMALL + [("D", 9), ("A", 12)]
+
+
+def _labels_of_bits(system, bits):
+    from rootforge.classify import _pi_table
+
+    orbits = _pi_table(system).orbits
+    return frozenset(orbits[c] for c in range(bits.bit_length()) if bits >> c & 1)
+
+
 def test_labels_below_matches_search_over_the_completion():
     from rootforge.classify import _labels_below
-    from rootforge.verification import SMALL
 
-    for series, rank in SMALL:
+    for series, rank in ORDER_SYSTEMS:
         s = build_root_system(series, rank)
-        for _, rep in enumerate_pi_orbits(s):
-            assert _labels_below(s, rep) == _reference_labels_below(s, rep), (s.name, rep)
+        reference = _reference_order(series, rank)
+        for label, rep in enumerate_pi_orbits(s):
+            assert _labels_of_bits(s, _labels_below(s, rep)) == reference[label], (s.name, rep)
+
+
+def test_hasse_matches_set_based_reduction():
+    # Covers of the reference order, found with sets: u -> v when v < u and
+    # nothing lies strictly between them.
+    for series, rank in ORDER_SYSTEMS:
+        below = {u: lower - {u} for u, lower in _reference_order(series, rank).items()}
+        edges = sorted(
+            (u, v)
+            for u in below
+            for v in below[u]
+            if not any(v in below[w] for w in below[u])
+        )
+        hasse = hasse_diagram(build_root_system(series, rank))
+        assert hasse.labels == tuple(sorted(below)), (series, rank)
+        assert list(hasse.edges) == edges, (series, rank)
 
 
 def test_completion_outside_the_enhanced_basis_raises(monkeypatch):
@@ -673,11 +708,28 @@ def _reference_pi_table(system):
 
 def test_pi_table_matches_the_separate_walk_and_labels():
     from rootforge.classify import _pi_table
-    from rootforge.verification import SMALL
 
     for series, rank in SMALL + [("D", 9), ("A", 12)]:
         s = build_root_system(series, rank)
-        assert _pi_table(s) == _reference_pi_table(s), s.name
+        table = _pi_table(s)
+        orbits = table.orbits
+        labels = [orbits[c] for c in table.codes]
+        assert (pi_node_subsets(enhanced_basis(s)), labels) == _reference_pi_table(s), s.name
+
+
+def test_pi_table_subtree_ends():
+    # Each stored end is the first later index whose subset does not
+    # contain the subset at hand.
+    from rootforge.classify import _pi_table
+
+    for series, rank in SMALL + [("D", 9), ("A", 12)]:
+        table = _pi_table(build_root_system(series, rank))
+        masks = table.masks
+        for i, mask in enumerate(masks):
+            j = i + 1
+            while j < len(masks) and masks[j] & mask == mask:
+                j += 1
+            assert table.ends[i] == j, (series, rank, i)
 
 
 def test_fresh_label_classifies_its_diagram_once(monkeypatch):
@@ -725,10 +777,39 @@ def test_moset_embedding_beyond_d8():
 
 
 def test_labels_of_one_orbit_share_one_object():
-    # The table keeps one label per Pi-subset; equal labels must not each
-    # hold their own strings (22,910 subsets of E8 against 76 orbits).
+    # One label object per orbit, shared by the table and orbit_label; equal
+    # labels must not each hold their own strings (22,910 subsets of E8
+    # against 76 orbits).
     from rootforge.classify import _pi_table
 
-    _, labels = _pi_table(build_root_system("D", 6))
-    first = {}
-    assert all(first.setdefault(l, l) is l for l in labels)
+    s = build_root_system("D", 6)
+    table = _pi_table(s)
+    orbits = table.orbits
+    for mask, code in zip(table.masks, table.codes):
+        assert orbit_label(RootSet(s, table.subset(mask))) is orbits[code]
+
+
+# Argument checks raise typed errors, so that they hold under python -O too.
+
+
+def test_dn_tag_outside_the_d_series_raises():
+    from rootforge.errors import Unsupported
+
+    e6 = build_root_system("E", 6)
+    with pytest.raises(Unsupported):
+        dn_tag(RootSet(e6, e6.simple_basis))
+
+
+def test_are_conjugate_across_systems_raises():
+    a3, a4 = build_root_system("A", 3), build_root_system("A", 4)
+    with pytest.raises(MixedAmbient):
+        are_conjugate(RootSet(a3, a3.simple_basis[:1]), RootSet(a4, a4.simple_basis[:1]))
+
+
+def test_witness_perm_of_a_negative_decision_raises():
+    from rootforge.classify import WeylDecision
+    from rootforge.errors import Unsupported
+
+    decision = WeylDecision(False, "constructive", None, "parity mismatch (0 vs 1)")
+    with pytest.raises(Unsupported):
+        decision.witness_perm(build_root_system("E", 7))

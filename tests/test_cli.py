@@ -113,3 +113,12 @@ def test_e8_tables_are_pinned(capsys):
         code, out = run(capsys, command, "E8", "--json", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_d12_order_is_pinned(capsys):
+    # sha256 of the D12 order graph (423 orbits), taken before the orbit
+    # table was grown over bitmasks
+    code, out = run(capsys, "order", "D12", "--json", "-")
+    assert code == 0
+    digest = "57ac1adaaedc6b48cc4cb8df6a9e8d7b23ee599909a0afcfb8e75750179c902e"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

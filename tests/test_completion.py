@@ -278,3 +278,11 @@ def test_enhanced_basis_spellings_share_one_memo_entry():
     assert sum(1 for key in s.memo if key[0] is enhanced_basis.__wrapped__) == 1
     with pytest.raises(TypeError):
         enhanced_basis(s, "least", policy="least")
+
+
+def test_columns_outside_the_d_series_raise():
+    # Typed, so that it holds under python -O too.
+    from rootforge.errors import Unsupported
+
+    with pytest.raises(Unsupported):
+        enhanced_basis(build_root_system("E", 6)).columns()

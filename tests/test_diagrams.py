@@ -188,3 +188,25 @@ def test_dot_export():
     i = d4.simple_basis[0]
     gtext = to_dot(gamma_diagram(RootSet(d4, (i, d4.negative(i)))))
     assert 'label="4"' in gtext
+
+
+# Argument checks raise typed errors, so that they hold under python -O too.
+
+
+def test_component_type_of_a_reducible_subsystem_raises():
+    from rootforge.diagrams import component_type
+    from rootforge.errors import NotIrreducible
+
+    d4 = build_root_system("D", 4)
+    a, b = d4.index((0, 0, 2, -2)), d4.index((0, 0, 2, 2))
+    assert d4.cartan(a, b) == 0
+    with pytest.raises(NotIrreducible):
+        component_type(d4, d4.symmetrize((a, b)))
+
+
+def test_find_subdiagrams_with_a_reducible_pattern_raises():
+    from rootforge.errors import NotIrreducible
+
+    path = ProjectiveDiagram((0, 1, 2), frozenset({frozenset((0, 1)), frozenset((1, 2))}))
+    with pytest.raises(NotIrreducible):
+        find_subdiagrams(path, type_label(("A", 1), ("A", 1)))

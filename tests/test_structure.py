@@ -1,10 +1,11 @@
 """Static checks on the package sources, and what the benchmark relies on.
 
 Imports inside function bodies hide import cycles, caches keyed by id()
-outlive the objects they describe, and a pickle or environment variable
-lets unchecked state reach an answer; none may come back.  The one
-deferred import allowed is cli.cmd_verify's, which keeps the acceptance
-suite out of every other command's start-up.  The benchmark under
+outlive the objects they describe, a pickle or environment variable lets
+unchecked state reach an answer, and python -O strips the checks written
+as assert statements; none may come back.  The one deferred import
+allowed is cli.cmd_verify's, which keeps the acceptance suite out of
+every other command's start-up.  The benchmark under
 `perfbench/` wraps functions by name and shuffles the subset lists it is
 given, so those names and that freedom are checked here too.
 """
@@ -100,4 +101,15 @@ def test_no_pickle_and_no_environment():
                 continue
             if {"pickle", "environ", "getenv"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_asserts():
+    # python -O strips assert statements; checks must raise typed errors.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
     assert not found, found
