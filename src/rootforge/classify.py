@@ -48,12 +48,11 @@ from .rootsystem import (
     RootSet,
     RootSystem,
     build_root_system,
-    cartan_neighbours,
+    cartan_links,
     components,
     e7_cut_root,
     subsystem_basis,
     system_memo,
-    walk,
 )
 
 E7_SPECIAL = {"A5": 3, "A3+A1": 3, "3A1": 3, "A5+A1": 4, "A3+2A1": 4, "4A1": 4}
@@ -258,78 +257,70 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     Returns (word, mapping); the word lists roots whose reflections,
     applied first to last, realize the mapping projectively.  Built by
     placing one element at a time inside the subsystem orthogonal to the
-    already placed targets, walking roots with reflections.
+    already placed targets, walking roots with reflections.  That scope
+    is an int mask over the positive roots (`rootsystem.cartan_links`).
     """
     model = core_group_model(system)
     nodes = system.projective(subset)
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("only orthogonal sets can enter the moset")
+    links = cartan_links(system)
     moset = set(model.moset)
-    scope = set(range(len(system.roots)))
+    scope = sum(1 << i for i in system.positive)
     word: list[int] = []
     images = {n: n for n in nodes}
     for n in nodes:
         cur = images[n]
-        targets = {m for m in moset if m in scope or system.negative(m) in scope}
+        targets = {m for m in moset if scope >> m & 1}
         if system.proj_rep(cur) in targets:
             target = system.proj_rep(cur)
         else:
-            comp = walk(cur, cartan_neighbours(system, scope))
-            local_targets = {t for t in targets if t in comp or system.negative(t) in comp}
-            if not local_targets:
-                raise InvariantViolation("moset misses a component of the complement")
-            step_word, landed = _walk_to(system, comp, cur, local_targets)
+            step_word = _walk_to(system, scope, cur, targets)
             word.extend(step_word)
-            for k in images:
-                img = images[k]
-                for j in step_word:
-                    img = system.reflect(img, j)
-                images[k] = img
+            images = {k: _apply(system, step_word, img) for k, img in images.items()}
             target = system.proj_rep(images[n])
-            if target not in local_targets:
+            if target not in targets:
                 raise InvariantViolation("walk landed outside the moset targets")
         moset.discard(target)
-        scope = {
-            r
-            for r in scope
-            if system.cartan(r, target) == 0
-        }
+        scope &= ~links[target]
     mapping = {n: system.proj_rep(images[n]) for n in nodes}
     return tuple(word), mapping
 
 
-def _walk_to(system: RootSystem, comp, start: int, targets: set):
+def _walk_to(system: RootSystem, scope: int, start: int, targets: set) -> tuple[int, ...]:
     """Breadth-first walk from a root to any target by reflections in the
-    component's roots; returns (word, landing root)."""
+    positive roots of scope; returns the word.  Each root is reflected only
+    in the scope roots not orthogonal to it, lowest first: the generators
+    of its component of scope that move it."""
+    links = cartan_links(system)
     parents: dict[int, tuple[int, int] | None] = {start: None}
     frontier = [start]
-    gens = sorted(g for g in comp if system.proj_rep(g) == g)
-    landed = None
-    while frontier and landed is None:
+    while frontier:
         new = []
         for cur in frontier:
-            for g in gens:
+            for g in _bits(links[cur] & scope):
                 nxt = system.reflect(cur, g)
-                if nxt not in parents:
-                    parents[nxt] = (cur, g)
-                    if system.proj_rep(nxt) in targets:
-                        landed = nxt
-                        break
-                    new.append(nxt)
-            if landed is not None:
-                break
+                if nxt in parents:
+                    continue
+                parents[nxt] = (cur, g)
+                if system.proj_rep(nxt) in targets:
+                    word = []
+                    while parents[nxt] is not None:
+                        nxt, g = parents[nxt]
+                        word.append(g)
+                    return tuple(reversed(word))
+                new.append(nxt)
         frontier = new
-    if landed is None:
-        raise InvariantViolation("target unreachable inside the component")
-    word = []
-    cur = landed
-    while parents[cur] is not None:
-        prev, g = parents[cur]
-        word.append(g)
-        cur = prev
-    word.reverse()
-    return tuple(word), landed
+    raise InvariantViolation("no moset target is reachable inside the scope")
+
+
+def _apply(system: RootSystem, word, root: int) -> int:
+    """Image of a root under the reflections of word, first entry applied
+    first."""
+    for j in word:
+        root = system.reflect(root, j)
+    return root
 
 
 def parity_of_orthogonal(system: RootSystem, subset) -> int:
@@ -567,11 +558,9 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     # Word realizing f on the perfect moset: word1, then the core word,
     # then word2 reversed (reflections are involutive).
     word = tuple(word1) + tuple(gword) + tuple(reversed(word2))
-    perm = perm_from_word(sysm, word)
-    inv = _invert(perm)
     for a, e in reversed(schedule):
-        fa = emb.mapping[a]
-        g_img = inv[fa]
+        # The word's preimage of f(a): the reversed word carries it back.
+        g_img = _apply(sysm, word[::-1], emb.mapping[a])
         if sysm.proj_rep(g_img) == sysm.proj_rep(a):
             continue
         if sysm.cartan(a, g_img) == 0:
@@ -581,19 +570,10 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
             gamma = _join_root(sysm, a, g_img)
             extra = (gamma,)
         word = extra + word
-        perm = perm_from_word(sysm, word)
-        inv = _invert(perm)
     for n in emb.source:
-        if sysm.proj_rep(perm[n]) != sysm.proj_rep(emb.mapping[n]):
+        if sysm.proj_rep(_apply(sysm, word, n)) != emb.mapping[n]:
             raise InvariantViolation(f"witness word does not replay on node {n}")
     return WeylDecision(True, "constructive", word, None)
-
-
-def _invert(perm: bytes) -> bytes:
-    out = bytearray(len(perm))
-    for i, v in enumerate(perm):
-        out[v] = i
-    return bytes(out)
 
 
 def _join_root(system: RootSystem, a: int, b: int) -> int:
@@ -834,7 +814,7 @@ def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     strictly below u, the covers of u are B & ~OR(below[m] for m in B).
     """
     reps = dict(enumerate_pi_orbits(system))
-    labels = list(reps if labels is None else labels)
+    labels = list(dict.fromkeys(reps if labels is None else labels))
     if any(l.ambient != system.name for l in labels):
         raise MixedAmbient("orbit labels come from different ambient systems")
     table = _pi_table(system)

@@ -70,6 +70,16 @@ class CoreGroupModel:
         extend_partial_map."""
         return sorted(self.elements.items())
 
+    @cached_property
+    def element_index(self) -> dict:
+        """(position, image) -> the element_list entries sending position to
+        image, in scan order; the buckets share element_list's entries."""
+        index: dict = {}
+        for entry in self.element_list:
+            for key in enumerate(entry[0]):
+                index.setdefault(key, []).append(entry)
+        return index
+
     def to_json(self) -> dict:
         eb = enhanced_basis(self.system)
         labels = {}
@@ -479,13 +489,16 @@ def conjugate_in_moset(model: CoreGroupModel, o1, o2) -> bool:
 
 def extend_partial_map(model: CoreGroupModel, mapping: dict):
     """Find a core group element agreeing with the node mapping, returning
-    (found, reflection word)."""
+    (found, reflection word).  Only the elements that agree on the first
+    pair are scanned, in element_list order, so the match found is the
+    first of element_list."""
     items = []
     for src, dst in mapping.items():
         if src not in model.labeling.labels or dst not in model.labeling.labels:
             raise NotInMoset("partial map must stay inside the moset")
         items.append((model.position(src), model.position(dst)))
-    for perm, word in model.element_list:
+    pool = model.element_index.get(items[0], ()) if items else model.element_list
+    for perm, word in pool:
         if all(perm[s] == d for s, d in items):
             return True, word
     return False, None

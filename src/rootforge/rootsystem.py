@@ -12,6 +12,7 @@ import inspect
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
+from operator import mul
 
 from .errors import (
     InvariantViolation,
@@ -335,6 +336,17 @@ def cartan_neighbours(system: RootSystem, pool):
         return found
 
     return neighbours
+
+
+@system_memo
+def cartan_links(system: RootSystem) -> tuple[int, ...]:
+    """Row i is an int mask of the roots not orthogonal to root i, itself
+    and its negative included.  Only Weyl membership walks on these rows,
+    so classification never builds them."""
+    roots = system.roots
+    return tuple(
+        sum(1 << j for j, s in enumerate(roots) if sum(map(mul, r, s))) for r in roots
+    )
 
 
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -580,9 +580,17 @@ def test_witness_replay_failure_raises_typed_error(monkeypatch):
     eb = enhanced_basis(e7)
     emb = EmbeddingMap(e7, {eb.node("2"): eb.node("5"), eb.node("3"): eb.node("7")})
     assert is_weyl_embedding(emb).is_weyl
-    monkeypatch.setattr(classify, "perm_from_word", lambda system, word: identity_perm(system))
-    with pytest.raises(InvariantViolation):
+    monkeypatch.setattr(classify, "_apply", lambda system, word, root: root)
+    with pytest.raises(InvariantViolation, match="does not replay"):
         is_weyl_embedding(emb)
+
+
+def test_hasse_keeps_one_copy_of_a_repeated_label():
+    a3 = build_root_system("A", 3)
+    labels = [l for l, _ in enumerate_pi_orbits(a3)]
+    h = hasse_diagram(a3, labels + labels[:1])
+    assert (len(h.labels), len(h.edges)) == (4, 4)
+    assert h == hasse_diagram(a3, labels)
 
 
 def test_hasse_rejects_labels_of_another_system():

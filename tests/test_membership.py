@@ -1,0 +1,171 @@
+"""Weyl membership of embeddings: pinned witness decisions, systems beyond
+256 roots, and the non-orthogonality rows the witness walk runs on."""
+
+import hashlib
+import random
+
+import pytest
+
+from rootforge import (
+    EmbeddingMap,
+    RootSet,
+    are_isomorphic,
+    automorphism_group,
+    build_root_system,
+    enhanced_basis,
+    is_weyl_embedding,
+    orbit_label,
+)
+from rootforge.classify import pi_node_subsets
+from rootforge.diagrams import projective_diagram_of
+from rootforge.oracle import perm_from_word
+from rootforge.verification import E7_TABLE, E8_TABLE
+
+
+def _moved(system, word, nodes):
+    """Projective images of nodes under the reflections of word, first
+    entry applied first."""
+    out = []
+    for n in nodes:
+        for j in word:
+            n = system.reflect(n, j)
+        out.append(system.proj_rep(n))
+    return out
+
+
+def _word(rng, system, longest=20):
+    return [rng.choice(system.positive) for _ in range(rng.randint(1, longest))]
+
+
+def _stream(seed, positives=15, negatives=2):
+    """(system, expected answer, mapping) of a seeded query stream on E7, E8
+    and D8: Pi-subsets of the enhanced diagram moved by two random words,
+    and on E7/E8 the [T]^0 -> [T]^1 diagram isomorphisms, each composed
+    with a random automorphism and moved by two random words."""
+    rng = random.Random(seed)
+    for name, table in (("E7", E7_TABLE), ("E8", E8_TABLE), ("D8", {})):
+        system = build_root_system(name[0], int(name[1:]))
+        eb = enhanced_basis(system)
+        subsets = pi_node_subsets(eb)
+        for _ in range(positives):
+            src = rng.choice(subsets)
+            pairs = zip(_moved(system, _word(rng, system), src), _moved(system, _word(rng, system), src))
+            yield system, True, dict(pairs)
+        for ttext in sorted({t for t, _ in table}):
+            a, b = eb.subset(table[(ttext, 0)]), eb.subset(table[(ttext, 1)])
+            da = projective_diagram_of(system, a)
+            _, iso = are_isomorphic(da, projective_diagram_of(system, b))
+            autos = automorphism_group(da)
+            for _ in range(negatives):
+                aut = rng.choice(autos)
+                src = sorted(a)
+                dst = [iso[aut[n]] for n in src]
+                pairs = zip(_moved(system, _word(rng, system), src), _moved(system, _word(rng, system), dst))
+                yield system, False, dict(pairs)
+
+
+def test_witness_decisions_are_pinned():
+    # sha256 of every (is_weyl, witness_word, reason) of the stream, taken
+    # while membership still replayed whole-word permutations: the witness
+    # path may get faster, but it must find the same words.
+    decisions = []
+    for system, expected, mapping in _stream(5):
+        emb = EmbeddingMap(system, mapping)
+        decision = is_weyl_embedding(emb)
+        assert decision.is_weyl == expected
+        if decision.is_weyl:
+            perm = perm_from_word(system, decision.witness_word)
+            assert all(system.proj_rep(perm[k]) == v for k, v in emb.mapping.items())
+        decisions.append((decision.is_weyl, decision.witness_word, decision.reason))
+    assert len(decisions) == 67
+    digest = hashlib.sha256(repr(decisions).encode()).hexdigest()
+    assert digest == "99cffe7c662cff437b0905cd7e1ae0b121a63223ea25acb6a2962bb66c33e588"
+
+
+@pytest.mark.parametrize("series, rank", [("D", 12), ("A", 16)])
+def test_positives_beyond_256_roots_replay_on_roots(series, rank):
+    # Permutations of root indices are packed into bytes (at most 256
+    # roots); membership replays its words on the roots alone.
+    system = build_root_system(series, rank)
+    assert len(system.roots) > 256
+    rng = random.Random(rank)
+    for _ in range(10):
+        src = sorted(rng.sample(system.simple_basis, rng.randint(1, rank)))
+        src = _moved(system, _word(rng, system), src)
+        dst = _moved(system, _word(rng, system), src)
+        decision = is_weyl_embedding(EmbeddingMap(system, dict(zip(src, dst))))
+        assert decision.is_weyl
+        assert _moved(system, decision.witness_word, src) == dst
+
+
+def _chain(system, start, stop, flip):
+    """Roots e_i - e_{i+1} for start <= i < stop - 1, in doubled
+    coordinates; with flip, the last one becomes e_{stop-2} + e_{stop-1}."""
+    out = []
+    for i in range(start, stop - 1):
+        vec = [0] * system.rank
+        vec[i] = 2
+        vec[i + 1] = 2 if flip and i == stop - 2 else -2
+        out.append(system.index(tuple(vec)))
+    return out
+
+
+def _even_partitions(n, largest=None):
+    """Partitions of an even n into even parts, largest part first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -2):
+        for rest in _even_partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("rank, classes", [(8, 5), (10, 7), (12, 11)])
+def test_distinguished_side_isomorphisms_are_rejected(rank, classes):
+    # A distinguished Pi-system is a chain A_{2k-1} on each block of a
+    # partition of the coordinates into even blocks; flipping the sign of
+    # the last root changes its side, and no Weyl element matches the two
+    # chains root for root.
+    system = build_root_system("D", rank)
+    partitions = list(_even_partitions(rank))
+    assert len(partitions) == classes
+    for parts in partitions:
+        ends = [sum(parts[: k + 1]) for k in range(len(parts))]
+        a = [r for lo, hi in zip([0] + ends, ends) for r in _chain(system, lo, hi, False)]
+        b = [r for lo, hi in zip([0] + ends, ends) for r in _chain(system, lo, hi, hi == rank)]
+        la, lb = orbit_label(RootSet(system, a)), orbit_label(RootSet(system, b))
+        assert (la.kind, lb.kind) == ("dn_dist", "dn_dist") and la.type_text == lb.type_text
+        assert la.data != lb.data
+        decision = is_weyl_embedding(EmbeddingMap(system, dict(zip(a, b))))
+        assert not decision.is_weyl and decision.witness_word is None
+
+
+@pytest.mark.parametrize("series, rank", [("A", 4), ("D", 5), ("E", 6), ("E", 7)])
+def test_cartan_links_rows(series, rank):
+    from rootforge.rootsystem import cartan_links
+
+    system = build_root_system(series, rank)
+    rows = cartan_links(system)
+    count = len(system.roots)
+    assert len(rows) == count
+    for i in range(count):
+        assert [rows[i] >> j & 1 == 1 for j in range(count)] == [
+            system.cartan(i, j) != 0 for j in range(count)
+        ]
+
+
+def test_classify_and_order_build_no_cartan_links(monkeypatch, capsys):
+    # The rows serve Weyl membership only; the classification commands run
+    # on a fresh E8 and must not build them.
+    from rootforge import cli
+    from rootforge.rootsystem import RootSystem, cartan_links
+
+    e8 = build_root_system("E", 8)
+    fresh = RootSystem("E", 8, list(e8.roots), e8.ambient_dim)
+    monkeypatch.setattr(cli, "parse_system", lambda text: fresh)
+    for command in ("classify", "order"):
+        assert cli.main([command, "E8", "--json", "-"]) == 0
+    capsys.readouterr()
+    assert fresh.memo
+    assert not any(key[0] is cartan_links.__wrapped__ for key in fresh.memo)

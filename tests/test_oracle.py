@@ -185,6 +185,7 @@ def test_reflection_perm_belongs_to_its_system():
 
 def test_permutations_beyond_a_byte_raise_typed_error():
     # Permutations are packed into bytes; D12 (264 roots) does not fit.
+    # Membership replays its witness on roots and answers there.
     from rootforge import EmbeddingMap, enhanced_basis, is_weyl_embedding
     from rootforge.errors import Unsupported
     from rootforge.oracle import identity_perm
@@ -195,6 +196,8 @@ def test_permutations_beyond_a_byte_raise_typed_error():
     with pytest.raises(Unsupported, match="256"):
         reflection_perm(d12, 0)
     node = enhanced_basis(d12).nodes[0]
+    decision = is_weyl_embedding(EmbeddingMap(d12, {node: node}))
+    assert decision.is_weyl
     with pytest.raises(Unsupported, match="256"):
-        is_weyl_embedding(EmbeddingMap(d12, {node: node}))
+        decision.witness_perm(d12)
     assert len(identity_perm(build_root_system("E", 8))) == 240
