@@ -1,29 +1,46 @@
 #!/usr/bin/env python3
-"""Time the brute-force machinery: Weyl enumeration and orbit walks.
+"""Time the brute-force oracle loop by loop: Weyl enumeration, the moset
+orbit walk, the moset stabilizer and the orbit map of the Pi-subsets.
 
-Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6]
+Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
+
+E7 enumerates all 2,903,040 elements of W(E7) and holds them at once
+(about 0.9 GB); it is left out unless named.
 """
 
 import sys
 import time
 
-from rootforge import build_root_system, enhanced_basis, subset_orbit_bfs, weyl_order
+from rootforge import build_root_system, enhanced_basis
+from rootforge.classify import pi_node_subsets
+from rootforge.oracle import enumerate_weyl, orbit_id_map, set_stabilizer, subset_orbit_bfs
+
+
+def timed(fn, *args):
+    t = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t
 
 
 def main(argv):
     labels = argv or ["A3", "D4", "D5", "D6", "E6"]
     for text in labels:
         system = build_root_system(text[0].upper(), int(text[1:]))
-        t = time.time()
-        order = weyl_order(system)
-        t_enum = time.time() - t
         eb = enhanced_basis(system)
-        t = time.time()
-        orbit = subset_orbit_bfs(system, eb.moset)
-        t_orbit = time.time() - t
+        elements, t_enum = timed(enumerate_weyl, system)
+        orbit, t_orbit = timed(subset_orbit_bfs, system, eb.moset)
+        stab, t_stab = timed(set_stabilizer, system, eb.moset, elements)
+        order = len(elements)
+        del elements
+        subsets = pi_node_subsets(eb)
+        ids, t_ids = timed(orbit_id_map, system, subsets)
         print(
-            f"{system.name:4} |W| = {order:>9,}  enumerated in {t_enum:6.2f}s;"
-            f" moset orbit {len(orbit):>6,} sets in {t_orbit:6.2f}s"
+            f"{system.name:4} |W| = {order:>9,}"
+            f"  enumerate_weyl {t_enum:6.2f}s"
+            f"  moset orbit {len(orbit):>6,} sets {t_orbit:6.2f}s"
+            f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
+            f"  orbit_id_map {len(subsets):>6,} Pi-subsets"
+            f" -> {len(set(ids.values())):>4} orbits {t_ids:6.2f}s"
         )
     return 0
 

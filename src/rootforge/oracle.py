@@ -2,23 +2,27 @@
 
 Elements are stored as permutations of the root index list, packed into
 bytes, so the oracle serves systems of at most 256 roots (E8 has 240; A16
-and D12 are the first systems beyond it).  Full enumeration is only
-feasible up to W(E7); orbit questions about subsets are answered by a
-generator walk that never materializes the whole group.
+and D12 are the first systems beyond it).  Every step is a permutation
+lookup, done in C by ``bytes.translate`` on a permutation padded to a
+256-entry table.  Full enumeration is only feasible up to W(E7), whose
+2,903,040 elements take 16-19 s and 0.7 GB on one core of a 2 vCPU host;
+orbit questions about subsets are answered by a generator walk that never
+materializes the whole group.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InvariantViolation, Unsupported
+from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported
 from .rootsystem import RootSystem, system_memo
 
 DEFAULT_CAP = 10**7
 MAX_ROOTS = 256  # a byte holds root indices 0..255
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     """A Weyl group element as a permutation of root indices."""
 
@@ -49,9 +53,21 @@ def reflection_perm(system: RootSystem, j: int) -> bytes:
     return bytes(system.reflect(i, j) for i in range(len(system.roots)))
 
 
+def _table(perm: bytes) -> bytes:
+    """The permutation as a ``bytes.translate`` table: indices past its end
+    map to 0, so callers check lengths first."""
+    return perm.ljust(MAX_ROOTS, b"\0")
+
+
+def _check_length(perm: bytes, n: int) -> None:
+    if len(perm) != n:
+        raise MixedAmbient(f"a permutation of {len(perm)} roots meets one of {n}")
+
+
 def compose(outer: bytes, inner: bytes) -> bytes:
     """Permutation sending i to outer[inner[i]]."""
-    return bytes(outer[x] for x in inner)
+    _check_length(outer, len(inner))
+    return inner.translate(_table(outer))
 
 
 def identity_perm(system: RootSystem) -> bytes:
@@ -70,7 +86,7 @@ def perm_from_word(system: RootSystem, word) -> bytes:
 def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     """All Weyl group elements by breadth-first closure of the simple
     reflections.  Raises CapExceeded when the group outgrows the cap."""
-    gens = simple_reflection_perms(system)
+    gens = [_table(g) for g in simple_reflection_perms(system)]
     ident = identity_perm(system)
     seen = {ident}
     frontier = [ident]
@@ -78,14 +94,24 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylEleme
         new = []
         for w in frontier:
             for g in gens:
-                x = compose(g, w)
+                x = w.translate(g)
                 if x not in seen:
                     seen.add(x)
                     new.append(x)
                     if len(seen) > cap:
                         raise CapExceeded(f"Weyl enumeration exceeded cap {cap}")
         frontier = new
-    return [WeylElement(p) for p in sorted(seen)]
+    ordered = sorted(seen)
+    seen.clear()  # freed before the elements are built, to lower peak memory
+    # The elements are millions of acyclic objects; a running cyclic
+    # collector would rescan all of them many times over.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [WeylElement(p) for p in ordered]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def weyl_order(system: RootSystem, cap: int = DEFAULT_CAP) -> int:
@@ -98,23 +124,31 @@ def subset_orbit(subset, elements) -> set[frozenset]:
     return {w.apply_set(base) for w in elements}
 
 
-def subset_orbit_bfs(system: RootSystem, subset, cap: int = 10**7) -> set[frozenset]:
-    """Orbit of an index set under the full Weyl group, walked with the
-    simple reflections only.  Sets are tracked as canonical frozensets of
-    projective representatives."""
-    gens = simple_reflection_perms(system)
+@system_memo
+def _proj_table(system: RootSystem) -> bytes:
+    """Translate table sending each root index to its projective
+    representative."""
+    _check_size(system)
+    return _table(bytes(system.proj_rep(i) for i in range(len(system.roots))))
 
-    def canon(s) -> frozenset:
-        return frozenset(system.proj_rep(i) for i in s)
 
-    start = canon(subset)
-    seen = {start}
-    frontier = [start]
+def _key(system: RootSystem, subset) -> bytes:
+    """A projective subset as the sorted bytes of its representatives."""
+    return bytes(sorted({system.proj_rep(i) for i in subset}))
+
+
+def _orbit(system: RootSystem, start_key: bytes, cap: int) -> set[bytes]:
+    """Weyl orbit of a projective subset, each member held as sorted bytes,
+    walked with the simple reflections followed by projection."""
+    proj = _proj_table(system)
+    gens = [_table(g.translate(proj)) for g in simple_reflection_perms(system)]
+    seen = {start_key}
+    frontier = [start_key]
     while frontier:
         new = []
         for s in frontier:
             for g in gens:
-                img = canon(g[i] for i in s)
+                img = bytes(sorted(s.translate(g)))
                 if img not in seen:
                     seen.add(img)
                     new.append(img)
@@ -124,17 +158,25 @@ def subset_orbit_bfs(system: RootSystem, subset, cap: int = 10**7) -> set[frozen
     return seen
 
 
+def subset_orbit_bfs(system: RootSystem, subset, cap: int = 10**7) -> set[frozenset]:
+    """Orbit of an index set under the full Weyl group, walked with the
+    simple reflections only.  Sets are returned as canonical frozensets of
+    projective representatives."""
+    return {frozenset(s) for s in _orbit(system, _key(system, subset), cap)}
+
+
 def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> dict:
     """Map each given subset (canonical projective frozenset) to a stable
     orbit identifier (the lexicographically least member of its orbit)."""
     out: dict[frozenset, tuple] = {}
-    pending = [frozenset(system.proj_rep(i) for i in s) for s in subsets]
-    for s in pending:
-        if s in out:
+    for subset in subsets:
+        key = _key(system, subset)
+        if frozenset(key) in out:
             continue
-        orbit = subset_orbit_bfs(system, s, cap=cap)
-        rep = min(tuple(sorted(x)) for x in orbit)
+        orbit = _orbit(system, key, cap)
+        rep = tuple(min(orbit))
         for member in orbit:
+            member = frozenset(member)
             if out.get(member, rep) != rep:
                 raise InvariantViolation("one subset lies in two orbits")
             out[member] = rep
@@ -143,10 +185,14 @@ def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> dict:
 
 def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:
     """Elements mapping the projective subset onto itself."""
-    base = frozenset(system.proj_rep(i) for i in subset)
+    n = len(system.roots)
+    proj = _proj_table(system)
+    key = _key(system, subset)
+    base = frozenset(key)
 
     def stabilizes(w: WeylElement) -> bool:
-        return frozenset(system.proj_rep(w.perm[i]) for i in base) == base
+        _check_length(w.perm, n)
+        return frozenset(key.translate(_table(w.perm)).translate(proj)) == base
 
     return [w for w in elements if stabilizes(w)]
 

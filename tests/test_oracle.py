@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from rootforge import (
     RootSet,
     build_root_system,
+    enhanced_basis,
     enumerate_weyl,
     set_stabilizer,
     subsystem_generated,
@@ -12,9 +15,18 @@ from rootforge import (
     subset_orbit_bfs,
     weyl_order,
 )
-from rootforge.errors import CapExceeded
+from rootforge.classify import pi_node_subsets
+from rootforge.errors import CapExceeded, MixedAmbient
 from rootforge.mosets import all_mosets
-from rootforge.oracle import induced_action, perm_from_word, reflection_perm
+from rootforge.oracle import (
+    compose,
+    identity_perm,
+    induced_action,
+    orbit_id_map,
+    perm_from_word,
+    reflection_perm,
+    simple_reflection_perms,
+)
 
 
 def test_weyl_orders():
@@ -28,6 +40,77 @@ def test_weyl_orders():
 def test_cap():
     with pytest.raises(CapExceeded):
         enumerate_weyl(build_root_system("D", 5), cap=100)
+
+
+def test_enumeration_restores_the_collector_state():
+    a3 = build_root_system("A", 3)
+    enumerate_weyl(a3)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        enumerate_weyl(a3)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_orbit_walk_caps():
+    d4 = build_root_system("D", 4)
+    moset = all_mosets(d4)[0]  # its orbit holds the three mosets of D4
+    assert len(subset_orbit_bfs(d4, moset, cap=3)) == 3
+    with pytest.raises(CapExceeded):
+        subset_orbit_bfs(d4, moset, cap=2)
+    with pytest.raises(CapExceeded):
+        orbit_id_map(d4, [moset], cap=2)
+
+
+def test_compose_matches_its_definition():
+    rng = random.Random(8)
+    for label in [("A", 3), ("E", 6), ("E", 8)]:
+        s = build_root_system(*label)
+        gens = simple_reflection_perms(s)
+        outer, inner = identity_perm(s), identity_perm(s)
+        for _ in range(30):
+            outer = bytes(outer[x] for x in rng.choice(gens))
+            inner = bytes(rng.choice(gens)[x] for x in inner)
+            assert compose(outer, inner) == bytes(outer[x] for x in inner)
+
+
+def test_mismatched_permutations_raise_typed_error():
+    a2, a3 = build_root_system("A", 2), build_root_system("A", 3)
+    p2, p3 = identity_perm(a2), identity_perm(a3)
+    with pytest.raises(MixedAmbient):
+        compose(p2, p3)
+    with pytest.raises(MixedAmbient):
+        compose(p3, p2)
+    with pytest.raises(MixedAmbient):
+        set_stabilizer(a3, a3.simple_basis, enumerate_weyl(a2))
+    with pytest.raises(MixedAmbient):
+        set_stabilizer(a2, a2.simple_basis, enumerate_weyl(a3))
+
+
+@pytest.mark.parametrize(
+    "label, weyl, stabilizer, orbits, keys",
+    [
+        (("D", 6), "2291f774e8c14950", "b11ddb8524bf09f5", "437ed4703fca1c45", 57495),
+        (("E", 6), "9e2fe437a1be94e0", "6e81f3f2d4dac6de", "0336b7e3ecfa39e5", 133101),
+    ],
+)
+def test_oracle_outputs_are_pinned(label, weyl, stabilizer, orbits, keys):
+    # sha256 prefixes of the outputs of the per-root oracle this one replaced
+    def digest(text):
+        return hashlib.sha256(text).hexdigest()[:16]
+
+    s = build_root_system(*label)
+    eb = enhanced_basis(s)
+    elements = enumerate_weyl(s)
+    assert digest(b"".join(w.perm for w in elements)) == weyl
+    stab = set_stabilizer(s, eb.moset, elements)
+    assert digest(b"".join(w.perm for w in stab)) == stabilizer
+    ids = orbit_id_map(s, pi_node_subsets(eb))
+    assert len(ids) == keys
+    items = sorted((tuple(sorted(k)), v) for k, v in ids.items())
+    assert digest(repr(items).encode()) == orbits
 
 
 def test_elements_preserve_pairings():
@@ -116,8 +199,6 @@ def test_point_stabilizer_generated_by_orthogonal_reflections():
             if s.cartan(g, alpha) == 0 and s.proj_rep(g) == g
         ]
         # closure of reflections orthogonal to alpha
-        from rootforge.oracle import compose, identity_perm
-
         gens = [reflection_perm(s, g) for g in orth]
         seen = {identity_perm(s)}
         frontier = list(seen)
@@ -188,7 +269,6 @@ def test_permutations_beyond_a_byte_raise_typed_error():
     # Membership replays its witness on roots and answers there.
     from rootforge import EmbeddingMap, enhanced_basis, is_weyl_embedding
     from rootforge.errors import Unsupported
-    from rootforge.oracle import identity_perm
 
     d12 = build_root_system("D", 12)
     with pytest.raises(Unsupported, match="256"):
