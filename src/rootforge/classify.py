@@ -24,6 +24,8 @@ from .coregroups import (
 )
 from .diagrams import (
     TypeLabel,
+    _adjacency,
+    _bits,
     _classify_one,
     classify_components,
     dynkin_type,
@@ -42,7 +44,7 @@ from .errors import (
     UnrecognizedComponent,
     Unsupported,
 )
-from .mosets import _perfect_moset
+from .mosets import _larger_class, _perfect_moset
 from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
@@ -51,12 +53,15 @@ from .rootsystem import (
     cartan_links,
     components,
     e7_cut_root,
+    positive_mask,
     subsystem_basis,
     system_memo,
 )
 
 E7_SPECIAL = {"A5": 3, "A3+A1": 3, "3A1": 3, "A5+A1": 4, "A3+2A1": 4, "4A1": 4}
 E8_SPECIAL = {"A7": 4, "A5+A1": 4, "2A3": 4, "A3+2A1": 4, "4A1": 4}
+# The special types of each system, with the charge of their perfect moset.
+_SPECIAL = {"E7": E7_SPECIAL, "E8": E8_SPECIAL}
 
 
 # -- types of subsystems and subsets ----------------------------------------
@@ -118,7 +123,8 @@ def dn_tag(rs: RootSet) -> DnTag:
     side = None
     # Only thin sets of full width can be distinguished; only they need the type.
     if d2 == 0 and width == sysm.rank:
-        side = _distinguished_side(sysm, members, pi_type(sysm, members).parts)
+        if _needs_moset(sysm, pi_type(sysm, members).parts, None, (d2, d3, width)):
+            side = _side(sysm, _perfect_moset(sysm, members))
     return DnTag(d2, d3, d2 == 0, width, side is not None, side)
 
 
@@ -140,13 +146,8 @@ def _dn_counts(sysm: RootSystem, nodes: tuple[int, ...]) -> tuple[int, int, int]
     return len(thick_pairs), d3, len(frozenset().union(*supports.values()))
 
 
-def _distinguished_side(sysm: RootSystem, nodes: tuple[int, ...], parts) -> int | None:
-    """Side bit of a thin Pi-system of full width whose components have the
-    shapes parts, or None unless they are all of type A with odd rank (the
-    set is then not distinguished)."""
-    if not all(p.series == "A" and p.rank % 2 == 1 for p in parts):
-        return None
-    core = _perfect_moset(sysm, nodes)
+def _side(sysm: RootSystem, core) -> int:
+    """Side bit of a distinguished set whose perfect moset is core."""
     return sum(1 for i in core if _sum_form(sysm.roots[i])) % 2
 
 
@@ -198,39 +199,53 @@ def _orbit_label(sysm: RootSystem, nodes: tuple[int, ...]) -> OrbitLabel:
     ttype = dynkin_type(projective_diagram_of(sysm, nodes))
     if ttype is None:
         raise NotPiSystem("orbit labels are defined for Pi-systems")
+    ttext = ttype.render()
     counts = _dn_counts(sysm, nodes) if sysm.series == "D" else None
-    return _label_of(sysm, nodes, ttype.parts, ttype.render(), counts)
+    tag = None
+    if _needs_moset(sysm, ttype.parts, ttext, counts):
+        tag = _moset_tag(sysm, ttext, _perfect_moset(sysm, nodes))
+    return _label_of(sysm, ttext, counts, tag)
 
 
-def _label_of(sysm: RootSystem, nodes: tuple[int, ...], parts, ttext: str, counts) -> OrbitLabel:
-    """The orbit label of a Pi-system whose diagram is classified: nodes are
-    its sorted projective roots, parts and ttext the shapes of its
-    components and their rendering, counts its (d2, d3, width) when sysm
-    is a D system.  orbit_label and the Pi-subset table both label here.
-    """
+def _needs_moset(sysm: RootSystem, parts, ttext: str | None, counts) -> bool:
+    """Whether the label of a Pi-system with component shapes parts, type
+    text ttext and D counts (d2, d3, width) depends on its perfect moset:
+    in E7 and E8 when the type is special, in a D system when the set is
+    thin, of full width and all its components are of type A with odd
+    rank (the set is then distinguished)."""
     if sysm.series == "D":
-        d2, d3, width = counts
-        side = None
-        if d2 == 0 and width == sysm.rank:
-            side = _distinguished_side(sysm, nodes, parts)
-        if side is None:
-            label = OrbitLabel(sysm.name, ttext, "dn", (d2, d3))
-        else:
-            label = OrbitLabel(sysm.name, ttext, "dn_dist", (side,))
+        d2, _, width = counts
+        return d2 == 0 and width == sysm.rank and all(
+            p.series == "A" and p.rank % 2 == 1 for p in parts
+        )
+    return ttext in _SPECIAL.get(sysm.name, ())
+
+
+def _moset_tag(sysm: RootSystem, ttext: str, core) -> tuple:
+    """The label data read off the perfect moset core of a Pi-system of
+    type ttext for which _needs_moset holds: (side,) in a D system,
+    (charge, parity) in E7 and E8."""
+    if sysm.series == "D":
+        return (_side(sysm, core),)
+    charge, expected = len(core), _SPECIAL[sysm.name][ttext]
+    if charge != expected:
+        raise InvariantViolation(
+            f"{ttext} in {sysm.name} has charge {charge}, expected {expected}"
+        )
+    return (charge, _half_sum_parity(sysm, core))
+
+
+def _label_of(sysm: RootSystem, ttext: str, counts, tag) -> OrbitLabel:
+    """The orbit label of a Pi-system of type ttext: counts is its (d2, d3,
+    width) when sysm is a D system, tag its _moset_tag when _needs_moset
+    holds and None otherwise.  orbit_label and the Pi-subset table both
+    label here."""
+    if tag is not None:
+        label = OrbitLabel(sysm.name, ttext, "dn_dist" if sysm.series == "D" else "ep", tag)
+    elif sysm.series == "D":
+        label = OrbitLabel(sysm.name, ttext, "dn", counts[:2])
     else:
         label = OrbitLabel(sysm.name, ttext, "plain", ())
-        if sysm.series == "E" and sysm.rank in (7, 8):
-            table = E7_SPECIAL if sysm.rank == 7 else E8_SPECIAL
-            if ttext in table:
-                core = _perfect_moset(sysm, nodes)
-                charge = len(core)
-                if charge != table[ttext]:
-                    raise InvariantViolation(
-                        f"{ttext} in {sysm.name} has charge {charge},"
-                        f" expected {table[ttext]}"
-                    )
-                par = parity_of_orthogonal(sysm, core)
-                label = OrbitLabel(sysm.name, ttext, "ep", (charge, par))
     return _interned(sysm, label)
 
 
@@ -267,7 +282,7 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
             raise NotOrthogonal("only orthogonal sets can enter the moset")
     links = cartan_links(system)
     moset = set(model.moset)
-    scope = sum(1 << i for i in system.positive)
+    scope = positive_mask(system)
     word: list[int] = []
     images = {n: n for n in nodes}
     for n in nodes:
@@ -347,6 +362,12 @@ def parity_of_orthogonal(system: RootSystem, subset) -> int:
         raise Unsupported(
             f"parity is not an orbit invariant of {len(nodes)}-sets in {system.name}"
         )
+    return _half_sum_parity(system, nodes)
+
+
+def _half_sum_parity(system: RootSystem, nodes) -> int:
+    """parity_of_orthogonal of projective nodes already known to form an
+    orthogonal set of a special size."""
     vecs = [system.roots[i] for i in nodes]
     if len(vecs) == 3:
         vecs.append(e7_cut_root())
@@ -594,16 +615,6 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _PiTable(NamedTuple):
     """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
     order, each an int mask whose bit i stands for nodes[i].
@@ -646,32 +657,44 @@ def _pi_table(system: RootSystem) -> _PiTable:
 
     Pi-ness is closed under taking subsets, so growth over sorted nodes
     that stops at each candidate that is not a Pi-system visits exactly the
-    family.  The walk keeps the components of a subset as (mask, shape)
-    pairs.  A new node merges exactly the components it touches, so only
-    the merged one is classified, once per component mask, and one that is
-    not plain ADE prunes the candidate.  In a D system the tag counts grow
-    along: node k adds a thick pair for each twin t (same coordinate
-    support) in the subset, counted in d3 once per common neighbour of k
-    and t, and k is a new common neighbour of each thick pair around it.
+    family.  The walk keeps the components of a subset as int masks.  A new
+    node merges exactly the components it touches, so only the merged one
+    is classified, once per component mask, and one that is not plain ADE
+    prunes the candidate.  The multiset of component shapes is an int with
+    one count per shape.  In a D system the tag counts grow along: node k
+    adds a thick pair for each twin t (same coordinate support) in the
+    subset, counted in d3 once per common neighbour of k and t, and k is a
+    new common neighbour of each thick pair around it.
+
+    A label depends only on the shape multiset and the D counts, and on
+    the perfect moset when _needs_moset holds, so each such key is
+    labelled once.  The moset is then the union of the components' larger
+    colour classes, taken from the masks.
     """
     nodes = tuple(sorted(enhanced_basis(system).nodes))
-    pos = range(len(nodes))
-    adj = [
-        sum(1 << j for j in pos if j != i and system.cartan(nodes[i], nodes[j]) != 0)
-        for i in pos
-    ]
-    if system.series == "D":
+    n = len(nodes)
+    pos = range(n)
+    adj = _adjacency(system, nodes)
+    tagged = system.series == "D"
+    if tagged:
         support = [sum(1 << c for c in _support(system.roots[v])) for v in nodes]
         twin = [sum(1 << j for j in pos if j != i and support[j] == support[i]) for i in pos]
         around = [
             [1 << a | 1 << b for a in _bits(adj[k]) for b in _bits(twin[a] & adj[k]) if a < b]
             for k in pos
         ]
+        full = (1 << system.rank) - 1
     else:  # no tag outside the D series: the counts stay 0
-        support, twin, around = [0] * len(nodes), [0] * len(nodes), [()] * len(nodes)
+        support, twin, around = [0] * n, [0] * n, [()] * n
+        full = -1
+    slot = n.bit_length()  # bits per shape count: a subset has at most n components
     kinds: dict = {}  # component shape -> its index, in order of appearance
+    weights: list[int] = []  # index -> the multiset of one component of that shape
     shapes: dict[int, int | None] = {}  # component mask -> index of its shape
-    types: dict[tuple, tuple] = {}  # sorted shape indices -> (parts, text)
+    types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
+    # (multiset, d2, d3, full width) -> label code, or -1 when the label needs
+    # the moset; such a key is then looked up again with its moset tag.
+    found: dict[tuple, int] = {}
     masks: list[int] = []
     ends: list[int] = []
     codes: list[int] = []
@@ -679,48 +702,81 @@ def _pi_table(system: RootSystem) -> _PiTable:
 
     def shape(comp: int) -> int | None:
         """Index of the component's shape; None unless plain ADE."""
-        if comp not in shapes:
-            members = _bits(comp)
-            try:
-                part = _classify_one(members, {i: _bits(adj[i] & comp) for i in members}, ())
-            except UnrecognizedComponent:
-                part = None
-            plain = part is not None and not part.extended
-            shapes[comp] = kinds.setdefault(part, len(kinds)) if plain else None
-        return shapes[comp]
+        try:
+            part = _classify_one(comp, adj)
+        except UnrecognizedComponent:
+            return None
+        if part.extended:
+            return None
+        if part not in kinds:
+            kinds[part] = len(kinds)
+            weights.append(1 << slot * kinds[part])
+        return kinds[part]
 
-    def grow(mask, members, comps, d2, d3, width, start):
-        for k in range(start, len(nodes)):
+    def label_code(key: tuple, width: int, tag) -> int:
+        """Code of the label of a first-seen key, or -1 when tag is None and
+        the label needs the moset."""
+        multiset, d2, d3, _ = key
+        if multiset not in types:
+            count = (1 << slot) - 1
+            ttype = TypeLabel(
+                tuple(p for p, i in kinds.items() for _ in range(multiset >> slot * i & count))
+            )
+            types[multiset] = (ttype.parts, ttype.render())
+        parts, ttext = types[multiset]
+        counts = (d2, d3, width.bit_count())
+        if tag is None and _needs_moset(system, parts, ttext, counts):
+            return -1
+        return index.setdefault(_label_of(system, ttext, counts, tag), len(index))
+
+    def grow(mask, comps, multiset, d2, d3, width, start):
+        for k in range(start, n):
             near = adj[k]
-            merged, rest = 1 << k, []
+            merged, rest, child_set = 1 << k, [], multiset
             for comp in comps:
-                if comp[0] & near:
-                    merged |= comp[0]
+                if comp & near:
+                    merged |= comp
+                    child_set -= weights[shapes[comp]]
                 else:
                     rest.append(comp)
-            kind = shape(merged)
+            kind = shapes.get(merged, -1)
+            if kind == -1:
+                kind = shapes[merged] = shape(merged)
             if kind is None:
                 continue
-            rest.append((merged, kind))
-            key = tuple(sorted(kind for _, kind in rest))
-            if key not in types:
-                parts = list(kinds)
-                ttype = TypeLabel(tuple(parts[i] for i in key))
-                types[key] = (ttype.parts, ttype.render())
-            c2, c3 = d2, d3 + sum(1 for pair in around[k] if pair & mask == pair)
-            for t in _bits(twin[k] & mask):
-                c2 += 1
-                c3 += (near & adj[t] & mask).bit_count()
-            child, cand, cwidth = mask | 1 << k, members + (nodes[k],), width | support[k]
-            label = _label_of(system, cand, *types[key], (c2, c3, cwidth.bit_count()))
+            rest.append(merged)
+            child_set += weights[kind]
+            c2, c3 = d2, d3
+            if tagged:
+                c3 += sum(1 for pair in around[k] if pair & mask == pair)
+                for t in _bits(twin[k] & mask):
+                    c2 += 1
+                    c3 += (near & adj[t] & mask).bit_count()
+            cwidth = width | support[k]
+            key = (child_set, c2, c3, cwidth == full)
+            code = found.get(key)
+            if code is None:
+                code = found[key] = label_code(key, cwidth, None)
+            if code < 0:
+                core = 0
+                for comp in rest:
+                    core |= _larger_class(comp, adj)
+                tag = _moset_tag(system, types[child_set][1], [nodes[i] for i in _bits(core)])
+                code = found.get((key, tag))
+                if code is None:
+                    code = found[key, tag] = label_code(key, cwidth, tag)
+            child = mask | 1 << k
             at = len(masks)
             masks.append(child)
-            codes.append(index.setdefault(label, len(index)))
+            codes.append(code)
             ends.append(at)
-            grow(child, cand, rest, c2, c3, cwidth, k + 1)
+            grow(child, rest, child_set, c2, c3, cwidth, k + 1)
             ends[at] = len(masks)
 
-    grow(0, (), [], 0, 0, 0, 0)
+    grow(0, [], 0, 0, 0, 0, 0)
+    # grow refers to itself through its closure: break that cycle, so the
+    # memos above go now rather than at the next cyclic collection.
+    del grow
     return _PiTable(nodes, masks, ends, codes, index)
 
 
@@ -771,13 +827,23 @@ def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> int:
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
     """True iff a member of orbit l1 is contained in the subsystem
     generated by a member of orbit l2 (reflexive by convention)."""
-    if l1.ambient != system.name or l2.ambient != system.name:
-        raise MixedAmbient("orbit labels come from different ambient systems")
+    code, _ = _orbit_codes(system, (l1, l2))
     if l1 == l2:
         return True
     reps = dict(enumerate_pi_orbits(system))
-    code = _pi_table(system).index.get(l1)
-    return code is not None and _labels_below(system, reps[l2]) >> code & 1 == 1
+    return _labels_below(system, reps[l2]) >> code & 1 == 1
+
+
+def _orbit_codes(system: RootSystem, labels) -> list[int]:
+    """The table codes of orbit labels; NotPiSystem for a label of system
+    that no Pi-system of it carries."""
+    if any(l.ambient != system.name for l in labels):
+        raise MixedAmbient("orbit labels come from different ambient systems")
+    index = _pi_table(system).index
+    missing = [l.render() for l in labels if l not in index]
+    if missing:
+        raise NotPiSystem(f"no Pi-system of {system.name} has the label {missing[0]}")
+    return [index[l] for l in labels]
 
 
 @dataclass(frozen=True)
@@ -815,13 +881,10 @@ def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     """
     reps = dict(enumerate_pi_orbits(system))
     labels = list(dict.fromkeys(reps if labels is None else labels))
-    if any(l.ambient != system.name for l in labels):
-        raise MixedAmbient("orbit labels come from different ambient systems")
-    table = _pi_table(system)
-    code = {l: table.index[l] for l in labels}
+    code = dict(zip(labels, _orbit_codes(system, labels)))
     chosen = sum(1 << c for c in set(code.values()))
     below = {code[l]: _labels_below(system, reps[l]) & chosen & ~(1 << code[l]) for l in labels}
-    orbits = table.orbits
+    orbits = _pi_table(system).orbits
     edges = []
     for upper in labels:
         lower = below[code[upper]]

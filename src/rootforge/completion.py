@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagrams import ProjectiveDiagram, _path, projective_diagram_of
+from .diagrams import ProjectiveDiagram, projective_diagram_of
 from .errors import (
     InvariantViolation,
     NotD4,
@@ -248,6 +248,18 @@ def _label_key(label: str):
 
 def _support(vec) -> frozenset:
     return frozenset(i for i, x in enumerate(vec) if x != 0)
+
+
+def _path(adj, prev, cur) -> list:
+    """Nodes of the unbranched path entered from prev at cur, in order, up
+    to its far end; adj maps each node of a tree to its neighbours."""
+    out = [cur]
+    while True:
+        nxt = [x for x in adj[cur] if x != prev]
+        if not nxt:
+            return out
+        prev, cur = cur, nxt[0]
+        out.append(cur)
 
 
 def _name_basis(system: RootSystem) -> dict:

@@ -131,7 +131,12 @@ def core_order_formula(series: str, rank: int) -> int:
 
 def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     """Weyl elements of a small subsystem that map the moset onto itself
-    projectively, reported as (moset position permutation, reflection word)."""
+    projectively, reported as (moset position permutation, reflection word).
+
+    An element of W(sub) is determined by its images of the basis of sub,
+    so the closure runs on the basis followed by the touched moset roots.
+    Each basis reflection acts through a row over the roots those states
+    can reach."""
     m_set = set(moset)
     touched = [
         m
@@ -141,14 +146,25 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     if len(touched) < 2:
         return []
     pos = {n: k for k, n in enumerate(moset)}
+    basis = subsystem_basis(system, sub)
+    start = tuple(basis) + tuple(touched)
+    rows: dict[int, dict] = {g: {} for g in basis}
+    reach = list(dict.fromkeys(start))
+    reached = set(reach)
+    for x in reach:  # grows until closed under the basis reflections
+        for g, row in rows.items():
+            y = row[x] = system.reflect(x, g)
+            if y not in reached:
+                reached.add(y)
+                reach.append(y)
     seen = _closure_words(
-        tuple(sub) + tuple(touched),
-        [(g, (g,)) for g in subsystem_basis(system, sub)],
-        lambda state, g: tuple(system.reflect(x, g) for x in state),
+        start,
+        [(row, (g,)) for g, row in rows.items()],
+        lambda state, row: tuple(map(row.__getitem__, state)),
     )
     out = []
     for state, word in seen.items():
-        images = state[len(sub):]
+        images = state[len(basis):]
         projs = [system.proj_rep(x) for x in images]
         if all(p in m_set for p in projs):
             perm = list(range(len(moset)))
@@ -210,7 +226,7 @@ def _close_group(generators: dict, npoints: int) -> dict:
     return _closure_words(
         tuple(range(npoints)),
         list(generators.items()),
-        lambda cur, gperm: tuple(gperm[k] for k in cur),
+        lambda cur, gperm: tuple(map(gperm.__getitem__, cur)),
     )
 
 

@@ -21,7 +21,6 @@ from .rootsystem import (
     extended_pi_system,
     is_pi_system,
     subsystem_basis,
-    walk,
 )
 
 MAX_NODES = 64
@@ -155,100 +154,140 @@ def projective_diagram_of(system: RootSystem, nodes: tuple[int, ...]) -> Project
 # -- shape recognition -----------------------------------------------------
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _adjacency(system: RootSystem, nodes) -> list[int]:
+    """Row i is the int mask of the positions j != i whose nodes[j] is not
+    orthogonal to nodes[i]: the projective diagram of nodes on positions."""
+    pos = range(len(nodes))
+    return [
+        sum(1 << j for j in pos if j != i and system.cartan(nodes[i], nodes[j]) != 0)
+        for i in pos
+    ]
+
+
+def _component_masks(mask: int, adj) -> list[int]:
+    """Connected components of the positions in mask, as int masks; adj[i]
+    is the int mask of the neighbours of position i."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= adj[i]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 def _graph_view(d: Diagram | ProjectiveDiagram):
-    """Uniform (nodes, adjacency-dict, quad-pairs) view of either kind."""
+    """Int-mask view of either kind: bit i stands for d.nodes[i]; returns
+    the neighbour mask of every position and the mask of the positions on
+    a quadruple bond."""
+    pos = {n: i for i, n in enumerate(d.nodes)}
     if isinstance(d, ProjectiveDiagram):
-        adj = {n: set() for n in d.nodes}
-        for p in d.adjacency:
-            a, b = tuple(p)
-            adj[a].add(b)
-            adj[b].add(a)
-        return d.nodes, adj, set()
-    adj = {n: set() for n in d.nodes}
-    quads = set()
-    for pair, m in d.bonds:
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
+        bonds = [(p, 1) for p in d.adjacency]
+    else:
+        bonds = d.bonds
+    adj = [0] * len(pos)
+    quads = 0
+    for pair, m in bonds:
+        a, b = (pos[x] for x in pair)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
         if m == 4:
-            quads.add(pair)
-    return d.nodes, adj, quads
+            quads |= 1 << a | 1 << b
+    return adj, quads
 
 
 def classify_components(d: Diagram | ProjectiveDiagram) -> TypeLabel:
     """Recognize every connected component as an ADE or extended ADE shape."""
-    nodes, adj, quads = _graph_view(d)
-
-    def neighbours(cur, seen):
-        return adj[cur].difference(seen)
-
-    seen: set = set()
-    parts = []
-    for start in nodes:
-        if start not in seen:
-            comp = walk(start, neighbours)
-            seen.update(comp)
-            parts.append(_classify_one(comp, adj, quads))
-    return TypeLabel(tuple(parts))
+    adj, quads = _graph_view(d)
+    comps = _component_masks((1 << len(adj)) - 1, adj)
+    return TypeLabel(tuple(_classify_one(comp, adj, quads) for comp in comps))
 
 
-def _classify_one(comp, adj, quads) -> Irreducible:
-    # comp is a connected component of adj, so adj[x] lies inside comp for
-    # every x in comp: degrees and arms are read off adj directly.
-    n = len(comp)
-    comp_quads = [q for q in quads if not q.isdisjoint(comp)]
-    if comp_quads:
-        if n == 2 and len(comp_quads) == 1:
+_BRANCHED = {
+    (1, 2, 2): Irreducible("E", 6),
+    (1, 2, 3): Irreducible("E", 7),
+    (1, 2, 4): Irreducible("E", 8),
+    (2, 2, 2): Irreducible("E", 6, extended=True),
+    (1, 3, 3): Irreducible("E", 7, extended=True),
+    (1, 2, 5): Irreducible("E", 8, extended=True),
+}
+
+
+def _classify_one(comp: int, adj, quads: int = 0) -> Irreducible:
+    """Shape of a connected component, the one ADE recognizer.
+
+    comp is an int mask over node positions, adj[i] the int mask of the
+    neighbours of position i (it may reach outside comp) and quads the
+    mask of positions on a quadruple bond.  Raises UnrecognizedComponent
+    unless the shape is ADE or extended ADE.
+    """
+    n = comp.bit_count()
+    if comp & quads:
+        # Both ends of a quadruple bond are adjacent, so a two-node
+        # component holding one is that bond alone.
+        if n == 2:
             return Irreducible("A", 1, extended=True)
         raise UnrecognizedComponent("quadruple bond inside a larger component")
-    degs = sorted(len(adj[x]) for x in comp)
-    edges = sum(degs) // 2
-    if edges == n and n >= 3 and degs == [2] * n:
+    degs = []
+    rest = comp
+    while rest:
+        low = rest & -rest
+        degs.append((adj[low.bit_length() - 1] & comp).bit_count())
+        rest ^= low
+    edges, top = sum(degs) // 2, max(degs)
+    if edges == n and n >= 3 and top == 2:
         return Irreducible("A", n - 1, extended=True)
     if edges != n - 1:
         raise UnrecognizedComponent(f"component with {n} nodes and {edges} bonds")
     # Tree shapes.
-    if degs[-1] <= 2:
+    if top <= 2:
         return Irreducible("A", n)
-    if degs[-1] == 4:
-        if n == 5 and degs == [1, 1, 1, 1, 4]:
+    if top == 4:
+        if n == 5:
             return Irreducible("D", 4, extended=True)
         raise UnrecognizedComponent("degree-4 node outside the extended D4 star")
-    branch = [x for x in comp if len(adj[x]) == 3]
+    if top > 4:
+        raise UnrecognizedComponent(f"node of degree {top}")
+    members = _bits(comp)
+    branch = [i for i, deg in zip(members, degs) if deg == 3]
     if len(branch) == 1:
-        arms = sorted(len(_path(adj, branch[0], x)) for x in adj[branch[0]])
-        table = {
-            (1, 2, 2): Irreducible("E", 6),
-            (1, 2, 3): Irreducible("E", 7),
-            (1, 2, 4): Irreducible("E", 8),
-            (2, 2, 2): Irreducible("E", 6, extended=True),
-            (1, 3, 3): Irreducible("E", 7, extended=True),
-            (1, 2, 5): Irreducible("E", 8, extended=True),
-        }
+        centre = branch[0]
+        arms = []
+        for first in _bits(adj[centre] & comp):
+            # Past the centre every degree is at most 2, so each step of
+            # an arm meets at most one node not yet on it.
+            arm, cur = 1 << centre, 1 << first
+            while cur:
+                arm |= cur
+                cur = adj[cur.bit_length() - 1] & comp & ~arm
+            arms.append(arm.bit_count() - 1)
+        arms.sort()
         if arms[0] == arms[1] == 1:
             return Irreducible("D", n)
-        if tuple(arms) in table:
-            return table[tuple(arms)]
+        if tuple(arms) in _BRANCHED:
+            return _BRANCHED[tuple(arms)]
         raise UnrecognizedComponent(f"branching tree with arms {arms}")
     if len(branch) == 2:
-        ok = all(len(adj[x]) <= 2 for x in comp if x not in branch) and all(
-            sum(1 for y in adj[x] if len(adj[y]) == 1) == 2 for x in branch
-        )
-        if ok:
+        # Extended D: each branch node carries two leaves.
+        leaves = sum(1 << i for i, deg in zip(members, degs) if deg == 1)
+        if all((adj[i] & leaves).bit_count() == 2 for i in branch):
             return Irreducible("D", n - 1, extended=True)
     raise UnrecognizedComponent("tree with more than one branching node")
-
-
-def _path(adj, prev, cur) -> list:
-    """Nodes of the unbranched path entered from prev at cur, in order, up
-    to its far end; adj maps each node of a tree to its neighbours."""
-    out = [cur]
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            return out
-        prev, cur = cur, nxt[0]
-        out.append(cur)
 
 
 def dynkin_type(d: ProjectiveDiagram) -> TypeLabel | None:

@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagrams import component_type, is_dynkin_shape, projective_diagram_of
+from .diagrams import (
+    _adjacency,
+    _bits,
+    _component_masks,
+    component_type,
+    is_dynkin_shape,
+    projective_diagram_of,
+)
 from .errors import (
     InvariantViolation,
     NotIrreducible,
@@ -17,10 +24,8 @@ from .oracle import subset_orbit_bfs
 from .rootsystem import (
     RootSet,
     RootSystem,
-    cartan_neighbours,
     components,
     orthogonal_complement,
-    walk,
 )
 
 
@@ -102,22 +107,32 @@ def perfect_moset(rs: RootSet) -> Moset:
 def _perfect_moset(system: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
     """Members of perfect_moset for projective nodes already known to form
     a Pi-system, for callers that have just classified their diagram."""
-    # One walk per component both finds and colours it; the colour classes
-    # do not depend on where it starts.
-    neighbours = cartan_neighbours(system, nodes)
-    seen: set[int] = set()
-    chosen: list[int] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        color = walk(start, neighbours)
-        seen.update(color)
-        cls = [
-            tuple(sorted(x for x in color if color[x] == c)) for c in (0, 1)
-        ]
-        cls.sort(key=lambda t: (-len(t), t))
-        chosen.extend(cls[0])
-    return tuple(sorted(chosen))
+    nodes = sorted(nodes)
+    adj = _adjacency(system, nodes)
+    core = 0
+    for comp in _component_masks((1 << len(nodes)) - 1, adj):
+        core |= _larger_class(comp, adj)
+    return tuple(nodes[i] for i in _bits(core))
+
+
+def _larger_class(comp: int, adj) -> int:
+    """The perfect moset's share of one component of a Pi-system diagram,
+    given as an int mask over positions whose neighbour masks are adj: the
+    larger colour class, ties going to the class of the lowest position.
+    Colours alternate with the distance from that position."""
+    classes = [comp & -comp, 0]
+    seen = frontier = classes[0]
+    side = 0
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= adj[i]
+        frontier = reach & comp & ~seen
+        seen |= frontier
+        side ^= 1
+        classes[side] |= frontier
+    low, high = classes
+    return low if low.bit_count() >= high.bit_count() else high
 
 
 def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:

@@ -349,6 +349,13 @@ def cartan_links(system: RootSystem) -> tuple[int, ...]:
     )
 
 
+@system_memo
+def positive_mask(system: RootSystem) -> int:
+    """Int mask of the positive roots: the scope a Weyl membership walk
+    starts from, next to the cartan_links rows it narrows."""
+    return sum(1 << i for i in system.positive)
+
+
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components under the non-orthogonality relation."""
     neighbours = cartan_neighbours(system, members)

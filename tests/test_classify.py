@@ -821,3 +821,54 @@ def test_witness_perm_of_a_negative_decision_raises():
     decision = WeylDecision(False, "constructive", None, "parity mismatch (0 vs 1)")
     with pytest.raises(Unsupported):
         decision.witness_perm(build_root_system("E", 7))
+
+
+def _table_digest(table):
+    import hashlib
+
+    text = repr((table.masks, table.ends, table.codes, [l.render() for l in table.index]))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "series, rank, digest",
+    [("D", 10, "1e1fa3c966a9205d"), ("D", 12, "1564d059f779c964"), ("E", 8, "3af938a2348c309e")],
+)
+def test_pi_table_digest(series, rank, digest):
+    # Masks, subtree ends, codes and labels of the table as the walk gave
+    # them before it classified components on masks and labelled each key
+    # once.
+    from rootforge.classify import _pi_table
+
+    assert _table_digest(_pi_table(build_root_system(series, rank))) == digest
+
+
+def test_pi_table_labels_each_key_once(monkeypatch):
+    # E8 has 22,910 Pi-subsets and 76 labels: the table builds one label per
+    # shape multiset, D counts and moset tag, not one per subset.
+    from rootforge import classify
+    from rootforge.rootsystem import RootSystem
+
+    e8 = build_root_system("E", 8)
+    fresh = RootSystem("E", 8, list(e8.roots), e8.ambient_dim)
+    calls = []
+    original = classify._label_of
+    monkeypatch.setattr(classify, "_label_of", lambda *args: calls.append(args) or original(*args))
+    table = classify._pi_table(fresh)
+    assert len(table.masks) == 22910
+    assert len(table.index) == 76
+    assert len(calls) < 200
+
+
+def test_labels_without_an_orbit_raise_typed_error():
+    from rootforge.classify import OrbitLabel
+
+    a3 = build_root_system("A", 3)
+    label = enumerate_pi_orbits(a3)[0][0]
+    bogus = OrbitLabel("A3", "E8", "plain", ())
+    with pytest.raises(NotPiSystem):
+        order_between_orbits(label, bogus, a3)
+    with pytest.raises(NotPiSystem):
+        order_between_orbits(bogus, label, a3)
+    with pytest.raises(NotPiSystem):
+        hasse_diagram(a3, [bogus, label])

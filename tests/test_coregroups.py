@@ -286,3 +286,22 @@ def test_model_json():
         format(k, "03b") for k in range(8)
     }
     assert payload["generators"]
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("E7", "d09395f1547ee842"),
+        ("E8", "693f0134342f25a1"),
+        ("D8", "abb31b539baaeadc"),
+        ("D10", "40b8a45bd4bafb44"),
+    ],
+)
+def test_core_group_digest(name, digest):
+    # Moset, labeling, generators and every element with its word, as the
+    # closure over whole subsystems gave them before it ran on their bases.
+    import hashlib
+
+    m = core_group_model(build_root_system(name[0], int(name[1:])))
+    text = repr((m.moset, sorted(m.labeling.labels.items()), m.generators, list(m.elements.items())))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

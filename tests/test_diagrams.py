@@ -15,7 +15,7 @@ from rootforge import (
     to_dot,
     type_label,
 )
-from rootforge.diagrams import ProjectiveDiagram
+from rootforge.diagrams import Irreducible, ProjectiveDiagram
 from rootforge.errors import TooLarge, UnrecognizedComponent
 
 
@@ -210,3 +210,189 @@ def test_find_subdiagrams_with_a_reducible_pattern_raises():
     path = ProjectiveDiagram((0, 1, 2), frozenset({frozenset((0, 1)), frozenset((1, 2))}))
     with pytest.raises(NotIrreducible):
         find_subdiagrams(path, type_label(("A", 1), ("A", 1)))
+
+
+# -- the mask recognizer against the dict-based one it replaced ---------------
+
+
+def _reference_classify_one(comp, adj, quads):
+    # The recognizer before it ran on int masks: comp lists the nodes of a
+    # connected component, adj maps each of them to its neighbours.
+    from rootforge.diagrams import Irreducible
+
+    n = len(comp)
+    comp_quads = [q for q in quads if not q.isdisjoint(comp)]
+    if comp_quads:
+        if n == 2 and len(comp_quads) == 1:
+            return Irreducible("A", 1, extended=True)
+        raise UnrecognizedComponent("quadruple bond inside a larger component")
+    degs = sorted(len(adj[x]) for x in comp)
+    edges = sum(degs) // 2
+    if edges == n and n >= 3 and degs == [2] * n:
+        return Irreducible("A", n - 1, extended=True)
+    if edges != n - 1:
+        raise UnrecognizedComponent(f"component with {n} nodes and {edges} bonds")
+    if degs[-1] <= 2:
+        return Irreducible("A", n)
+    if degs[-1] == 4:
+        if n == 5 and degs == [1, 1, 1, 1, 4]:
+            return Irreducible("D", 4, extended=True)
+        raise UnrecognizedComponent("degree-4 node outside the extended D4 star")
+    branch = [x for x in comp if len(adj[x]) == 3]
+    if len(branch) == 1:
+
+        def path(prev, cur):
+            out = [cur]
+            while True:
+                nxt = [x for x in adj[cur] if x != prev]
+                if not nxt:
+                    return out
+                prev, cur = cur, nxt[0]
+                out.append(cur)
+
+        arms = sorted(len(path(branch[0], x)) for x in adj[branch[0]])
+        table = {
+            (1, 2, 2): Irreducible("E", 6),
+            (1, 2, 3): Irreducible("E", 7),
+            (1, 2, 4): Irreducible("E", 8),
+            (2, 2, 2): Irreducible("E", 6, extended=True),
+            (1, 3, 3): Irreducible("E", 7, extended=True),
+            (1, 2, 5): Irreducible("E", 8, extended=True),
+        }
+        if arms[0] == arms[1] == 1:
+            return Irreducible("D", n)
+        if tuple(arms) in table:
+            return table[tuple(arms)]
+        raise UnrecognizedComponent(f"branching tree with arms {arms}")
+    if len(branch) == 2:
+        ok = all(len(adj[x]) <= 2 for x in comp if x not in branch) and all(
+            sum(1 for y in adj[x] if len(adj[y]) == 1) == 2 for x in branch
+        )
+        if ok:
+            return Irreducible("D", n - 1, extended=True)
+    raise UnrecognizedComponent("tree with more than one branching node")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnrecognizedComponent:
+        return "unrecognized"
+
+
+def _connected_masks(adj):
+    """Every connected nonempty set of positions, as int masks."""
+    from rootforge.diagrams import _bits
+
+    seen = {1 << i for i in range(len(adj))}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for mask in frontier:
+            reach = 0
+            for i in _bits(mask):
+                reach |= adj[i]
+            for j in _bits(reach & ~mask):
+                if mask | 1 << j not in seen:
+                    seen.add(mask | 1 << j)
+                    grown.append(mask | 1 << j)
+        frontier = grown
+    return seen
+
+
+def _agree(adj, comp, quads=()):
+    from rootforge.diagrams import _bits, _classify_one
+
+    members = _bits(comp)
+    view = {i: _bits(adj[i] & comp) for i in members}
+    quad_mask = sum(1 << i for pair in quads for i in pair)
+    ref = _outcome(_reference_classify_one, members, view, [frozenset(q) for q in quads])
+    assert _outcome(_classify_one, comp, adj, quad_mask) == ref, (members, view)
+    return ref
+
+
+def test_mask_recognizer_matches_the_dict_one_on_enhanced_diagrams():
+    from rootforge import enhanced_basis
+    from rootforge.diagrams import _adjacency
+    from rootforge.verification import SMALL
+
+    seen = set()
+    for series, rank in SMALL + [("D", 9), ("A", 12)]:
+        s = build_root_system(series, rank)
+        adj = _adjacency(s, sorted(enhanced_basis(s).nodes))
+        for comp in _connected_masks(adj):
+            seen.add(_agree(adj, comp))
+    # The enhanced diagrams hold every finite and several extended shapes,
+    # and connected sets that are none of them.
+    assert {"unrecognized", Irreducible("E", 8), Irreducible("D", 8)} <= seen
+    assert {p for p in seen if p != "unrecognized" and p.extended} >= {
+        Irreducible("A", 3, extended=True),
+        Irreducible("D", 4, extended=True),
+        Irreducible("E", 7, extended=True),
+    }
+
+
+def _mask_graph(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _spider(arms):
+    """A centre 0 with paths of the given lengths attached: (n, edges)."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return n, edges
+
+
+def test_mask_recognizer_on_extended_and_rejected_shapes():
+    from rootforge.diagrams import Irreducible, _model_diagram
+
+    extended = [Irreducible("A", r, True) for r in range(2, 9)]
+    extended += [Irreducible("D", r, True) for r in range(4, 10)]
+    extended += [Irreducible("E", r, True) for r in (6, 7, 8)]
+    for part in extended:
+        d = _model_diagram(part)
+        adj = _mask_graph(len(d.nodes), [tuple(p) for p in d.adjacency])
+        assert _agree(adj, (1 << len(adj)) - 1) == part
+    rejected = [
+        (4, [(0, 1), (1, 2), (2, 0), (2, 3)]),  # a triangle with a tail
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),  # a square with a chord
+        _spider((1, 1, 1, 2)),  # a degree-4 node with a longer arm
+        _spider((2, 2, 2, 2)),
+        (8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (6, 7)]),  # two branch nodes
+        (8, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (5, 7)]),  # three
+        _spider((2, 2, 3)),
+        _spider((1, 3, 4)),
+        _spider((1, 2, 6)),
+    ]
+    for n, edges in rejected:
+        assert _agree(_mask_graph(n, edges), (1 << n) - 1) == "unrecognized", edges
+    for n, edges in (_spider((1, 3, 3)), _spider((1, 2, 5))):
+        assert _agree(_mask_graph(n, edges), (1 << n) - 1).extended
+
+
+def test_mask_recognizer_on_quadruple_bonds():
+    # A root and its negative: extended A1 alone, unrecognized with more.
+    assert _agree(_mask_graph(2, [(0, 1)]), 0b11, [(0, 1)]) == Irreducible("A", 1, True)
+    assert _agree(_mask_graph(3, [(0, 1), (1, 2)]), 0b111, [(0, 1)]) == "unrecognized"
+    a2 = build_root_system("A", 2)
+    i = a2.simple_basis[0]
+    assert classify_components(gamma_diagram(RootSet(a2, (i, a2.negative(i))))).render() == "A~1"
+
+
+def test_mask_recognizer_rejects_nodes_of_degree_five():
+    # No root has five pairwise orthogonal neighbours, so only a hand-built
+    # diagram has such a node.  The dict-based recognizer read this tree
+    # (a branch node whose third arm runs into a degree-5 node) as D8.
+    nodes = tuple(range(8))
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (3, 7)]
+    d = ProjectiveDiagram(nodes, frozenset(frozenset(e) for e in edges))
+    with pytest.raises(UnrecognizedComponent):
+        classify_components(d)

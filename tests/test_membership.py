@@ -169,3 +169,18 @@ def test_classify_and_order_build_no_cartan_links(monkeypatch, capsys):
     capsys.readouterr()
     assert fresh.memo
     assert not any(key[0] is cartan_links.__wrapped__ for key in fresh.memo)
+
+
+def test_positive_mask_is_memoised_on_the_system():
+    # Every moset walk starts from the positive roots; their mask is kept
+    # on the system rather than rebuilt per query.
+    from rootforge.classify import weyl_into_moset
+    from rootforge.rootsystem import RootSystem, positive_mask
+
+    e7 = build_root_system("E", 7)
+    fresh = RootSystem("E", 7, list(e7.roots), e7.ambient_dim)
+    for subset in pi_node_subsets(enhanced_basis(fresh))[:3]:
+        weyl_into_moset(fresh, subset[:1])
+    keys = [key for key in fresh.memo if key[0] is positive_mask.__wrapped__]
+    assert len(keys) == 1
+    assert fresh.memo[keys[0]] == sum(1 << i for i in fresh.positive)
