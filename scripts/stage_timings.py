@@ -7,8 +7,12 @@ Prints the import time once, then per system the seconds spent building
 the root system and enhanced basis, in core_group_model, in _pi_table
 (the labelled walk over Pi-subsets), in enumerate_pi_orbits and in
 hasse_diagram over all orbits, each stage on the caches the earlier ones
-filled, as `rootforge classify` and `rootforge order` run them.  Times
-are time.perf_counter, unscaled.
+filled, as `rootforge classify` and `rootforge order` run them.  A second
+line splits core_group_model into its steps, run again on a fresh copy of
+the system with cold caches: the Weyl-generated closure (subsystems, their
+local closures and the closure of what they give), the labeling, the check
+against the series model and the span check of the structured generators.
+Times are time.perf_counter, unscaled.
 """
 
 import sys
@@ -17,7 +21,14 @@ import time
 start = time.perf_counter()
 import rootforge  # noqa: E402
 from rootforge.classify import _pi_table, enumerate_pi_orbits, hasse_diagram  # noqa: E402
-from rootforge.coregroups import core_group_model  # noqa: E402
+from rootforge.coregroups import (  # noqa: E402
+    _close_group,
+    _derive_labeling,
+    _model_element_set,
+    _model_generators,
+    _weyl_core_elements,
+    core_group_model,
+)
 
 IMPORT_S = time.perf_counter() - start
 
@@ -34,6 +45,21 @@ def build(text):
     return system
 
 
+def core_steps(system):
+    """core_group_model's steps on an uncached copy of system, each check
+    made as core_group_model makes it."""
+    fresh = rootforge.build_root_system.__wrapped__(system.series, system.rank)
+    eb = rootforge.enhanced_basis(fresh)
+    closed, t_closure = timed(_weyl_core_elements, fresh, eb)
+    labeling, t_labeling = timed(_derive_labeling, fresh, eb, closed)
+    model, t_model = timed(_model_element_set, fresh, labeling, eb.moset)
+    generators = _model_generators(fresh, labeling, eb.moset)
+    span, t_span = timed(_close_group, dict.fromkeys(generators, ()), len(eb.moset))
+    if model != closed.keys() or span.keys() != closed.keys():
+        raise SystemExit(f"{system.name}: core group checks fail")
+    return t_closure, t_labeling, t_model, t_span
+
+
 def main(argv):
     print(f"import {IMPORT_S:.3f}s")
     for text in argv or ["E7", "E8", "D10"]:
@@ -48,6 +74,10 @@ def main(argv):
             f" {len(hasse.edges):>6,} edges | build {t_build:6.3f}s"
             f"  core_group_model {t_core:6.3f}s  _pi_table {t_table:6.3f}s"
             f"  enumerate_pi_orbits {t_orbits:6.3f}s  hasse_diagram {t_hasse:6.3f}s"
+        )
+        print(
+            "     core_group_model steps: closure {:6.3f}s  labeling {:6.3f}s"
+            "  model-set check {:6.3f}s  span check {:6.3f}s".format(*core_steps(system))
         )
     return 0
 

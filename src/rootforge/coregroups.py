@@ -20,6 +20,7 @@ from math import factorial
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
+from .oracle import MAX_ROOTS, _table
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -129,15 +130,37 @@ def core_order_formula(series: str, rank: int) -> int:
 # -- honest generation from small subsystems --------------------------------
 
 
+def _reach(system: RootSystem, basis, start) -> list[int]:
+    """The roots the basis reflections carry start to, start first: the
+    states a local closure steps through, numbered by their list index.
+
+    The closure steps on bytes, so the reach may hold at most MAX_ROOTS
+    roots; a larger one raises InvariantViolation."""
+    reach = list(dict.fromkeys(start))
+    reached = set(reach)
+    for x in reach:  # grows until closed under the basis reflections
+        for g in basis:
+            y = system.reflect(x, g)
+            if y not in reached:
+                reached.add(y)
+                reach.append(y)
+    if len(reach) > MAX_ROOTS:
+        raise InvariantViolation(
+            f"a local closure reaches {len(reach)} roots; byte states hold {MAX_ROOTS}"
+        )
+    return reach
+
+
 def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     """Weyl elements of a small subsystem that map the moset onto itself
     projectively, reported as (moset position permutation, reflection word).
 
     An element of W(sub) is determined by its images of the basis of sub,
     so the closure runs on the basis followed by the touched moset roots.
-    Each basis reflection acts through a row over the roots those states
-    can reach."""
-    m_set = set(moset)
+    The roots those states can reach are renumbered 0, 1, ... in reach
+    order, so each state is bytes and each basis reflection a translate
+    table; a second table sends a local root to the moset position of its
+    projective root, or to len(moset) when that lies outside the moset."""
     touched = [
         m
         for m in moset
@@ -148,30 +171,27 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     pos = {n: k for k, n in enumerate(moset)}
     basis = subsystem_basis(system, sub)
     start = tuple(basis) + tuple(touched)
-    rows: dict[int, dict] = {g: {} for g in basis}
-    reach = list(dict.fromkeys(start))
-    reached = set(reach)
-    for x in reach:  # grows until closed under the basis reflections
-        for g, row in rows.items():
-            y = row[x] = system.reflect(x, g)
-            if y not in reached:
-                reached.add(y)
-                reach.append(y)
-    seen = _closure_words(
-        start,
-        [(row, (g,)) for g, row in rows.items()],
-        lambda state, row: tuple(map(row.__getitem__, state)),
-    )
+    reach = _reach(system, basis, start)
+    local = {x: k for k, x in enumerate(reach)}
+    gens = [
+        (_table(bytes(local[system.reflect(x, g)] for x in reach)), (g,))
+        for g in basis
+    ]
+    seen = _closure_words(bytes(local[x] for x in start), gens)
+    outside = len(moset)
+    where = _table(bytes(pos.get(system.proj_rep(x), outside) for x in reach))
+    tpos = [pos[m] for m in touched]
+    tset = set(tpos)
     out = []
     for state, word in seen.items():
-        images = state[len(basis):]
-        projs = [system.proj_rep(x) for x in images]
-        if all(p in m_set for p in projs):
+        images = state[len(basis):].translate(where)
+        # The permutation fixes the untouched positions, so it is one
+        # exactly when the touched positions go onto themselves.
+        if set(images) == tset:
             perm = list(range(len(moset)))
-            for m, p in zip(touched, projs):
-                perm[pos[m]] = pos[p]
-            if len(set(perm)) == len(perm):
-                out.append((tuple(perm), word))
+            for p, q in zip(tpos, images):
+                perm[p] = q
+            out.append((tuple(perm), word))
     return out
 
 
@@ -203,9 +223,10 @@ def _subsystems(system: RootSystem, seeds):
     return list(out)
 
 
-def _closure_words(start, generators, act) -> dict:
-    """Breadth-first closure of start under act(state, g) for the (g, word)
-    pairs of generators, mapping each state to the first word reaching it."""
+def _closure_words(start: bytes, generators) -> dict:
+    """Breadth-first closure of the bytes start under the (translate table,
+    word) pairs of generators, mapping each state to the first word
+    reaching it."""
     words = {start: ()}
     frontier = [start]
     while frontier:
@@ -213,7 +234,7 @@ def _closure_words(start, generators, act) -> dict:
         for cur in frontier:
             cur_word = words[cur]
             for g, gword in generators:
-                nxt = act(cur, g)
+                nxt = cur.translate(g)
                 if nxt not in words:
                     words[nxt] = cur_word + gword
                     new.append(nxt)
@@ -222,11 +243,12 @@ def _closure_words(start, generators, act) -> dict:
 
 
 def _close_group(generators: dict, npoints: int) -> dict:
-    """Closure of moset permutations, concatenating reflection words."""
+    """Closure of moset permutations, concatenating reflection words.  The
+    permutations are bytes: each step sends cur to g[cur[i]] by
+    cur.translate(g)."""
     return _closure_words(
-        tuple(range(npoints)),
-        list(generators.items()),
-        lambda cur, gperm: tuple(map(gperm.__getitem__, cur)),
+        bytes(range(npoints)),
+        [(_table(bytes(g)), word) for g, word in generators.items()],
     )
 
 
@@ -385,23 +407,30 @@ def _f2_action(labeling: MosetLabeling, moset):
 
 
 def _model_element_set(system: RootSystem, labeling: MosetLabeling, moset):
-    """Every permutation the series model allows, as moset position tuples."""
+    """Every permutation the series model allows, as bytes over moset
+    positions.  A D element is its column permutation after its row flips
+    and an E8 element its translation after its linear part, so each
+    product is one translate of two precomputed factors."""
     if labeling.kind == "plain":
-        return set(permutations(range(len(moset))))
+        return set(map(bytes, permutations(range(len(moset)))))
     if labeling.kind == "dn_matrix":
         m = system.rank // 2
         even_only = system.rank % 2 == 0
         act = _dn_action(labeling, moset)
-        return {
-            act(colperm, flips)
-            for colperm in permutations(range(1, m + 1))
-            for flips in product((0, 1), repeat=m)
-            if not (even_only and sum(flips) % 2 == 1)
-        }
+        ident_cols = range(1, m + 1)
+        flips = [
+            bytes(act(ident_cols, f))
+            for f in product((0, 1), repeat=m)
+            if not (even_only and sum(f) % 2 == 1)
+        ]
+        moves = [_table(bytes(act(cp, (0,) * m))) for cp in permutations(ident_cols)]
+        return {f.translate(cp) for cp in moves for f in flips}
     # f2cube: GL3 for E7, affine maps for E8
     act = _f2_action(labeling, moset)
     translations = [0] if system.rank == 7 else list(range(8))
-    return {act(cols, t) for cols in _gl3_matrices() for t in translations}
+    shifts = [_table(bytes(act((1, 2, 4), t))) for t in translations]
+    linear = [bytes(act(cols)) for cols in _gl3_matrices()]
+    return {lin.translate(t) for lin in linear for t in shifts}
 
 
 def _model_generators(system: RootSystem, labeling: MosetLabeling, moset):
@@ -447,17 +476,17 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
     series model exactly.
     """
     eb = enhanced_basis(system)
-    elements = _weyl_core_elements(system, eb)
-    labeling = _derive_labeling(system, eb, elements)
-    model_set = _model_element_set(system, labeling, eb.moset)
-    if model_set != set(elements):
+    closed = _weyl_core_elements(system, eb)
+    labeling = _derive_labeling(system, eb, closed)
+    if _model_element_set(system, labeling, eb.moset) != closed.keys():
         raise LabelingInfeasible(
             "series model and Weyl-generated core group disagree"
         )
     generators = _model_generators(system, labeling, eb.moset)
-    span = _close_group({g: () for g in generators}, len(eb.moset))
-    if set(span) != set(elements):
+    span = _close_group(dict.fromkeys(generators, ()), len(eb.moset))
+    if span.keys() != closed.keys():
         raise InvariantViolation("structured generators fail to generate")
+    elements = {tuple(perm): word for perm, word in closed.items()}
     return CoreGroupModel(system, eb.moset, labeling, generators, elements)
 
 

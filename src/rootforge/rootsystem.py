@@ -397,10 +397,18 @@ def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
 def subsystem_generated(rs: RootSet) -> RootSet:
     """Intersection of the parent system with the integer span of the set.
 
-    Computed as the additive closure C of the symmetrized set: a + b joins
-    C whenever it is a root.  C is closed under reflections (s_a(b) is
-    b + a or b - a when <b|a> is -1 or 1), so it is a root system spanning
-    the same lattice L as the set, and L is the orthogonal sum of the root
+    Computed as the orbit R of the set S under W(S), walked with the
+    reflections in S's own members.  R holds -s = s_s(s) for each s in S,
+    and with x = w(s) it holds -x = w(-s), so it is symmetric.  R is the
+    additive closure C of the symmetrized set: C holds S and is closed
+    under each s_a for a in C (s_a(b) is b, b + a, b - a or -b as <b|a>
+    is 0, -1, 1 or +-2), so R lies in C; and for a, b in R, s_a lies in
+    W(S) (s_{w(s)} = w s_s w^-1), while a + b is a root exactly when
+    <a|b> = -1 in a simply laced system, and then a + b = s_a(b) lies in
+    R, so R is additively closed and C lies in R.
+
+    C is closed under reflections, so it is a root system spanning the
+    same lattice L as the set, and L is the orthogonal sum of the root
     lattices of C's irreducible components.  Every root has norm 2, and in
     a simply laced root lattice the norm-2 vectors are exactly the roots
     (Conway-Sloane, Sphere Packings, Lattices and Groups, ch. 4); as norms
@@ -408,21 +416,19 @@ def subsystem_generated(rs: RootSet) -> RootSet:
     component's lattice, so the roots in L are exactly C.
     """
     sysm = rs.system
-    roots = sysm.roots
-    members = set(sysm.symmetrize(rs.members))
-    frontier = list(members)
+    gens = rs.members
+    orbit = set(gens)
+    frontier = list(gens)
     while frontier:
-        grown = []
-        for a in list(members):
-            ra = roots[a]
-            for b in frontier:
-                idx = sysm.index(tuple(x + y for x, y in zip(ra, roots[b])))
-                if idx is not None and idx not in members:
-                    members.add(idx)
-                    members.add(sysm.negative(idx))
-                    grown.append(idx)
-        frontier = grown
-    return RootSet(sysm, tuple(members))
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = sysm.reflect(b, a)
+                if c not in orbit:
+                    orbit.add(c)
+                    new.append(c)
+        frontier = new
+    return RootSet(sysm, tuple(orbit))
 
 
 def minimal_root(rs: RootSet) -> int:

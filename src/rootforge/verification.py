@@ -2,7 +2,8 @@
 
 Each check returns a Result and is expected to hold exactly, within the
 stated wall-clock budget on an ordinary desktop.  The full Weyl group of
-E7 is only enumerated when slow mode is requested.
+E7 is only enumerated when slow mode is requested; by default the E7 and
+E8 core groups are checked by word replay and an orbit-stabilizer count.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from math import prod
 
 from .classify import (
     EmbeddingMap,
@@ -23,6 +25,7 @@ from .classify import (
 from .completion import complete, enhanced_basis
 from .coregroups import core_group_model, core_order_formula
 from .diagrams import are_isomorphic, automorphism_group, subsystem_type
+from .errors import InvariantViolation
 from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (
     compose,
@@ -33,6 +36,9 @@ from .oracle import (
     set_stabilizer,
     simple_reflection_perms,
     perm_from_word,
+    subset_orbit_bfs,
+    _proj_table,
+    _table,
 )
 from .rootsystem import RootSet, build_root_system, orthogonal_complement
 
@@ -149,24 +155,97 @@ def check_core_orders() -> Result:
     return _run("3a core group order table", 1.0, fn)
 
 
+# Degrees of the basic invariants of the exceptional Weyl groups; |W| is
+# the product of the degrees (Humphreys, Reflection Groups and Coxeter
+# Groups, 3.7).
+E_DEGREES = {
+    6: (2, 5, 6, 8, 9, 12),
+    7: (2, 6, 8, 10, 12, 14, 18),
+    8: (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+def weyl_order_by_degrees(series: str, rank: int) -> int:
+    """|W| as the product of the degrees: 2..n+1 for A_n, 2, 4, ..., 2n-2
+    and n for D_n."""
+    if series == "A":
+        degrees = range(2, rank + 2)
+    elif series == "D":
+        degrees = [*range(2, 2 * rank - 1, 2), rank]
+    else:
+        degrees = E_DEGREES[rank]
+    return prod(degrees)
+
+
+def core_order_by_orbit(system, moset) -> int:
+    """|W| / (|W.moset| * 2^k), the order of the group the moset's
+    stabilizer induces on its k projective roots.
+
+    The moset is maximal, so no root is orthogonal to all of it, and by
+    Steinberg's theorem (Humphreys 1.12) no element but 1 fixes it
+    pointwise; an element fixing each of its roots up to sign is
+    therefore a product of their reflections, a group of order 2^k.
+    """
+    orbit = subset_orbit_bfs(system, moset)
+    order, rest = divmod(
+        weyl_order_by_degrees(system.series, system.rank), len(orbit) * 2 ** len(moset)
+    )
+    if rest:
+        raise InvariantViolation(f"|W.moset| * 2^k does not divide |W({system.name})|")
+    return order
+
+
+def _words_replay(system, model) -> bool:
+    """Every element's word, replayed by perm_from_word, sends the moset
+    onto the element's permutation of it, projectively."""
+    moset = bytes(model.moset)
+    proj = _proj_table(system)
+    return all(
+        moset.translate(_table(perm_from_word(system, word))).translate(proj)
+        == bytes(model.moset[i] for i in perm)
+        for perm, word in model.elements.items()
+    )
+
+
 def check_core_stabilizer_agreement(slow: bool = False, cap: int | None = None) -> Result:
-    systems = [("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+    """The core group equals the action the moset stabilizer induces.
+
+    On D4-D6 and E6 (and E7 in slow mode) by enumerating W, where the
+    degree product and the orbit formula are checked against the
+    enumeration too.  On E7 and E8 without enumeration: every word replays
+    into the stabilizer, and the orders agree with core_order_by_orbit."""
+    enumerated = [("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+    by_orbit = [("E", 7), ("E", 8)]
     if slow:
-        systems = systems + [("E", 7)]
+        enumerated.append(by_orbit.pop(0))
     budget = 1800.0 if slow else 120.0
 
     def fn():
         bad = []
-        for series, rank in systems:
+        for series, rank in enumerated:
             system = build_root_system(series, rank)
             model = core_group_model(system)
             w = enumerate_weyl(system) if cap is None else enumerate_weyl(system, cap)
             stab = set_stabilizer(system, model.moset, w)
             induced = induced_action(system, model.moset, stab)
-            if induced != set(model.elements):
+            if (
+                induced != set(model.elements)
+                or len(w) != weyl_order_by_degrees(series, rank)
+                or core_order_by_orbit(system, model.moset) != len(induced)
+            ):
                 bad.append((series, rank))
-        return not bad, f"stabilizer agreement on {len(systems)} systems" + (
-            f"; bad {bad}" if bad else ""
+        for series, rank in by_orbit:
+            system = build_root_system(series, rank)
+            model = core_group_model(system)
+            if not _words_replay(system, model) or model.order != core_order_by_orbit(
+                system, model.moset
+            ):
+                bad.append((series, rank))
+        names = ", ".join(f"{s}{r}" for s, r in enumerated)
+        orbit_names = ", ".join(f"{s}{r}" for s, r in by_orbit)
+        return not bad, (
+            f"stabilizer agreement on {names} by enumeration, {orbit_names} by"
+            " word replay and orbit order" + (f"; bad {bad}" if bad else "")
         )
 
     return _run("3b core group vs brute stabilizer", budget, fn)

@@ -12,9 +12,11 @@ from rootforge import (
     parity,
 )
 from rootforge.coregroups import core_order_formula
-from rootforge.errors import NotInMoset, NotMoset, Unsupported
+from rootforge import coregroups
+from rootforge.errors import InvariantViolation, NotInMoset, NotMoset, Unsupported
 from rootforge.coregroups import verify_moset
 from rootforge.mosets import _mu_formula
+from rootforge.verification import SMALL, core_order_by_orbit, weyl_order_by_degrees
 from rootforge.oracle import (
     enumerate_weyl,
     induced_action,
@@ -295,6 +297,9 @@ def test_model_json():
         ("E8", "693f0134342f25a1"),
         ("D8", "abb31b539baaeadc"),
         ("D10", "40b8a45bd4bafb44"),
+        ("D12", "1be1a804762234ac"),
+        ("A8", "709f761ffa9c8c29"),
+        ("E6", "12823c7172d749a4"),
     ],
 )
 def test_core_group_digest(name, digest):
@@ -305,3 +310,38 @@ def test_core_group_digest(name, digest):
     m = core_group_model(build_root_system(name[0], int(name[1:])))
     text = repr((m.moset, sorted(m.labeling.labels.items()), m.generators, list(m.elements.items())))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_orbit_order_formula_beyond_criterion_3b():
+    # Criterion 3b checks |W| / (|W.moset| * 2^k) against enumeration on
+    # D4-D6 and E6 and uses it on E7 and E8; it holds on the other series
+    # too, D odd and even and A alike.
+    for label in [("A", 8), ("D", 7), ("D", 8), ("D", 10)]:
+        s = build_root_system(*label)
+        assert core_order_by_orbit(s, core_group_model(s).moset) == core_order_formula(*label)
+    assert weyl_order_by_degrees("A", 8) == 362880  # 9!
+    assert weyl_order_by_degrees("D", 8) == 2**7 * 40320  # 2^(n-1) n!
+
+
+def test_local_reach_stays_well_below_a_byte(monkeypatch):
+    # Each local closure numbers its roots in one byte; record the largest
+    # reach the builder meets (24 on these systems, the roots of a D4).
+    sizes = []
+    real = coregroups._reach
+
+    def recording(system, basis, start):
+        reach = real(system, basis, start)
+        sizes.append(len(reach))
+        return reach
+
+    monkeypatch.setattr(coregroups, "_reach", recording)
+    for label in SMALL + [("D", 10), ("D", 12), ("A", 16)]:
+        s = build_root_system(*label)
+        coregroups._weyl_core_elements(s, enhanced_basis(s))
+    assert sizes and max(sizes) <= 64
+
+
+def test_local_reach_beyond_a_byte_raises_typed_error():
+    d12 = build_root_system("D", 12)  # the simple roots reach all 264 roots
+    with pytest.raises(InvariantViolation, match="264 roots"):
+        coregroups._reach(d12, d12.simple_basis, d12.simple_basis)

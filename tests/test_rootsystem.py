@@ -268,3 +268,51 @@ def test_subsystem_generated_is_the_integer_span():
             ]
             expected = s.symmetrize(tuple(positive))
             assert subsystem_generated(RootSet(s, seed)).members == expected
+
+
+def _additive_closure(rs: RootSet) -> tuple[int, ...]:
+    # The earlier subsystem_generated: a + b joins the symmetrized set
+    # whenever it is a root, until nothing new appears.
+    sysm = rs.system
+    roots = sysm.roots
+    members = set(sysm.symmetrize(rs.members))
+    frontier = list(members)
+    while frontier:
+        grown = []
+        for a in list(members):
+            ra = roots[a]
+            for b in frontier:
+                idx = sysm.index(tuple(x + y for x, y in zip(ra, roots[b])))
+                if idx is not None and idx not in members:
+                    members.add(idx)
+                    members.add(sysm.negative(idx))
+                    grown.append(idx)
+        frontier = grown
+    return tuple(sorted(members))
+
+
+def test_reflection_orbit_equals_additive_closure_on_generator_seeds():
+    from rootforge import enhanced_basis
+    from rootforge.coregroups import _generator_pool
+    from rootforge.verification import SMALL
+
+    for series, rank in SMALL + [("D", 9), ("D", 10), ("A", 12), ("D", 12)]:
+        s = build_root_system(series, rank)
+        seeds = _generator_pool(s, enhanced_basis(s))
+        for seed in seeds:
+            rs = RootSet(s, seed)
+            assert subsystem_generated(rs).members == _additive_closure(rs)
+
+
+def test_reflection_orbit_equals_additive_closure_on_random_sets():
+    import random
+
+    rng = random.Random(10)
+    for series, rank in [("A", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8), ("D", 12)]:
+        s = build_root_system(series, rank)
+        for _ in range(25):
+            seed = rng.sample(range(len(s.roots)), rng.randint(1, 4))
+            rs = RootSet(s, tuple(seed))
+            assert subsystem_generated(rs).members == _additive_closure(rs)
+    e8 = build_root_system("E", 8)
+    assert subsystem_generated(RootSet(e8, ())).members == ()
