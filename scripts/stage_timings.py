@@ -7,14 +7,18 @@ Prints the import time once, then per system the seconds spent building
 the root system and enhanced basis, in core_group_model, in _pi_table
 (the labelled walk over Pi-subsets), in enumerate_pi_orbits and in
 hasse_diagram over all orbits, each stage on the caches the earlier ones
-filled, as `rootforge classify` and `rootforge order` run them.  A second
-line splits core_group_model into its steps, run again on a fresh copy of
-the system with cold caches: the Weyl-generated closure (subsystems, their
-local closures and the closure of what they give), the labeling, the check
+filled, as `rootforge classify` and `rootforge order` run them, and the
+process's peak RSS so far.  A second line splits core_group_model into its
+steps, run on a fresh copy of the system with cold caches before the
+cached system's core group is built, and freed first, so at most one core
+group is alive: the Weyl-generated closure (subsystems, their local
+closures and the closure of what they give), the labeling, the check
 against the series model and the span check of the structured generators.
 Times are time.perf_counter, unscaled.
 """
 
+import gc
+import resource
 import sys
 import time
 
@@ -45,15 +49,18 @@ def build(text):
     return system
 
 
+def peak_rss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def core_steps(system):
-    """core_group_model's steps on an uncached copy of system, each check
-    made as core_group_model makes it."""
-    fresh = rootforge.build_root_system.__wrapped__(system.series, system.rank)
-    eb = rootforge.enhanced_basis(fresh)
-    closed, t_closure = timed(_weyl_core_elements, fresh, eb)
-    labeling, t_labeling = timed(_derive_labeling, fresh, eb, closed)
-    model, t_model = timed(_model_element_set, fresh, labeling, eb.moset)
-    generators = _model_generators(fresh, labeling, eb.moset)
+    """core_group_model's steps on system, each check made as
+    core_group_model makes it."""
+    eb = rootforge.enhanced_basis(system)
+    closed, t_closure = timed(_weyl_core_elements, system, eb)
+    labeling, t_labeling = timed(_derive_labeling, system, eb, closed)
+    model, t_model = timed(_model_element_set, system, labeling, eb.moset)
+    generators = _model_generators(system, labeling, eb.moset)
     span, t_span = timed(_close_group, dict.fromkeys(generators, ()), len(eb.moset))
     if model != closed.keys() or span.keys() != closed.keys():
         raise SystemExit(f"{system.name}: core group checks fail")
@@ -64,6 +71,10 @@ def main(argv):
     print(f"import {IMPORT_S:.3f}s")
     for text in argv or ["E7", "E8", "D10"]:
         system, t_build = timed(build, text)
+        # The cold copy's core group is built and collected before the
+        # cached system grows its own, so at most one is alive.
+        steps = core_steps(rootforge.build_root_system.__wrapped__(system.series, system.rank))
+        gc.collect()
         _, t_core = timed(core_group_model, system)
         table, t_table = timed(_pi_table, system)
         orbits, t_orbits = timed(enumerate_pi_orbits, system)
@@ -74,10 +85,11 @@ def main(argv):
             f" {len(hasse.edges):>6,} edges | build {t_build:6.3f}s"
             f"  core_group_model {t_core:6.3f}s  _pi_table {t_table:6.3f}s"
             f"  enumerate_pi_orbits {t_orbits:6.3f}s  hasse_diagram {t_hasse:6.3f}s"
+            f"  peak RSS {peak_rss_mib():,.0f} MiB"
         )
         print(
             "     core_group_model steps: closure {:6.3f}s  labeling {:6.3f}s"
-            "  model-set check {:6.3f}s  span check {:6.3f}s".format(*core_steps(system))
+            "  model-set check {:6.3f}s  span check {:6.3f}s".format(*steps)
         )
     return 0
 

@@ -7,9 +7,6 @@ from .rootsystem import (
     build_root_system,
     cartan_pair,
     components,
-    extended_pi_system,
-    is_pi_system,
-    minimal_root,
     orthogonal_complement,
     parse_system,
     reflect,
@@ -26,8 +23,11 @@ from .diagrams import (
     classify_components,
     delta_diagram,
     elementary_transformations,
+    extended_pi_system,
     find_subdiagrams,
     gamma_diagram,
+    is_pi_system,
+    minimal_root,
     to_dot,
     type_label,
 )

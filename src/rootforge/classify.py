@@ -599,17 +599,13 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
 
 def _join_root(system: RootSystem, a: int, b: int) -> int:
     """Root gamma with s_gamma swapping the projective roots of a and b,
-    fixing everything orthogonal to both: gamma = a + b after flipping b
-    so the pairing is negative."""
+    fixing everything orthogonal to both: gamma = s_a(b) = b - <b|a> a,
+    which is a + b, or -(a - b), as the pairing is -1 or 1."""
     c = system.cartan(a, b)
-    if c == 0:
-        raise InvariantViolation(f"roots {a} and {b} are orthogonal")
-    bb = system.negative(b) if c > 0 else b
-    coords = tuple(x + y for x, y in zip(system.roots[a], system.roots[bb]))
-    idx = system.index(coords)
-    if idx is None:
-        raise InvariantViolation(f"roots {a} and {b} do not sum to a root")
-    return system.proj_rep(idx)
+    if c not in (1, -1):
+        # s_a(b) would be a itself for b = +-a, and b for orthogonal roots.
+        raise InvariantViolation(f"roots {a} and {b} pair to {c}, not +-1")
+    return system.proj_rep(system.reflect(b, a))
 
 
 # -- orbit enumeration over the enhanced diagram --------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     RootForgeError,
     Unsupported,
 )
-from .rootsystem import RootSet, RootSystem, components, system_memo
+from .rootsystem import RootSet, RootSystem, _highest_root, components, system_memo
 
 
 # -- D4 stars and extension roots -----------------------------------------
@@ -46,9 +46,9 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
     """Root index completing a D4 set {ends, center} to its extended set.
 
     Signs are normalized so that every end pairs to -1 with the center;
-    the returned root d satisfies ends + d + 2*center = 0 after that
-    normalization, which makes {ends, d} the four ends of the extended
-    star around the center.
+    the star is then a basis of a D4 subsystem, and the returned root d is
+    its lowest root, -(ends + 2*center), which makes {ends, d} the four
+    ends of the extended star around the center.
     """
     if len(ends) != 3:
         raise NotD4("a D4 set has exactly three end roots")
@@ -65,17 +65,7 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
     for a, b in combinations(fixed, 2):
         if system.cartan(a, b) != 0:
             raise NotD4("end roots of a D4 set must be orthogonal")
-    coords = [0] * system.ambient_dim
-    for e in fixed:
-        for k, x in enumerate(system.roots[e]):
-            coords[k] += x
-    for k, x in enumerate(system.roots[c]):
-        coords[k] += 2 * x
-    delta = tuple(-x for x in coords)
-    idx = system.index(delta)
-    if idx is None:
-        raise NotD4("extension of a D4 set left the root system")
-    return idx
+    return system.negative(_highest_root(system, (c, *fixed)))
 
 
 def is_complete(rs: RootSet) -> bool:
@@ -182,10 +172,6 @@ class EnhancedBasis:
         return {v: k for k, v in self.names.items()}
 
     @property
-    def base_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.system.simple_basis))
-
-    @property
     def full(self) -> RootSet:
         return RootSet(self.system, self.system.symmetrize(self.nodes))
 
@@ -200,9 +186,6 @@ class EnhancedBasis:
 
     def subset(self, labels) -> tuple[int, ...]:
         return tuple(sorted(self.node(l) for l in labels))
-
-    def labels_of(self, nodes) -> list[str]:
-        return [self.names[n] for n in sorted(nodes)]
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return tuple(

@@ -14,14 +14,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import NotIrreducible, NotPiSystem, TooLarge, UnrecognizedComponent
-from .rootsystem import (
-    RootSet,
-    RootSystem,
-    components,
-    extended_pi_system,
-    is_pi_system,
-    subsystem_basis,
-)
+from .rootsystem import RootSet, RootSystem, _highest_root, components, subsystem_basis
 
 MAX_NODES = 64
 
@@ -318,6 +311,43 @@ def component_type(system: RootSystem, comp) -> Irreducible:
     if len(label.parts) != 1:
         raise NotIrreducible(f"expected an irreducible subsystem, got {label.render()}")
     return label.parts[0]
+
+
+# -- Pi-systems -------------------------------------------------------------
+
+
+def is_pi_system(rs: RootSet) -> bool:
+    """True iff the set is linearly independent and no difference of two
+    members is again a root.
+
+    A difference a - b of two roots is a root exactly when <a|b> = 1, and
+    -a pairs to -2 with a, so every pair must pair to 0 or -1.  The Gram
+    matrix of such a set is 2I - A for the adjacency matrix A of its
+    diagram; it is positive definite, which is linear independence,
+    exactly when every component is a plain ADE diagram.
+    """
+    sysm = rs.system
+    if any(sysm.cartan(a, b) not in (0, -1) for a, b in combinations(rs.members, 2)):
+        return False
+    return dynkin_type(delta_diagram(rs)) is not None
+
+
+def minimal_root(rs: RootSet) -> int:
+    """Minimal root of the subsystem generated by an irreducible Pi-system,
+    with respect to the set itself taken as the basis: the negative of its
+    highest root."""
+    sysm = rs.system
+    if not is_pi_system(rs):
+        raise NotPiSystem("minimal root needs a Pi-system")
+    if len(components(sysm, rs.members)) != 1:
+        raise NotIrreducible("minimal root needs an irreducible Pi-system")
+    return sysm.negative(_highest_root(sysm, rs.members))
+
+
+def extended_pi_system(rs: RootSet) -> RootSet:
+    """The set together with the minimal root of the subsystem it generates."""
+    extra = minimal_root(rs)
+    return RootSet(rs.system, rs.members + (extra,))
 
 
 # -- subdiagram search and isomorphism -------------------------------------

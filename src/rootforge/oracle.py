@@ -28,9 +28,6 @@ class WeylElement:
 
     perm: bytes
 
-    def apply(self, i: int) -> int:
-        return self.perm[i]
-
     def apply_set(self, subset) -> frozenset:
         return frozenset(self.perm[i] for i in subset)
 

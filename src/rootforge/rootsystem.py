@@ -16,15 +16,22 @@ from operator import mul
 
 from .errors import (
     InvariantViolation,
-    NotIrreducible,
     NotIrreducibleParent,
     NotOrthogonal,
-    NotPiSystem,
     UnsupportedType,
 )
-from .intlin import Vec, dot, neg, rank, solve_integer_combination
 
 SERIES = ("A", "D", "E")
+
+Vec = tuple[int, ...]
+
+
+def dot(u: Vec, v: Vec) -> int:
+    return sum(map(mul, u, v))
+
+
+def neg(u: Vec) -> Vec:
+    return tuple(-a for a in u)
 
 
 class RootSystem:
@@ -285,23 +292,6 @@ def reflect(system: RootSystem, beta: int, alpha: int) -> int:
     return system.reflect(beta, alpha)
 
 
-def is_pi_system(rs: RootSet) -> bool:
-    """True iff the set is linearly independent and no difference of two
-    members is again a root."""
-    sysm = rs.system
-    mem = rs.members
-    if len(mem) == 0:
-        return True
-    vecs = [sysm.roots[i] for i in mem]
-    if rank(vecs) != len(mem):
-        return False
-    for a, b in combinations(mem, 2):
-        diff = tuple(x - y for x, y in zip(sysm.roots[a], sysm.roots[b]))
-        if sysm.is_root(diff):
-            return False
-    return True
-
-
 def walk(start, neighbours) -> dict:
     """Every node reachable from start, mapped to the parity of its depth in
     the walk: its distance parity when the graph is bipartite, as the
@@ -431,34 +421,24 @@ def subsystem_generated(rs: RootSet) -> RootSet:
     return RootSet(sysm, tuple(orbit))
 
 
-def minimal_root(rs: RootSet) -> int:
-    """Minimal root of the subsystem generated by an irreducible Pi-system,
-    with respect to the set itself taken as the basis."""
-    sysm = rs.system
-    if not is_pi_system(rs):
-        raise NotPiSystem("minimal root needs a Pi-system")
-    if len(components(sysm, rs.members)) != 1:
-        raise NotIrreducible("minimal root needs an irreducible Pi-system")
-    sub = subsystem_generated(rs)
-    basis = [sysm.roots[i] for i in rs.members]
-    best = None
-    best_sum = None
-    for i in sub.members:
-        coeffs = solve_integer_combination(basis, sysm.roots[i])
-        if coeffs is None:
-            continue
-        s = sum(coeffs)
-        if best_sum is None or s < best_sum:
-            best, best_sum = i, s
-    if best is None:
-        raise InvariantViolation("no root of the subsystem is a combination of the set")
-    return best
+def _highest_root(system: RootSystem, members: tuple[int, ...]) -> int:
+    """Highest root of the subsystem that an irreducible Pi-system
+    generates, with respect to the set itself taken as the basis.
 
-
-def extended_pi_system(rs: RootSet) -> RootSet:
-    """The set together with the minimal root of the subsystem it generates."""
-    extra = minimal_root(rs)
-    return RootSet(rs.system, rs.members + (extra,))
+    The walk starts at a member and adds a member c while one pairs to -1
+    with the current root: cur + c = s_c(cur) is then a positive root one
+    higher.  It stops at a dominant root, and in a simply laced irreducible
+    system the highest root is the only dominant one (Bourbaki, Lie Groups
+    and Lie Algebras, ch. VI, 1.8), of height h - 1 for the Coxeter number
+    h.  Callers check the set first: on a dependent set such as an
+    extended diagram the walk need not stop.
+    """
+    cur = members[0]
+    while True:
+        step = next((c for c in members if system.cartan(cur, c) < 0), None)
+        if step is None:
+            return cur
+        cur = system.reflect(cur, step)
 
 
 def orthogonal_complement(system: RootSystem, x: tuple[int, ...], scope: tuple[int, ...]) -> tuple[int, ...]:

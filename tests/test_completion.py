@@ -42,6 +42,27 @@ def test_extension_root_matches_minimal_root():
     assert abs(d4.cartan(delta, center)) == 1
     with pytest.raises(NotD4):
         extension_root(d4, center, ends[:2] + (center,))
+    # Every D4 star of the larger enhanced diagrams: the minimal root of
+    # the sign-fixed star, the least-coefficient-sum root and the
+    # coordinate formula -(ends + 2 center) agree.
+    from linalg_reference import least_sum_root
+    from rootforge import minimal_root, subsystem_generated
+
+    for series, rank, count in [("E", 7, 20), ("E", 8, 64), ("D", 8, 12)]:
+        s = build_root_system(series, rank)
+        stars = d4_stars(s, enhanced_basis(s).nodes)
+        assert len(stars) == count
+        for center, ends in stars:
+            c = s.proj_rep(center)
+            fixed = tuple(e if s.cartan(e, c) < 0 else s.negative(e) for e in ends)
+            star = RootSet(s, (c,) + fixed)
+            delta = extension_root(s, center, ends)
+            assert delta == minimal_root(star)
+            assert delta == least_sum_root(s, star.members, subsystem_generated(star).members)
+            coords = [2 * x for x in s.roots[c]]
+            for e in fixed:
+                coords = [a + b for a, b in zip(coords, s.roots[e])]
+            assert s.roots[delta] == tuple(-x for x in coords)
 
 
 def test_elementary_extension_rule():

@@ -82,6 +82,23 @@ def test_witness_decisions_are_pinned():
     assert digest == "99cffe7c662cff437b0905cd7e1ae0b121a63223ea25acb6a2962bb66c33e588"
 
 
+def test_join_root_swaps_non_orthogonal_roots_and_rejects_the_rest():
+    # s_gamma exchanges the projective roots of a and b for either sign of
+    # their pairing; b = a, b = -a and orthogonal b raise.
+    from rootforge.classify import _join_root
+    from rootforge.errors import InvariantViolation
+
+    s = build_root_system("D", 5)
+    for a in range(len(s.roots)):
+        for b in range(len(s.roots)):
+            if abs(s.cartan(a, b)) == 1:
+                gamma = _join_root(s, a, b)
+                assert s.proj_rep(s.reflect(a, gamma)) == s.proj_rep(b)
+            else:
+                with pytest.raises(InvariantViolation):
+                    _join_root(s, a, b)
+
+
 @pytest.mark.parametrize("series, rank", [("D", 12), ("A", 16)])
 def test_positives_beyond_256_roots_replay_on_roots(series, rank):
     # Permutations of root indices are packed into bytes (at most 256

@@ -147,6 +147,112 @@ def test_extended_requires_irreducible():
             extended_pi_system(RootSet(d4, pair))
 
 
+def _sign_fixed(system, nodes):
+    # Signs along walks from the first node of each component, so every
+    # bond of a forest pairs to -1.
+    out = {}
+    for start in nodes:
+        if start in out:
+            continue
+        out[start] = start
+        stack = [start]
+        while stack:
+            cur = out[stack.pop()]
+            for m in nodes:
+                if m not in out and system.cartan(cur, m):
+                    out[m] = m if system.cartan(cur, m) < 0 else system.negative(m)
+                    stack.append(m)
+    return tuple(out.values())
+
+
+def test_is_pi_system_agrees_with_rank_and_differences():
+    # The pairing-and-shape test against linear independence by Fraction
+    # elimination plus the root-difference rule, on signed enhanced-diagram
+    # subsets (some signs flipped, some +-pairs added), random root sets and
+    # the dependent extended diagrams.
+    import random
+
+    from linalg_reference import is_pi_system as reference
+    from rootforge import enhanced_basis
+    from rootforge.verification import SMALL
+
+    rng = random.Random(11)
+    checked = accepted = 0
+    for series, rank_ in SMALL:
+        s = build_root_system(series, rank_)
+        nodes = enhanced_basis(s).nodes
+        n = len(s.roots)
+        sets = [extended_pi_system(RootSet(s, s.simple_basis)).members]
+        for _ in range(300):
+            size = rng.randint(1, min(len(nodes), rank_ + 1))
+            members = list(_sign_fixed(s, rng.sample(nodes, size)))
+            kind = rng.random()
+            if kind < 0.2:
+                k = rng.randrange(size)
+                members[k] = s.negative(members[k])
+            elif kind < 0.3:
+                members.append(s.negative(rng.choice(members)))
+            elif kind < 0.4:
+                members = rng.sample(range(n), size)
+            sets.append(members)
+        for members in sets:
+            rs = RootSet(s, tuple(members))
+            expected = reference(s, rs.members)
+            assert is_pi_system(rs) == expected, (s.name, rs.members)
+            checked += 1
+            accepted += expected
+        assert not is_pi_system(RootSet(s, sets[0]))
+    assert checked == 16 * 301 and 1000 < accepted < checked - 1000
+
+
+def test_minimal_root_is_the_least_coefficient_sum_root():
+    # The negated highest-root walk against the root of the generated
+    # subsystem whose coefficients over the set have the least sum, on
+    # every sign-fixed component of sampled Pi-subsets.
+    import random
+
+    from linalg_reference import least_sum_root
+    from rootforge import enhanced_basis, minimal_root
+    from rootforge.classify import pi_node_subsets
+    from rootforge.verification import SMALL
+
+    rng = random.Random(12)
+    checked = 0
+    for series, rank_ in SMALL:
+        s = build_root_system(series, rank_)
+        subsets = pi_node_subsets(enhanced_basis(s))
+        for subset in rng.sample(subsets, min(len(subsets), 25)):
+            for comp in components(s, subset):
+                comp = RootSet(s, _sign_fixed(s, comp))
+                scope = subsystem_generated(comp).members
+                assert minimal_root(comp) == least_sum_root(s, comp.members, scope)
+                checked += 1
+    assert checked > 500
+
+
+COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
+
+
+def test_highest_root_walk_above_rank_8():
+    # The highest root is dominant and has height h - 1, read off as half
+    # its pairing with the sum of the positive roots; the extended basis
+    # is the extended diagram (for A1, alpha and -alpha on a quadruple bond).
+    from rootforge import classify_components, gamma_diagram
+    from rootforge.diagrams import Irreducible
+    from rootforge.rootsystem import _highest_root
+
+    labels = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 17)]
+    for series, rank_ in labels + [("E", 6), ("E", 7), ("E", 8)]:
+        s = build_root_system(series, rank_)
+        theta = _highest_root(s, s.simple_basis)
+        assert all(s.cartan(theta, b) >= 0 for b in s.simple_basis)
+        height = sum(s.cartan(theta, p) for p in s.positive) // 2
+        assert height == COXETER[series](rank_) - 1, s.name
+        ext = extended_pi_system(RootSet(s, s.simple_basis))
+        shape = classify_components(gamma_diagram(ext)).parts
+        assert shape == (Irreducible(series, rank_, extended=True),), s.name
+
+
 def test_elementary_transformations():
     a1 = build_root_system("A", 1)
     out = elementary_transformations(RootSet(a1, (a1.simple_basis[0],)))
@@ -226,7 +332,7 @@ def test_simple_basis_properties():
 
 
 def test_every_root_is_signed_basis_combination():
-    from rootforge.intlin import solve_integer_combination
+    from linalg_reference import solve_integer_combination
 
     for label in [("A", 3), ("D", 4), ("E", 6)]:
         s = build_root_system(*label)
@@ -253,7 +359,7 @@ def test_subsystem_generated_is_the_integer_span():
     # (solved for the positive roots; r and -r are in it together).
     from rootforge import enhanced_basis
     from rootforge.classify import pi_node_subsets
-    from rootforge.intlin import solve_integer_combination
+    from linalg_reference import solve_integer_combination
 
     for series, rank in [("D", 6), ("E", 7)]:
         s = build_root_system(series, rank)

@@ -113,3 +113,19 @@ def test_no_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_integer_arithmetic_only():
+    # Every computation is exact on ints; no rational or decimal type.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if {"fractions", "decimal"} & {name.split(".")[0] for name in names}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
