@@ -8,7 +8,11 @@ the root system and enhanced basis, in core_group_model, in _pi_table
 (the labelled walk over Pi-subsets), in enumerate_pi_orbits and in
 hasse_diagram over all orbits, each stage on the caches the earlier ones
 filled, as `rootforge classify` and `rootforge order` run them, and the
-process's peak RSS so far.  A second line splits core_group_model into its
+process's peak RSS so far.  Next to hasse_diagram it counts the children
+of the descent through maximal subsystems that gives the lower sets: Levi
+children, extended children that are table subsets, and extended children
+labelled by _orbit_label because their highest root is off the enhanced
+diagram.  A second line splits core_group_model into its
 steps, run on a fresh copy of the system with cold caches before the
 cached system's core group is built, and freed first, so at most one core
 group is alive: the Weyl-generated closure (subsystems, their local
@@ -24,7 +28,13 @@ import time
 
 start = time.perf_counter()
 import rootforge  # noqa: E402
-from rootforge.classify import _pi_table, enumerate_pi_orbits, hasse_diagram  # noqa: E402
+from rootforge.classify import (  # noqa: E402
+    _first_masks,
+    _maximal_children,
+    _pi_table,
+    enumerate_pi_orbits,
+    hasse_diagram,
+)
 from rootforge.coregroups import (  # noqa: E402
     _close_group,
     _derive_labeling,
@@ -67,6 +77,17 @@ def core_steps(system):
     return t_closure, t_labeling, t_model, t_span
 
 
+def descent_children(system, table):
+    """(Levi, extended in the table, extended labelled) children of the
+    descent over the table's orbit representatives."""
+    inside = set(table.nodes)
+    counts = [0, 0, 0]
+    for mask in _first_masks(table):
+        for _, theta in _maximal_children(system, table.subset(mask)):
+            counts[0 if theta is None else 1 if theta in inside else 2] += 1
+    return tuple(counts)
+
+
 def main(argv):
     print(f"import {IMPORT_S:.3f}s")
     for text in argv or ["E7", "E8", "D10"]:
@@ -86,6 +107,10 @@ def main(argv):
             f"  core_group_model {t_core:6.3f}s  _pi_table {t_table:6.3f}s"
             f"  enumerate_pi_orbits {t_orbits:6.3f}s  hasse_diagram {t_hasse:6.3f}s"
             f"  peak RSS {peak_rss_mib():,.0f} MiB"
+        )
+        print(
+            "     descent children: {:,} Levi, {:,} extended in the table,"
+            " {:,} extended labelled".format(*descent_children(system, table))
         )
         print(
             "     core_group_model steps: closure {:6.3f}s  labeling {:6.3f}s"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .completion import EnhancedBasis, _support, completion_nodes, enhanced_basis
+from .completion import EnhancedBasis, _support, enhanced_basis
 from .coregroups import (
     SPECIAL_SIZES,
     core_group_model,
@@ -49,6 +49,7 @@ from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
     RootSystem,
+    _highest_root,
     build_root_system,
     cartan_links,
     components,
@@ -615,15 +616,12 @@ class _PiTable(NamedTuple):
     """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
     order, each an int mask whose bit i stands for nodes[i].
 
-    ends[i] is the index where the subtree of subset i ends: the first
-    later subset that does not contain it.  codes[i] is the code of its
-    orbit label; index maps the distinct labels to their codes, which
-    count up in order of appearance.
+    codes[i] is the code of the orbit label of subset i; index maps the
+    distinct labels to their codes, which count up in order of appearance.
     """
 
     nodes: tuple[int, ...]
     masks: list[int]
-    ends: list[int]
     codes: list[int]
     index: dict
 
@@ -692,7 +690,6 @@ def _pi_table(system: RootSystem) -> _PiTable:
     # the moset; such a key is then looked up again with its moset tag.
     found: dict[tuple, int] = {}
     masks: list[int] = []
-    ends: list[int] = []
     codes: list[int] = []
     index: dict[OrbitLabel, int] = {}
 
@@ -762,18 +759,15 @@ def _pi_table(system: RootSystem) -> _PiTable:
                 if code is None:
                     code = found[key, tag] = label_code(key, cwidth, tag)
             child = mask | 1 << k
-            at = len(masks)
             masks.append(child)
             codes.append(code)
-            ends.append(at)
             grow(child, rest, child_set, c2, c3, cwidth, k + 1)
-            ends[at] = len(masks)
 
     grow(0, [], 0, 0, 0, 0, 0)
     # grow refers to itself through its closure: break that cycle, so the
     # memos above go now rather than at the next cyclic collection.
     del grow
-    return _PiTable(nodes, masks, ends, codes, index)
+    return _PiTable(nodes, masks, codes, index)
 
 
 @system_memo
@@ -782,52 +776,159 @@ def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int
     representative inside the enhanced basis: the first in the table,
     whose depth-first order is lexicographic."""
     table = _pi_table(system)
-    first: dict[int, int] = {}
-    for mask, code in zip(table.masks, table.codes):
-        first.setdefault(code, mask)
     orbits = table.orbits
-    return tuple(sorted((orbits[c], table.subset(m)) for c, m in first.items()))
+    return tuple(sorted((orbits[c], table.subset(m)) for c, m in enumerate(_first_masks(table))))
+
+
+def _first_masks(table: _PiTable) -> list[int]:
+    """The first table mask of each label code, indexed by code: codes
+    count up in order of appearance."""
+    first: list[int] = []
+    for mask, code in zip(table.masks, table.codes):
+        if code == len(first):
+            first.append(mask)
+    return first
 
 
 # -- order between orbits --------------------------------------------------------
 
 
-@system_memo
-def _labels_below(system: RootSystem, rep: tuple[int, ...]) -> int:
-    """Labels of every Pi-system inside the subsystem generated by rep, as
-    a bitset over the table's label codes.
+def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
+    """Proper subsystems of the subsystem that a Pi-system on projective
+    nodes generates, among them a conjugate of every maximal one, as
+    Pi-systems: (x, None) for the Levi child, the nodes without x, and
+    (x, theta) for the extended child, the nodes without x and with theta,
+    the projective highest root of x's component.  The Levi child of a
+    single node, the empty set, is left out.
 
-    The enhanced basis is complete, so rep's completion stays among its
-    nodes, and the Pi-systems of the completion are the table's subsets
-    inside it.  A subset with a node outside is skipped with its whole
-    depth-first subtree, so the scan visits the subsets inside and the
-    roots of the subtrees it skips.
+    Every proper subsystem lies in a maximal one, and a subsystem of a
+    product is a product of subsystems of the factors.  A maximal closed
+    subsystem of an irreducible system is W-conjugate to a Levi subsystem
+    or to the extended diagram minus a node (Borel and de Siebenthal, 1949;
+    Dynkin, Semisimple subalgebras of semisimple Lie algebras, 1952), and
+    in a simply laced system every subsystem is closed.  Removing a node of
+    mark 1 from the extended diagram gives back a basis of the whole
+    component, and removing one of a larger mark gives a proper subsystem
+    (a maximal one when the mark is prime), so the extended child is given
+    for marks of 2 or more; every node of a component of type A has mark 1.
+    The component's signs are fixed along its tree so that neighbours pair
+    to -1, which makes it the basis the marks refer to.
+    """
+    for comp in _signed_components(system, nodes):
+        theta, marks = _highest_root(system, tuple(comp.values()))
+        theta = system.proj_rep(theta)
+        for x, mark in zip(comp, marks):
+            if len(nodes) > 1:
+                yield x, None
+            if mark > 1:
+                yield x, theta
+
+
+def _signed_components(system: RootSystem, nodes: tuple[int, ...]) -> list[dict]:
+    """The components of a Pi-system on projective nodes, each a dict from
+    a node to its root with the sign that makes tree neighbours pair to -1."""
+    out: list[dict] = []
+    seen: set = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = {start: start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in nodes:
+                if y not in comp and system.cartan(x, y) != 0:
+                    comp[y] = system.negative(y) if system.cartan(comp[x], y) > 0 else y
+                    stack.append(y)
+        seen.update(comp)
+        out.append(comp)
+    return out
+
+
+def _child_nodes(nodes: tuple[int, ...], x: int, theta: int | None) -> tuple[int, ...]:
+    """The sorted projective nodes of the child (x, theta) of nodes."""
+    rest = [v for v in nodes if v != x]
+    if theta is not None:
+        rest.append(theta)
+    return tuple(sorted(rest))
+
+
+def _lower_bits(children) -> list[int]:
+    """lower[i]: the bitset of i and of everything below it, where
+    children[i] lists what lies directly below i.  The relation points
+    strictly down, so the recursion ends; its depth is the longest chain."""
+    lower = [0] * len(children)
+
+    def visit(i: int) -> int:
+        if not lower[i]:
+            bits = 1 << i
+            for k in children[i]:
+                bits |= visit(k)
+            lower[i] = bits
+        return lower[i]
+
+    for i in range(len(children)):
+        visit(i)
+    del visit  # it refers to itself through its closure
+    return lower
+
+
+@system_memo
+def _lower_sets(system: RootSystem) -> list[int]:
+    """lower[c]: the labels of every Pi-system inside the subsystem that
+    the representative of code c generates, as a bitset over the table's
+    label codes.
+
+    The representative is the code's first table mask.  Its maximal
+    children (_maximal_children) are table masks where their nodes are
+    enhanced-diagram nodes: always for a Levi child, and for an extended
+    child when theta is one.  Those are looked up in one pass over the
+    table; any other child is labelled by _orbit_label.  The lower set is
+    then the code itself and the lower sets of its children's codes.
     """
     table = _pi_table(system)
-    inside = set(completion_nodes(RootSet(system, rep)))
-    if not inside <= set(table.nodes):
-        raise InvariantViolation(f"completion of {rep} leaves the enhanced basis")
-    outside = sum(1 << i for i, v in enumerate(table.nodes) if v not in inside)
-    masks, ends, codes = table.masks, table.ends, table.codes
-    found = set()
-    i = 0
-    while i < len(masks):
-        if masks[i] & outside:
-            i = ends[i]
-        else:
-            found.add(codes[i])
-            i += 1
-    return sum(1 << c for c in found)
+    pos = {v: i for i, v in enumerate(table.nodes)}
+    first = _first_masks(table)
+    by_mask: list[list[int]] = []
+    by_code: list[list[int]] = []
+    for mask in first:
+        nodes = table.subset(mask)
+        masks, codes = [], []
+        for x, theta in _maximal_children(system, nodes):
+            child = mask & ~(1 << pos[x])
+            if theta is None:
+                masks.append(child)
+            elif theta in pos:
+                masks.append(child | 1 << pos[theta])
+            else:
+                codes.append(_child_code(system, table, _child_nodes(nodes, x, theta)))
+        by_mask.append(masks)
+        by_code.append(codes)
+    wanted = {m for masks in by_mask for m in masks}
+    code_of = {m: c for m, c in zip(table.masks, table.codes) if m in wanted}
+    children = [
+        {code_of[m] for m in masks}.union(codes) - {c}
+        for c, (masks, codes) in enumerate(zip(by_mask, by_code))
+    ]
+    return _lower_bits(children)
+
+
+def _child_code(system: RootSystem, table: _PiTable, nodes: tuple[int, ...]) -> int:
+    """The table code of the label of a maximal child off the enhanced
+    diagram; every Pi-system's label is in the table, so a missing one is
+    an InvariantViolation."""
+    label = _orbit_label(system, nodes)
+    code = table.index.get(label)
+    if code is None:
+        raise InvariantViolation(f"the label {label.render()} of {nodes} is not in the table")
+    return code
 
 
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
     """True iff a member of orbit l1 is contained in the subsystem
     generated by a member of orbit l2 (reflexive by convention)."""
-    code, _ = _orbit_codes(system, (l1, l2))
-    if l1 == l2:
-        return True
-    reps = dict(enumerate_pi_orbits(system))
-    return _labels_below(system, reps[l2]) >> code & 1 == 1
+    low, high = _orbit_codes(system, (l1, l2))
+    return _lower_sets(system)[high] >> low & 1 == 1
 
 
 def _orbit_codes(system: RootSystem, labels) -> list[int]:
@@ -875,11 +976,13 @@ def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     Lower sets are bitsets over the table's label codes: with B the labels
     strictly below u, the covers of u are B & ~OR(below[m] for m in B).
     """
-    reps = dict(enumerate_pi_orbits(system))
-    labels = list(dict.fromkeys(reps if labels is None else labels))
+    if labels is None:
+        labels = [l for l, _ in enumerate_pi_orbits(system)]
+    labels = list(dict.fromkeys(labels))
     code = dict(zip(labels, _orbit_codes(system, labels)))
     chosen = sum(1 << c for c in set(code.values()))
-    below = {code[l]: _labels_below(system, reps[l]) & chosen & ~(1 << code[l]) for l in labels}
+    lower = _lower_sets(system)
+    below = {code[l]: lower[code[l]] & chosen & ~(1 << code[l]) for l in labels}
     orbits = _pi_table(system).orbits
     edges = []
     for upper in labels:

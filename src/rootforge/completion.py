@@ -65,7 +65,7 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
     for a, b in combinations(fixed, 2):
         if system.cartan(a, b) != 0:
             raise NotD4("end roots of a D4 set must be orthogonal")
-    return system.negative(_highest_root(system, (c, *fixed)))
+    return system.negative(_highest_root(system, (c, *fixed))[0])
 
 
 def is_complete(rs: RootSet) -> bool:

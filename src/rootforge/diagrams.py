@@ -341,7 +341,7 @@ def minimal_root(rs: RootSet) -> int:
         raise NotPiSystem("minimal root needs a Pi-system")
     if len(components(sysm, rs.members)) != 1:
         raise NotIrreducible("minimal root needs an irreducible Pi-system")
-    return sysm.negative(_highest_root(sysm, rs.members))
+    return sysm.negative(_highest_root(sysm, rs.members)[0])
 
 
 def extended_pi_system(rs: RootSet) -> RootSet:

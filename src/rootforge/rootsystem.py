@@ -12,7 +12,7 @@ import inspect
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
-from operator import mul
+from operator import mul, sub
 
 from .errors import (
     InvariantViolation,
@@ -360,28 +360,26 @@ def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, 
 
 
 def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
-    """Simple basis of a closed subsystem: indecomposable positive members."""
-    memberset = set(members)
-    pos = [i for i in members if system.proj_rep(i) == i]
+    """Simple basis of a closed subsystem: indecomposable positive members.
+
+    The positive members are walked in index order, which is lexicographic
+    order.  A positive root that is not simple is a positive root plus a
+    simple root s (Bourbaki, Lie Groups and Lie Algebras, ch. VI, 1.6), and
+    s is then lexicographically smaller; so a member is decomposable
+    exactly when it minus some simple root already found is a positive
+    member, and each member is tested against at most rank simple roots.
+    """
+    roots = system.roots
+    pos = sorted(i for i in members if system.proj_rep(i) == i)
     posset = set(pos)
-    out = []
+    out: list[int] = []
     for i in pos:
-        decomposable = False
-        for j in pos:
-            if j == i:
-                continue
-            rest = tuple(
-                a - b for a, b in zip(system.roots[i], system.roots[j])
-            )
-            k = system.index(rest)
-            if k is not None and k in posset:
-                decomposable = True
-                break
-        if not decomposable:
+        r = roots[i]
+        if not any(
+            system.index(tuple(map(sub, r, roots[s]))) in posset for s in out
+        ):
             out.append(i)
-    if not memberset.issuperset(out):
-        raise InvariantViolation("a simple root lies outside the subsystem")
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def subsystem_generated(rs: RootSet) -> RootSet:
@@ -421,24 +419,28 @@ def subsystem_generated(rs: RootSet) -> RootSet:
     return RootSet(sysm, tuple(orbit))
 
 
-def _highest_root(system: RootSystem, members: tuple[int, ...]) -> int:
+def _highest_root(system: RootSystem, members: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Highest root of the subsystem that an irreducible Pi-system
-    generates, with respect to the set itself taken as the basis.
+    generates, with respect to the set itself taken as the basis, and its
+    marks: the coefficients of the members in it, in the order of members.
 
     The walk starts at a member and adds a member c while one pairs to -1
     with the current root: cur + c = s_c(cur) is then a positive root one
-    higher.  It stops at a dominant root, and in a simply laced irreducible
-    system the highest root is the only dominant one (Bourbaki, Lie Groups
-    and Lie Algebras, ch. VI, 1.8), of height h - 1 for the Coxeter number
-    h.  Callers check the set first: on a dependent set such as an
-    extended diagram the walk need not stop.
+    higher, so the marks count the steps per member.  It stops at a
+    dominant root, and in a simply laced irreducible system the highest
+    root is the only dominant one (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, 1.8), of height h - 1 for the Coxeter number h.  Callers check
+    the set first: on a dependent set such as an extended diagram the walk
+    need not stop.
     """
     cur = members[0]
+    marks = [1] + [0] * (len(members) - 1)
     while True:
-        step = next((c for c in members if system.cartan(cur, c) < 0), None)
+        step = next((k for k, c in enumerate(members) if system.cartan(cur, c) < 0), None)
         if step is None:
-            return cur
-        cur = system.reflect(cur, step)
+            return cur, tuple(marks)
+        marks[step] += 1
+        cur = system.reflect(cur, members[step])
 
 
 def orthogonal_complement(system: RootSystem, x: tuple[int, ...], scope: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,6 +15,11 @@ from math import prod
 
 from .classify import (
     EmbeddingMap,
+    _child_nodes,
+    _lower_bits,
+    _lower_sets,
+    _maximal_children,
+    _pi_table,
     enumerate_pi_orbits,
     hasse_diagram,
     is_weyl_embedding,
@@ -427,8 +432,52 @@ E8_ORDER_EDGES = {
 }
 
 
+def descent_lower_sets(system) -> dict:
+    """Every orbit reached by descending from the simple basis of the
+    system through maximal subsystems, each mapped to its lower set: label
+    -> frozenset of labels.  Every child is named by orbit_label; the
+    Pi-subset table is not read."""
+    top = system.projective(system.simple_basis)
+    ids: dict = {orbit_label(RootSet(system, top)): 0}
+    children: list[set] = []
+    pending = [top]
+    while len(children) < len(pending):
+        nodes = pending[len(children)]
+        below = set()
+        for x, theta in _maximal_children(system, nodes):
+            child = _child_nodes(nodes, x, theta)
+            label = orbit_label(RootSet(system, child))
+            if label not in ids:
+                ids[label] = len(pending)
+                pending.append(child)
+            below.add(ids[label])
+        children.append(below - {len(children)})
+    return _label_sets(list(ids), _lower_bits(children))
+
+
+def _table_lower_sets(system) -> dict:
+    """The library's lower sets, label -> frozenset of labels."""
+    return _label_sets(_pi_table(system).orbits, _lower_sets(system))
+
+
+def _label_sets(labels, lower) -> dict:
+    """labels[i] -> the frozenset of the labels in the bitset lower[i]."""
+    return {
+        labels[i]: frozenset(labels[k] for k in range(bits.bit_length()) if bits >> k & 1)
+        for i, bits in enumerate(lower)
+    }
+
+
 def check_order_graphs() -> Result:
     def fn():
+        # The paper's central claim: the enhanced diagram holds a member of
+        # every orbit of Pi-systems.  The descent from the simple basis
+        # reaches every orbit below the whole system, so the table's orbits
+        # must be exactly the descent's, with the same order.
+        for series, rank in (("E", 7), ("E", 8), ("D", 10)):
+            system = build_root_system(series, rank)
+            if descent_lower_sets(system) != _table_lower_sets(system):
+                return False, f"{series}{rank}: the descent from the simple basis and the table differ"
         for rank, expected in ((7, E7_ORDER_EDGES), (8, E8_ORDER_EDGES)):
             system = build_root_system("E", rank)
             special = [l for l, _ in enumerate_pi_orbits(system) if l.kind == "ep"]
@@ -447,7 +496,10 @@ def check_order_graphs() -> Result:
             e6_label, four1, e8
         ):
             return False, "[4A1]^1 should be incomparable with E6"
-        return True, "E7/E8 special order graphs and the E6 comparability example"
+        return True, (
+            "E7/E8/D10 orbits and order by descent from the simple basis,"
+            " E7/E8 special order graphs and the E6 comparability example"
+        )
 
     return _run("8 order graphs", 120.0, fn)
 

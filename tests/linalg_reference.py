@@ -2,7 +2,9 @@
 
 The package decides Pi-systems and minimal roots on Cartan pairings and a
 highest-root walk; these are the earlier definitions by Fraction Gaussian
-elimination, slow but written straight from the textbook statements.
+elimination, slow but written straight from the textbook statements.  The
+simple basis of a closed subsystem is kept here in its earlier quadratic
+form, which tests every positive member against every other.
 """
 
 from fractions import Fraction
@@ -91,3 +93,24 @@ def least_sum_root(system, members, scope) -> int:
         if coeffs is not None:
             sums[i] = sum(coeffs)
     return min(sums, key=sums.get)
+
+
+def subsystem_basis(system, members) -> tuple[int, ...]:
+    """Simple basis of a closed subsystem: the positive members that are
+    not the sum of two positive members."""
+    pos = [i for i in members if system.proj_rep(i) == i]
+    posset = set(pos)
+    out = []
+    for i in pos:
+        decomposable = False
+        for j in pos:
+            if j == i:
+                continue
+            rest = tuple(a - b for a, b in zip(system.roots[i], system.roots[j]))
+            k = system.index(rest)
+            if k is not None and k in posset:
+                decomposable = True
+                break
+        if not decomposable:
+            out.append(i)
+    return tuple(sorted(out))

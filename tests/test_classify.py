@@ -637,13 +637,42 @@ def _labels_of_bits(system, bits):
 
 
 def test_labels_below_matches_search_over_the_completion():
-    from rootforge.classify import _labels_below
+    # The descent through maximal subsystems against the search over every
+    # node subset of each representative's completion.
+    from rootforge.classify import _lower_sets, _pi_table
 
     for series, rank in ORDER_SYSTEMS:
         s = build_root_system(series, rank)
         reference = _reference_order(series, rank)
+        lower = _lower_sets(s)
+        index = _pi_table(s).index
         for label, rep in enumerate_pi_orbits(s):
-            assert _labels_of_bits(s, _labels_below(s, rep)) == reference[label], (s.name, rep)
+            assert _labels_of_bits(s, lower[index[label]]) == reference[label], (s.name, rep)
+
+
+def test_descent_from_the_simple_basis_reaches_the_table():
+    # Labelled by orbit_label alone, the descent from the simple basis finds
+    # exactly the table's orbits and lower sets.
+    from rootforge.verification import _table_lower_sets, descent_lower_sets
+
+    for series, rank in ORDER_SYSTEMS:
+        s = build_root_system(series, rank)
+        assert descent_lower_sets(s) == _table_lower_sets(s), s.name
+
+
+def test_descent_needs_the_extended_children(monkeypatch):
+    # Levi children alone stay inside the subdiagrams of the Dynkin diagram
+    # and miss orbits such as 7A1 in E7; criterion 8 must see that.
+    from rootforge import verification
+    from rootforge.verification import _table_lower_sets, descent_lower_sets
+
+    original = verification._maximal_children
+    levi = lambda system, nodes: ((x, t) for x, t in original(system, nodes) if t is None)
+    monkeypatch.setattr(verification, "_maximal_children", levi)
+    e7 = build_root_system("E", 7)
+    reached = descent_lower_sets(e7)
+    assert set(reached) < set(_table_lower_sets(e7))
+    assert not verification.check_order_graphs().ok
 
 
 def test_hasse_matches_set_based_reduction():
@@ -662,21 +691,37 @@ def test_hasse_matches_set_based_reduction():
         assert list(hasse.edges) == edges, (series, rank)
 
 
-def test_completion_outside_the_enhanced_basis_raises(monkeypatch):
-    # Typed, so that it holds under python -O too.
-    from rootforge import classify
-    from rootforge.classify import _labels_below
-    from rootforge.errors import InvariantViolation
-    from rootforge.rootsystem import RootSystem
+MISSING_CHILD_LABEL = """
+import sys
+from rootforge import classify
+from rootforge.errors import InvariantViolation
+from rootforge.rootsystem import RootSystem, build_root_system
 
-    s = RootSystem("A", 3, list(build_root_system("A", 3).roots), 4)
-    eb = enhanced_basis(s)
-    outsider = next(s.proj_rep(i) for i in range(len(s.roots)) if s.proj_rep(i) not in eb.nodes)
-    monkeypatch.setattr(classify, "completion_nodes", lambda rs: tuple(sorted(eb.nodes + (outsider,))))
-    with pytest.raises(InvariantViolation):
-        _labels_below(s, eb.nodes[:1])
-    with pytest.raises(InvariantViolation):
-        hasse_diagram(s)
+# D5 has maximal children whose highest root is off the enhanced diagram;
+# they are labelled by _orbit_label, here made to give a label no
+# Pi-system of D5 has.
+s = RootSystem("D", 5, list(build_root_system("D", 5).roots), 5)
+classify._orbit_label = lambda system, nodes: classify.OrbitLabel("D5", "E8", "plain", ())
+labels = [l for l, _ in classify.enumerate_pi_orbits(s)]
+for call in (lambda: classify.hasse_diagram(s), lambda: classify.order_between_orbits(*labels[:2], s)):
+    try:
+        call()
+    except InvariantViolation:
+        continue
+    sys.exit("no InvariantViolation")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_maximal_child_missing_from_the_table_raises(flags):
+    # Typed, so that it holds under python -O too; the run under -O shows it.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, *flags, "-c", MISSING_CHILD_LABEL], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_moset_embedding_off_the_moset_raises_typed_error(monkeypatch):
@@ -723,21 +768,6 @@ def test_pi_table_matches_the_separate_walk_and_labels():
         orbits = table.orbits
         labels = [orbits[c] for c in table.codes]
         assert (pi_node_subsets(enhanced_basis(s)), labels) == _reference_pi_table(s), s.name
-
-
-def test_pi_table_subtree_ends():
-    # Each stored end is the first later index whose subset does not
-    # contain the subset at hand.
-    from rootforge.classify import _pi_table
-
-    for series, rank in SMALL + [("D", 9), ("A", 12)]:
-        table = _pi_table(build_root_system(series, rank))
-        masks = table.masks
-        for i, mask in enumerate(masks):
-            j = i + 1
-            while j < len(masks) and masks[j] & mask == mask:
-                j += 1
-            assert table.ends[i] == j, (series, rank, i)
 
 
 def test_fresh_label_classifies_its_diagram_once(monkeypatch):
@@ -826,18 +856,17 @@ def test_witness_perm_of_a_negative_decision_raises():
 def _table_digest(table):
     import hashlib
 
-    text = repr((table.masks, table.ends, table.codes, [l.render() for l in table.index]))
+    text = repr((table.masks, table.codes, [l.render() for l in table.index]))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
     "series, rank, digest",
-    [("D", 10, "1e1fa3c966a9205d"), ("D", 12, "1564d059f779c964"), ("E", 8, "3af938a2348c309e")],
+    [("D", 10, "93b7dfa32546472b"), ("D", 12, "edb92877b6e7e237"), ("E", 8, "3e8fa2554a7e4eaa")],
 )
 def test_pi_table_digest(series, rank, digest):
-    # Masks, subtree ends, codes and labels of the table as the walk gave
-    # them before it classified components on masks and labelled each key
-    # once.
+    # Masks, codes and labels of the table as the walk gave them while it
+    # still kept the subtree ends that the orbit order once scanned by.
     from rootforge.classify import _pi_table
 
     assert _table_digest(_pi_table(build_root_system(series, rank))) == digest

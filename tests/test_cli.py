@@ -122,3 +122,16 @@ def test_d12_order_is_pinned(capsys):
     assert code == 0
     digest = "57ac1adaaedc6b48cc4cb8df6a9e8d7b23ee599909a0afcfb8e75750179c902e"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_e7_and_d13_orders_are_pinned(capsys):
+    # sha256 of the E7 and D13 order graphs (46 and 604 orbits), taken
+    # while lower sets were still found by scanning the Pi-subset table
+    expected = {
+        "E7": "59446333a63141d1b7431b9ac18938bd0562ee7232d353a7bb86e2befe6b8b06",
+        "D13": "2ac86c100a375da28379c0d0c7cc44b738c956cda4a74ab6a713f11a06055de0",
+    }
+    for system, digest in expected.items():
+        code, out = run(capsys, "order", system, "--json", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, system

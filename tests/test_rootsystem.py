@@ -244,13 +244,43 @@ def test_highest_root_walk_above_rank_8():
     labels = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 17)]
     for series, rank_ in labels + [("E", 6), ("E", 7), ("E", 8)]:
         s = build_root_system(series, rank_)
-        theta = _highest_root(s, s.simple_basis)
+        theta, marks = _highest_root(s, s.simple_basis)
         assert all(s.cartan(theta, b) >= 0 for b in s.simple_basis)
         height = sum(s.cartan(theta, p) for p in s.positive) // 2
         assert height == COXETER[series](rank_) - 1, s.name
+        # The marks are theta's coefficients over the basis.
+        combo = [sum(m * s.roots[b][k] for m, b in zip(marks, s.simple_basis)) for k in range(s.ambient_dim)]
+        assert tuple(combo) == s.roots[theta] and sum(marks) == height, s.name
         ext = extended_pi_system(RootSet(s, s.simple_basis))
         shape = classify_components(gamma_diagram(ext)).parts
         assert shape == (Irreducible(series, rank_, extended=True),), s.name
+
+
+def test_subsystem_basis_matches_the_quadratic_search():
+    # The lexicographic walk against the test of every positive member
+    # against every other, on whole systems and on the closed subsystems
+    # that seeded Pi-subsets of the enhanced diagrams generate.
+    import random
+
+    from linalg_reference import subsystem_basis as reference
+    from rootforge import enhanced_basis
+    from rootforge.classify import pi_node_subsets, subsystem_basis
+    from rootforge.verification import SMALL
+
+    labels = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 17)]
+    for series, rank_ in labels + [("E", 6), ("E", 7), ("E", 8)]:
+        s = build_root_system(series, rank_)
+        members = range(len(s.roots))
+        assert subsystem_basis(s, members) == reference(s, members), s.name
+        assert len(s.simple_basis) == rank_, s.name
+    rng = random.Random(12)
+    for series, rank_ in SMALL + [("D", 10)]:
+        s = build_root_system(series, rank_)
+        subsets = pi_node_subsets(enhanced_basis(s))
+        for subset in rng.sample(subsets, min(40, len(subsets))):
+            closed = subsystem_generated(RootSet(s, subset)).members
+            assert subsystem_basis(s, closed) == reference(s, closed), (s.name, subset)
+            assert len(subsystem_basis(s, closed)) == len(subset), (s.name, subset)
 
 
 def test_elementary_transformations():
