@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Time the classification pipeline stage by stage, in one process.
 
-Usage: python scripts/stage_timings.py [SYSTEM ...]    (default: E7 E8 D10)
+Usage: python scripts/stage_timings.py [--no-core-group] [SYSTEM ...]
+(default: E7 E8 D10)
 
 Prints the import time once, then per system the seconds spent building
-the root system and enhanced basis, in core_group_model, in _pi_table
-(the labelled walk over Pi-subsets), in enumerate_pi_orbits and in
-hasse_diagram over all orbits, each stage on the caches the earlier ones
-filled, as `rootforge classify` and `rootforge order` run them, and the
-process's peak RSS so far.  Next to hasse_diagram it counts the children
-of the descent through maximal subsystems that gives the lower sets: Levi
-children, extended children that are table subsets, and extended children
-labelled by _orbit_label because their highest root is off the enhanced
-diagram.  A second line splits core_group_model into its
-steps, run on a fresh copy of the system with cold caches before the
-cached system's core group is built, and freed first, so at most one core
-group is alive: the Weyl-generated closure (subsystems, their local
-closures and the closure of what they give), the labeling, the check
-against the series model and the span check of the structured generators.
-Times are time.perf_counter, unscaled.
+the root system and enhanced basis, in _orbits (the walk over Pi-subsets
+that stops once the descent through maximal subsystems closes, the
+descent included), in enumerate_pi_orbits and in hasse_diagram over all
+orbits, each stage on the caches the earlier ones filled, as `rootforge
+classify` and `rootforge order` run them, and the process's peak RSS after
+them.  A second line says what the walk did: the subsets it visited, the
+subset it stopped at (the least representative of the last label to
+appear) and the children of the descent: Levi children, extended children
+on the enhanced diagram, and extended children labelled by _orbit_label
+because their highest root is off the diagram.
+
+A third line times core_group_model, which neither command runs, and
+splits it into its steps, run on a fresh copy of the system with cold
+caches, and freed first, so at most one core group is alive: the
+Weyl-generated closure (subsystems, their local closures and the closure
+of what they give), the labeling, the check against the series model and
+the span check of the structured generators; then the peak RSS again.
+--no-core-group leaves that line out: the core group of D16 has 5,160,960
+elements.  Times are time.perf_counter, unscaled.
 """
 
 import gc
@@ -28,13 +33,7 @@ import time
 
 start = time.perf_counter()
 import rootforge  # noqa: E402
-from rootforge.classify import (  # noqa: E402
-    _first_masks,
-    _maximal_children,
-    _pi_table,
-    enumerate_pi_orbits,
-    hasse_diagram,
-)
+from rootforge.classify import _mask_nodes, _orbits, enumerate_pi_orbits, hasse_diagram  # noqa: E402
 from rootforge.coregroups import (  # noqa: E402
     _close_group,
     _derive_labeling,
@@ -77,44 +76,42 @@ def core_steps(system):
     return t_closure, t_labeling, t_model, t_span
 
 
-def descent_children(system, table):
-    """(Levi, extended in the table, extended labelled) children of the
-    descent over the table's orbit representatives."""
-    inside = set(table.nodes)
-    counts = [0, 0, 0]
-    for mask in _first_masks(table):
-        for _, theta in _maximal_children(system, table.subset(mask)):
-            counts[0 if theta is None else 1 if theta in inside else 2] += 1
-    return tuple(counts)
-
-
 def main(argv):
+    core = "--no-core-group" not in argv
     print(f"import {IMPORT_S:.3f}s")
-    for text in argv or ["E7", "E8", "D10"]:
+    for text in [a for a in argv if a != "--no-core-group"] or ["E7", "E8", "D10"]:
         system, t_build = timed(build, text)
+        found, t_walk = timed(_orbits, system)
+        orbits, t_orbits = timed(enumerate_pi_orbits, system)
+        hasse, t_hasse = timed(hasse_diagram, system)
+        print(
+            f"{system.name:4} {len(system.roots):>4} roots {len(found.nodes):>3} nodes"
+            f" {len(orbits):>5} orbits {len(hasse.edges):>6,} edges | build {t_build:6.3f}s"
+            f"  _orbits {t_walk:6.3f}s  enumerate_pi_orbits {t_orbits:6.3f}s"
+            f"  hasse_diagram {t_hasse:6.3f}s  peak RSS {peak_rss_mib():,.0f} MiB"
+        )
+        names = rootforge.enhanced_basis(system).names
+        # The walk's depth-first order is the lexicographic order of the
+        # sorted node tuples, so it stopped at the greatest representative.
+        last = max(_mask_nodes(found.nodes, mask) for mask in found.first)
+        levi, extended, labelled = found.children
+        print(
+            f"     walk: {found.visited:,} subsets visited, stopped at"
+            f" {{{','.join(names[n] for n in last)}}}; descent children: {levi:,} Levi,"
+            f" {extended:,} extended on the diagram, {labelled:,} extended labelled"
+        )
+        if not core:
+            continue
         # The cold copy's core group is built and collected before the
         # cached system grows its own, so at most one is alive.
         steps = core_steps(rootforge.build_root_system.__wrapped__(system.series, system.rank))
         gc.collect()
         _, t_core = timed(core_group_model, system)
-        table, t_table = timed(_pi_table, system)
-        orbits, t_orbits = timed(enumerate_pi_orbits, system)
-        hasse, t_hasse = timed(hasse_diagram, system)
+        t_closure, t_labeling, t_model, t_span = steps
         print(
-            f"{system.name:4} {len(system.roots):>4} roots {len(table.nodes):>3} nodes"
-            f" {len(table.masks):>8,} Pi-subsets {len(orbits):>5} orbits"
-            f" {len(hasse.edges):>6,} edges | build {t_build:6.3f}s"
-            f"  core_group_model {t_core:6.3f}s  _pi_table {t_table:6.3f}s"
-            f"  enumerate_pi_orbits {t_orbits:6.3f}s  hasse_diagram {t_hasse:6.3f}s"
-            f"  peak RSS {peak_rss_mib():,.0f} MiB"
-        )
-        print(
-            "     descent children: {:,} Levi, {:,} extended in the table,"
-            " {:,} extended labelled".format(*descent_children(system, table))
-        )
-        print(
-            "     core_group_model steps: closure {:6.3f}s  labeling {:6.3f}s"
-            "  model-set check {:6.3f}s  span check {:6.3f}s".format(*steps)
+            f"     core_group_model {t_core:6.3f}s: closure {t_closure:6.3f}s"
+            f"  labeling {t_labeling:6.3f}s  model-set check {t_model:6.3f}s"
+            f"  span check {t_span:6.3f}s  peak RSS {peak_rss_mib():,.0f} MiB"
         )
     return 0
 

@@ -27,6 +27,7 @@ from .diagrams import (
     _adjacency,
     _bits,
     _classify_one,
+    _component_masks,
     classify_components,
     dynkin_type,
     is_dynkin_shape,
@@ -239,8 +240,8 @@ def _moset_tag(sysm: RootSystem, ttext: str, core) -> tuple:
 def _label_of(sysm: RootSystem, ttext: str, counts, tag) -> OrbitLabel:
     """The orbit label of a Pi-system of type ttext: counts is its (d2, d3,
     width) when sysm is a D system, tag its _moset_tag when _needs_moset
-    holds and None otherwise.  orbit_label and the Pi-subset table both
-    label here."""
+    holds and None otherwise.  orbit_label and the walk over Pi-subsets
+    both label here."""
     if tag is not None:
         label = OrbitLabel(sysm.name, ttext, "dn_dist" if sysm.series == "D" else "ep", tag)
     elif sysm.series == "D":
@@ -252,8 +253,8 @@ def _label_of(sysm: RootSystem, ttext: str, counts, tag) -> OrbitLabel:
 
 @system_memo
 def _interned(system: RootSystem, label: OrbitLabel) -> OrbitLabel:
-    """The system's one copy of an equal label: orbit_label and the
-    Pi-subset table give one object per orbit, such as E8's 76."""
+    """The system's one copy of an equal label: orbit_label and the walk
+    over Pi-subsets give one object per orbit, such as E8's 76."""
     return label
 
 
@@ -612,182 +613,381 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-class _PiTable(NamedTuple):
-    """The enhanced diagram's Pi-subsets in depth-first (lexicographic)
-    order, each an int mask whose bit i stands for nodes[i].
+def _mask_nodes(nodes: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The nodes[i] for the set bits i of mask, in order."""
+    return tuple(nodes[i] for i in _bits(mask))
 
-    codes[i] is the code of the orbit label of subset i; index maps the
-    distinct labels to their codes, which count up in order of appearance.
+
+class _Closed(Exception):
+    """Raised by a visitor of _PiWalk.run to end the walk."""
+
+
+class _PiWalk:
+    """The depth-first walk over the Pi-subsets of the enhanced diagram, the
+    only one, with the state that labels them.
+
+    A subset is an int mask whose bit i stands for nodes[i].  Pi-ness is
+    closed under taking subsets, so growth over sorted nodes that stops at
+    each candidate that is not a Pi-system visits exactly the family, in
+    lexicographic order.  The walk keeps the components of a subset as int
+    masks.  A new node merges exactly the components it touches, so only
+    the merged one is classified, once per component mask, and one that is
+    not plain ADE prunes the candidate.  The multiset of component shapes
+    is an int with one count per shape.  In a D system the tag counts grow
+    along by dstep.
+
+    A label depends only on the key (shape multiset, d2, d3, full width),
+    and on the perfect moset when _needs_moset holds, so each such key is
+    labelled once.  The moset is then the union of the components' larger
+    colour classes, taken from the masks.  index maps the labels met so far
+    to their codes, which count up in order of appearance.
     """
 
-    nodes: tuple[int, ...]
-    masks: list[int]
-    codes: list[int]
-    index: dict
+    def __init__(self, system: RootSystem):
+        self.system = system
+        self.nodes = nodes = tuple(sorted(enhanced_basis(system).nodes))
+        n = len(nodes)
+        pos = range(n)
+        self.adj = adj = _adjacency(system, nodes)
+        # plus[i]: the positions whose nodes pair to +1 with nodes[i].
+        self.plus = [
+            sum(1 << j for j in _bits(adj[i]) if system.cartan(nodes[i], nodes[j]) > 0) for i in pos
+        ]
+        self.tagged = system.series == "D"
+        if self.tagged:
+            support = [sum(1 << c for c in _support(system.roots[v])) for v in nodes]
+            twin = [sum(1 << j for j in pos if j != i and support[j] == support[i]) for i in pos]
+            around = [
+                [1 << a | 1 << b for a in _bits(adj[k]) for b in _bits(twin[a] & adj[k]) if a < b]
+                for k in pos
+            ]
+            self.full = (1 << system.rank) - 1
+        else:  # no tag outside the D series: the counts stay 0
+            support, twin, around = [0] * n, [0] * n, [()] * n
+            self.full = -1
+        self.support, self.twin, self.around = support, twin, around
+        self.slot = n.bit_length()  # bits per shape count: a subset has at most n components
+        self.kinds: dict = {}  # component shape -> its index, in order of appearance
+        self.weights: list[int] = []  # index -> the multiset of one component of that shape
+        self.shapes: dict[int, int | None] = {}  # component mask -> index of its shape
+        self.types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
+        # key -> label code, or -1 when the label needs the moset; such a key
+        # is then looked up again with its moset tag.
+        self.found: dict[tuple, int] = {}
+        self.index: dict[OrbitLabel, int] = {}
+        self.tops: dict[int, tuple] = {}  # component mask -> highest(comp)
 
-    def subset(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.nodes[i] for i in _bits(mask))
+    def shape(self, comp: int) -> int | None:
+        """Index of the shape of a component mask; None unless plain ADE."""
+        kind = self.shapes.get(comp, -1)
+        if kind == -1:
+            try:
+                part = _classify_one(comp, self.adj)
+            except UnrecognizedComponent:
+                part = None
+            if part is None or part.extended:
+                kind = None
+            else:
+                if part not in self.kinds:
+                    self.kinds[part] = len(self.kinds)
+                    self.weights.append(1 << self.slot * self.kinds[part])
+                kind = self.kinds[part]
+            self.shapes[comp] = kind
+        return kind
 
-    @property
-    def orbits(self) -> list[OrbitLabel]:
-        return list(self.index)
+    def dstep(self, k: int, mask: int) -> tuple[int, int]:
+        """The (d2, d3) that node k adds to the D counts of mask, which does
+        not hold k; removing k from mask | 1 << k takes it off again.  Node k
+        makes a thick pair with each twin t (same coordinate support) in
+        mask, counted in d3 once per common neighbour of k and t, and is a
+        new common neighbour of each thick pair around it."""
+        d2 = d3 = 0
+        for pair in self.around[k]:
+            if pair & mask == pair:
+                d3 += 1
+        twins = self.twin[k] & mask
+        if twins:
+            adj = self.adj
+            near = adj[k]
+            for t in _bits(twins):
+                d2 += 1
+                d3 += (near & adj[t] & mask).bit_count()
+        return d2, d3
+
+    def label_code(self, key: tuple, width: int, tag) -> int:
+        """Code of the label of a first-seen key, or -1 when tag is None and
+        the label needs the moset."""
+        multiset, d2, d3, _ = key
+        types = self.types
+        if multiset not in types:
+            count = (1 << self.slot) - 1
+            ttype = TypeLabel(
+                tuple(
+                    p
+                    for p, i in self.kinds.items()
+                    for _ in range(multiset >> self.slot * i & count)
+                )
+            )
+            types[multiset] = (ttype.parts, ttype.render())
+        parts, ttext = types[multiset]
+        counts = (d2, d3, width.bit_count())
+        if tag is None and _needs_moset(self.system, parts, ttext, counts):
+            return -1
+        index = self.index
+        return index.setdefault(_label_of(self.system, ttext, counts, tag), len(index))
+
+    def code(self, key: tuple, comps, width: int) -> int:
+        """Code of the label of a Pi-subset with key key, component masks
+        comps and coordinate support width."""
+        found = self.found
+        code = found.get(key)
+        if code is None:
+            code = found[key] = self.label_code(key, width, None)
+        if code < 0:
+            core = 0
+            for comp in comps:
+                core |= _larger_class(comp, self.adj)
+            tag = _moset_tag(self.system, self.types[key[0]][1], _mask_nodes(self.nodes, core))
+            code = found.get((key, tag))
+            if code is None:
+                code = found[key, tag] = self.label_code(key, width, tag)
+        return code
+
+    def run(self, visit) -> None:
+        """Walk the Pi-subsets in lexicographic order, calling
+        visit(mask, code, comps, multiset, d2, d3, width) on each, until the
+        walk ends or visit raises _Closed."""
+        n, adj, support, full = len(self.nodes), self.adj, self.support, self.full
+        weights, shapes, found = self.weights, self.shapes, self.found
+        shape, dstep, code_of, tagged = self.shape, self.dstep, self.code, self.tagged
+
+        def grow(mask, comps, multiset, d2, d3, width, start):
+            for k in range(start, n):
+                near = adj[k]
+                merged, rest, child_set = 1 << k, [], multiset
+                for comp in comps:
+                    if comp & near:
+                        merged |= comp
+                        child_set -= weights[shapes[comp]]
+                    else:
+                        rest.append(comp)
+                kind = shapes.get(merged, -1)
+                if kind == -1:
+                    kind = shape(merged)
+                if kind is None:
+                    continue
+                rest.append(merged)
+                child_set += weights[kind]
+                c2, c3 = d2, d3
+                if tagged:
+                    s2, s3 = dstep(k, mask)
+                    c2 += s2
+                    c3 += s3
+                cwidth = width | support[k]
+                key = (child_set, c2, c3, cwidth == full)
+                code = found.get(key)
+                if code is None or code < 0:
+                    code = code_of(key, rest, cwidth)
+                child = mask | 1 << k
+                visit(child, code, rest, child_set, c2, c3, cwidth)
+                grow(child, rest, child_set, c2, c3, cwidth, k + 1)
+
+        try:
+            grow(0, [], 0, 0, 0, 0, 0)
+        except _Closed:
+            pass
+        finally:
+            # grow refers to itself through its closure: break that cycle,
+            # so its frames go now rather than at the next cyclic collection.
+            del grow
+
+    def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
+        """(theta, its position or -1 off the diagram, the marks in position
+        order) of a component mask, memoised per mask: theta is the
+        projective highest root of the subsystem it generates
+        (rootsystem._highest_root), on the component's roots with the signs
+        that make tree neighbours pair to -1."""
+        top = self.tops.get(comp)
+        if top is None:
+            system, nodes, adj, plus = self.system, self.nodes, self.adj, self.plus
+            # Sign flips travel along the tree: a neighbour of an unflipped
+            # node is flipped when the two pair to +1, one of a flipped node
+            # when they pair to -1.
+            flipped, seen = 0, comp & -comp
+            frontier = seen
+            while frontier:
+                grown = 0
+                for i in _bits(frontier):
+                    new = adj[i] & comp & ~seen
+                    flipped |= new & ~plus[i] if flipped >> i & 1 else new & plus[i]
+                    seen |= new
+                    grown |= new
+                frontier = grown
+            members = tuple(
+                system.negative(nodes[i]) if flipped >> i & 1 else nodes[i] for i in _bits(comp)
+            )
+            theta, marks = _highest_root(system, members)
+            theta = system.proj_rep(theta)
+            at = nodes.index(theta) if theta in nodes else -1
+            top = self.tops[comp] = (theta, at, marks)
+        return top
+
+    def child_codes(self, mask: int, comps, multiset: int, d2: int, d3: int, width: int, counts: list) -> set:
+        """Codes of the maximal children (_maximal_children) of the Pi-subset
+        mask, whose walk state is comps, multiset, d2, d3 and width.
+
+        A child on the diagram is keyed from its parent: only the component
+        of x is split again, x's dstep is taken off and theta's put on.  A
+        child whose theta is off the diagram is labelled by _orbit_label.
+        counts gathers the Levi children, the extended ones on the diagram
+        and those labelled, in that order."""
+        support = self.support
+        # width without x: the coordinates that x alone covers go.
+        once = twice = 0
+        for i in _bits(mask):
+            twice |= once & support[i]
+            once |= support[i]
+        out = set()
+        for comp in comps:
+            theta, at, marks = self.highest(comp)
+            others = [c for c in comps if c != comp]
+            base = multiset - self.weights[self.shapes[comp]]
+            for x, mark in zip(_bits(comp), marks):
+                parent = mask & ~(1 << x)
+                s2, s3 = self.dstep(x, parent)
+                pwidth = width & ~(support[x] & ~twice)
+                if parent:
+                    counts[0] += 1
+                    out.add(self._child_code(others, base, comp & ~(1 << x), d2 - s2, d3 - s3, pwidth))
+                if mark < 2:
+                    continue
+                if at < 0:
+                    counts[2] += 1
+                    nodes = _child_nodes(_mask_nodes(self.nodes, mask), self.nodes[x], theta)
+                    out.add(self.index.setdefault(_orbit_label(self.system, nodes), len(self.index)))
+                    continue
+                counts[1] += 1
+                t2, t3 = self.dstep(at, parent)
+                out.add(
+                    self._child_code(
+                        others,
+                        base,
+                        comp & ~(1 << x) | 1 << at,
+                        d2 - s2 + t2,
+                        d3 - s3 + t3,
+                        pwidth | support[at],
+                    )
+                )
+        return out
+
+    def _child_code(self, others, base: int, rest: int, d2: int, d3: int, width: int) -> int:
+        """Code of the child whose components are others and those of the
+        mask rest, and whose multiset is base plus the shapes of the
+        latter."""
+        pieces = _component_masks(rest, self.adj)
+        multiset = base + sum(self.weights[self.shape(p)] for p in pieces)
+        return self.code((multiset, d2, d3, width == self.full), others + pieces, width)
 
 
 def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     """All node subsets of the enhanced diagram that are Pi-systems, in
     depth-first (lexicographic) order, as a list of the caller's own.
 
-    Both completion policies give the same node set, so the table of the
+    Both completion policies give the same node set, so the walk over the
     system's default enhanced basis serves every policy.
     """
-    table = _pi_table(eb.system)
-    return [table.subset(m) for m in table.masks]
+    walk = _PiWalk(eb.system)
+    nodes, subsets = walk.nodes, []
+    walk.run(lambda mask, *_: subsets.append(_mask_nodes(nodes, mask)))
+    return subsets
+
+
+class _Orbits(NamedTuple):
+    """The Weyl orbits of nonempty Pi-systems, found by _orbits.
+
+    index maps each label to its code; first[c] is the least Pi-subset
+    (an int mask over nodes) with the label of code c, and lower[c] the
+    bitset over codes of the labels of every Pi-system inside the subsystem
+    it generates.  visited counts the subsets the walk visited and children
+    the maximal children of the descent: Levi, extended on the diagram and
+    extended labelled by _orbit_label.
+    """
+
+    nodes: tuple[int, ...]
+    index: dict
+    first: list[int]
+    lower: list[int]
+    visited: int
+    children: tuple[int, int, int]
+
+    @property
+    def orbits(self) -> list[OrbitLabel]:
+        return list(self.index)
 
 
 @system_memo
-def _pi_table(system: RootSystem) -> _PiTable:
-    """The labelled Pi-subsets of the enhanced diagram: the only walk over
-    Pi-subsets.
+def _orbits(system: RootSystem) -> _Orbits:
+    """Every orbit with its least representative and lower set, from a walk
+    over the Pi-subsets that stops once the descent through maximal
+    subsystems closes.
 
-    Pi-ness is closed under taking subsets, so growth over sorted nodes
-    that stops at each candidate that is not a Pi-system visits exactly the
-    family.  The walk keeps the components of a subset as int masks.  A new
-    node merges exactly the components it touches, so only the merged one
-    is classified, once per component mask, and one that is not plain ADE
-    prunes the candidate.  The multiset of component shapes is an int with
-    one count per shape.  In a D system the tag counts grow along: node k
-    adds a thick pair for each twin t (same coordinate support) in the
-    subset, counted in d3 once per common neighbour of k and t, and k is a
-    new common neighbour of each thick pair around it.
+    The label of the simple basis, the whole system, is known before the
+    walk.  The first subset the walk meets with a label is the label's
+    least representative, and its maximal children (_maximal_children) are
+    labelled at once; their labels join the known ones.  The walk stops as
+    soon as every known label has its first subset: the known labels then
+    hold the top and are closed under children.  Every proper subsystem
+    lies in a maximal one, so every orbit lies below the top through
+    maximal children, and the known labels are all the orbits.  Each lower
+    set is the label itself and the lower sets of its children.
 
-    A label depends only on the shape multiset and the D counts, and on
-    the perfect moset when _needs_moset holds, so each such key is
-    labelled once.  The moset is then the union of the components' larger
-    colour classes, taken from the masks.
+    Every Pi-system is conjugate to a subset of the enhanced diagram (the
+    paper's main claim), so a known label that the walk never meets is an
+    InvariantViolation.
     """
-    nodes = tuple(sorted(enhanced_basis(system).nodes))
-    n = len(nodes)
-    pos = range(n)
-    adj = _adjacency(system, nodes)
-    tagged = system.series == "D"
-    if tagged:
-        support = [sum(1 << c for c in _support(system.roots[v])) for v in nodes]
-        twin = [sum(1 << j for j in pos if j != i and support[j] == support[i]) for i in pos]
-        around = [
-            [1 << a | 1 << b for a in _bits(adj[k]) for b in _bits(twin[a] & adj[k]) if a < b]
-            for k in pos
-        ]
-        full = (1 << system.rank) - 1
-    else:  # no tag outside the D series: the counts stay 0
-        support, twin, around = [0] * n, [0] * n, [()] * n
-        full = -1
-    slot = n.bit_length()  # bits per shape count: a subset has at most n components
-    kinds: dict = {}  # component shape -> its index, in order of appearance
-    weights: list[int] = []  # index -> the multiset of one component of that shape
-    shapes: dict[int, int | None] = {}  # component mask -> index of its shape
-    types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
-    # (multiset, d2, d3, full width) -> label code, or -1 when the label needs
-    # the moset; such a key is then looked up again with its moset tag.
-    found: dict[tuple, int] = {}
-    masks: list[int] = []
-    codes: list[int] = []
-    index: dict[OrbitLabel, int] = {}
+    walk = _PiWalk(system)
+    index = walk.index
+    index[_orbit_label(system, system.projective(system.simple_basis))] = 0
+    first: dict[int, int] = {}
+    below: dict[int, set] = {}
+    counts = [0, 0, 0]
+    visited = 0
 
-    def shape(comp: int) -> int | None:
-        """Index of the component's shape; None unless plain ADE."""
-        try:
-            part = _classify_one(comp, adj)
-        except UnrecognizedComponent:
-            return None
-        if part.extended:
-            return None
-        if part not in kinds:
-            kinds[part] = len(kinds)
-            weights.append(1 << slot * kinds[part])
-        return kinds[part]
+    def visit(mask, code, comps, multiset, d2, d3, width):
+        nonlocal visited
+        visited += 1
+        if code in first:
+            return
+        first[code] = mask
+        below[code] = walk.child_codes(mask, comps, multiset, d2, d3, width, counts) - {code}
+        if len(first) == len(index):
+            raise _Closed
 
-    def label_code(key: tuple, width: int, tag) -> int:
-        """Code of the label of a first-seen key, or -1 when tag is None and
-        the label needs the moset."""
-        multiset, d2, d3, _ = key
-        if multiset not in types:
-            count = (1 << slot) - 1
-            ttype = TypeLabel(
-                tuple(p for p, i in kinds.items() for _ in range(multiset >> slot * i & count))
-            )
-            types[multiset] = (ttype.parts, ttype.render())
-        parts, ttext = types[multiset]
-        counts = (d2, d3, width.bit_count())
-        if tag is None and _needs_moset(system, parts, ttext, counts):
-            return -1
-        return index.setdefault(_label_of(system, ttext, counts, tag), len(index))
-
-    def grow(mask, comps, multiset, d2, d3, width, start):
-        for k in range(start, n):
-            near = adj[k]
-            merged, rest, child_set = 1 << k, [], multiset
-            for comp in comps:
-                if comp & near:
-                    merged |= comp
-                    child_set -= weights[shapes[comp]]
-                else:
-                    rest.append(comp)
-            kind = shapes.get(merged, -1)
-            if kind == -1:
-                kind = shapes[merged] = shape(merged)
-            if kind is None:
-                continue
-            rest.append(merged)
-            child_set += weights[kind]
-            c2, c3 = d2, d3
-            if tagged:
-                c3 += sum(1 for pair in around[k] if pair & mask == pair)
-                for t in _bits(twin[k] & mask):
-                    c2 += 1
-                    c3 += (near & adj[t] & mask).bit_count()
-            cwidth = width | support[k]
-            key = (child_set, c2, c3, cwidth == full)
-            code = found.get(key)
-            if code is None:
-                code = found[key] = label_code(key, cwidth, None)
-            if code < 0:
-                core = 0
-                for comp in rest:
-                    core |= _larger_class(comp, adj)
-                tag = _moset_tag(system, types[child_set][1], [nodes[i] for i in _bits(core)])
-                code = found.get((key, tag))
-                if code is None:
-                    code = found[key, tag] = label_code(key, cwidth, tag)
-            child = mask | 1 << k
-            masks.append(child)
-            codes.append(code)
-            grow(child, rest, child_set, c2, c3, cwidth, k + 1)
-
-    grow(0, [], 0, 0, 0, 0, 0)
-    # grow refers to itself through its closure: break that cycle, so the
-    # memos above go now rather than at the next cyclic collection.
-    del grow
-    return _PiTable(nodes, masks, codes, index)
+    walk.run(visit)
+    missing = [l.render() for l, c in index.items() if c not in first]
+    if missing:
+        raise InvariantViolation(
+            f"no Pi-subset of the enhanced diagram of {system.name} has the label {missing[0]}"
+        )
+    codes = range(len(index))
+    return _Orbits(
+        walk.nodes,
+        index,
+        [first[c] for c in codes],
+        _lower_bits([below[c] for c in codes]),
+        visited,
+        tuple(counts),
+    )
 
 
 @system_memo
 def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int, ...]], ...]:
     """All Weyl orbits of nonempty Pi-systems, each with its least
-    representative inside the enhanced basis: the first in the table,
-    whose depth-first order is lexicographic."""
-    table = _pi_table(system)
-    orbits = table.orbits
-    return tuple(sorted((orbits[c], table.subset(m)) for c, m in enumerate(_first_masks(table))))
-
-
-def _first_masks(table: _PiTable) -> list[int]:
-    """The first table mask of each label code, indexed by code: codes
-    count up in order of appearance."""
-    first: list[int] = []
-    for mask, code in zip(table.masks, table.codes):
-        if code == len(first):
-            first.append(mask)
-    return first
+    representative inside the enhanced basis: the first that the walk,
+    whose depth-first order is lexicographic, meets."""
+    found = _orbits(system)
+    orbits = found.orbits
+    return tuple(sorted((orbits[c], _mask_nodes(found.nodes, m)) for c, m in enumerate(found.first)))
 
 
 # -- order between orbits --------------------------------------------------------
@@ -812,7 +1012,8 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
     (a maximal one when the mark is prime), so the extended child is given
     for marks of 2 or more; every node of a component of type A has mark 1.
     The component's signs are fixed along its tree so that neighbours pair
-    to -1, which makes it the basis the marks refer to.
+    to -1, which makes it the basis the marks refer to.  _PiWalk.child_codes
+    gives the same children on masks.
     """
     for comp in _signed_components(system, nodes):
         theta, marks = _highest_root(system, tuple(comp.values()))
@@ -873,70 +1074,19 @@ def _lower_bits(children) -> list[int]:
     return lower
 
 
-@system_memo
-def _lower_sets(system: RootSystem) -> list[int]:
-    """lower[c]: the labels of every Pi-system inside the subsystem that
-    the representative of code c generates, as a bitset over the table's
-    label codes.
-
-    The representative is the code's first table mask.  Its maximal
-    children (_maximal_children) are table masks where their nodes are
-    enhanced-diagram nodes: always for a Levi child, and for an extended
-    child when theta is one.  Those are looked up in one pass over the
-    table; any other child is labelled by _orbit_label.  The lower set is
-    then the code itself and the lower sets of its children's codes.
-    """
-    table = _pi_table(system)
-    pos = {v: i for i, v in enumerate(table.nodes)}
-    first = _first_masks(table)
-    by_mask: list[list[int]] = []
-    by_code: list[list[int]] = []
-    for mask in first:
-        nodes = table.subset(mask)
-        masks, codes = [], []
-        for x, theta in _maximal_children(system, nodes):
-            child = mask & ~(1 << pos[x])
-            if theta is None:
-                masks.append(child)
-            elif theta in pos:
-                masks.append(child | 1 << pos[theta])
-            else:
-                codes.append(_child_code(system, table, _child_nodes(nodes, x, theta)))
-        by_mask.append(masks)
-        by_code.append(codes)
-    wanted = {m for masks in by_mask for m in masks}
-    code_of = {m: c for m, c in zip(table.masks, table.codes) if m in wanted}
-    children = [
-        {code_of[m] for m in masks}.union(codes) - {c}
-        for c, (masks, codes) in enumerate(zip(by_mask, by_code))
-    ]
-    return _lower_bits(children)
-
-
-def _child_code(system: RootSystem, table: _PiTable, nodes: tuple[int, ...]) -> int:
-    """The table code of the label of a maximal child off the enhanced
-    diagram; every Pi-system's label is in the table, so a missing one is
-    an InvariantViolation."""
-    label = _orbit_label(system, nodes)
-    code = table.index.get(label)
-    if code is None:
-        raise InvariantViolation(f"the label {label.render()} of {nodes} is not in the table")
-    return code
-
-
 def order_between_orbits(l1: OrbitLabel, l2: OrbitLabel, system: RootSystem) -> bool:
     """True iff a member of orbit l1 is contained in the subsystem
     generated by a member of orbit l2 (reflexive by convention)."""
     low, high = _orbit_codes(system, (l1, l2))
-    return _lower_sets(system)[high] >> low & 1 == 1
+    return _orbits(system).lower[high] >> low & 1 == 1
 
 
 def _orbit_codes(system: RootSystem, labels) -> list[int]:
-    """The table codes of orbit labels; NotPiSystem for a label of system
-    that no Pi-system of it carries."""
+    """The codes of orbit labels in _orbits; NotPiSystem for a label of
+    system that no Pi-system of it carries."""
     if any(l.ambient != system.name for l in labels):
         raise MixedAmbient("orbit labels come from different ambient systems")
-    index = _pi_table(system).index
+    index = _orbits(system).index
     missing = [l.render() for l in labels if l not in index]
     if missing:
         raise NotPiSystem(f"no Pi-system of {system.name} has the label {missing[0]}")
@@ -973,7 +1123,7 @@ def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     """Transitive reduction of the orbit order over the given labels
     (default: all orbits).
 
-    Lower sets are bitsets over the table's label codes: with B the labels
+    Lower sets are bitsets over the label codes of _orbits: with B the labels
     strictly below u, the covers of u are B & ~OR(below[m] for m in B).
     """
     if labels is None:
@@ -981,9 +1131,9 @@ def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     labels = list(dict.fromkeys(labels))
     code = dict(zip(labels, _orbit_codes(system, labels)))
     chosen = sum(1 << c for c in set(code.values()))
-    lower = _lower_sets(system)
+    found = _orbits(system)
+    lower, orbits = found.lower, found.orbits
     below = {code[l]: lower[code[l]] & chosen & ~(1 << code[l]) for l in labels}
-    orbits = _pi_table(system).orbits
     edges = []
     for upper in labels:
         lower = below[code[upper]]

@@ -15,11 +15,12 @@ from math import prod
 
 from .classify import (
     EmbeddingMap,
+    _PiWalk,
     _child_nodes,
     _lower_bits,
-    _lower_sets,
+    _mask_nodes,
     _maximal_children,
-    _pi_table,
+    _orbits,
     enumerate_pi_orbits,
     hasse_diagram,
     is_weyl_embedding,
@@ -435,8 +436,8 @@ E8_ORDER_EDGES = {
 def descent_lower_sets(system) -> dict:
     """Every orbit reached by descending from the simple basis of the
     system through maximal subsystems, each mapped to its lower set: label
-    -> frozenset of labels.  Every child is named by orbit_label; the
-    Pi-subset table is not read."""
+    -> frozenset of labels.  Every child is named by orbit_label; the walk
+    over Pi-subsets is not run."""
     top = system.projective(system.simple_basis)
     ids: dict = {orbit_label(RootSet(system, top)): 0}
     children: list[set] = []
@@ -455,9 +456,20 @@ def descent_lower_sets(system) -> dict:
     return _label_sets(list(ids), _lower_bits(children))
 
 
-def _table_lower_sets(system) -> dict:
+def _orbits_lower_sets(system) -> dict:
     """The library's lower sets, label -> frozenset of labels."""
-    return _label_sets(_pi_table(system).orbits, _lower_sets(system))
+    found = _orbits(system)
+    return _label_sets(found.orbits, found.lower)
+
+
+def whole_walk_orbits(system) -> dict:
+    """Every label of the walk over Pi-subsets run to its end, with the
+    first subset that carries it: label -> least representative."""
+    walk = _PiWalk(system)
+    first: dict = {}
+    walk.run(lambda mask, code, *_: first.setdefault(code, mask))
+    labels = list(walk.index)
+    return {labels[c]: _mask_nodes(walk.nodes, m) for c, m in first.items()}
 
 
 def _label_sets(labels, lower) -> dict:
@@ -472,12 +484,16 @@ def check_order_graphs() -> Result:
     def fn():
         # The paper's central claim: the enhanced diagram holds a member of
         # every orbit of Pi-systems.  The descent from the simple basis
-        # reaches every orbit below the whole system, so the table's orbits
-        # must be exactly the descent's, with the same order.
+        # reaches every orbit below the whole system, so the orbits of the
+        # walk that stops once its own descent closes must be exactly the
+        # descent's, with the same order; and the walk run to its end must
+        # find no further label and the same least representatives.
         for series, rank in (("E", 7), ("E", 8), ("D", 10)):
             system = build_root_system(series, rank)
-            if descent_lower_sets(system) != _table_lower_sets(system):
-                return False, f"{series}{rank}: the descent from the simple basis and the table differ"
+            if descent_lower_sets(system) != _orbits_lower_sets(system):
+                return False, f"{series}{rank}: the descent from the simple basis and the walk differ"
+            if whole_walk_orbits(system) != dict(enumerate_pi_orbits(system)):
+                return False, f"{series}{rank}: the walk run to its end finds other orbits"
         for rank, expected in ((7, E7_ORDER_EDGES), (8, E8_ORDER_EDGES)):
             system = build_root_system("E", rank)
             special = [l for l, _ in enumerate_pi_orbits(system) if l.kind == "ep"]
@@ -497,7 +513,8 @@ def check_order_graphs() -> Result:
         ):
             return False, "[4A1]^1 should be incomparable with E6"
         return True, (
-            "E7/E8/D10 orbits and order by descent from the simple basis,"
+            "E7/E8/D10 orbits and order by descent from the simple basis"
+            " and by the walk run to its end,"
             " E7/E8 special order graphs and the E6 comparability example"
         )
 

@@ -630,49 +630,71 @@ ORDER_SYSTEMS = SMALL + [("D", 9), ("A", 12)]
 
 
 def _labels_of_bits(system, bits):
-    from rootforge.classify import _pi_table
+    from rootforge.classify import _orbits
 
-    orbits = _pi_table(system).orbits
+    orbits = _orbits(system).orbits
     return frozenset(orbits[c] for c in range(bits.bit_length()) if bits >> c & 1)
 
 
 def test_labels_below_matches_search_over_the_completion():
     # The descent through maximal subsystems against the search over every
     # node subset of each representative's completion.
-    from rootforge.classify import _lower_sets, _pi_table
+    from rootforge.classify import _orbits
 
     for series, rank in ORDER_SYSTEMS:
         s = build_root_system(series, rank)
         reference = _reference_order(series, rank)
-        lower = _lower_sets(s)
-        index = _pi_table(s).index
+        found = _orbits(s)
         for label, rep in enumerate_pi_orbits(s):
-            assert _labels_of_bits(s, lower[index[label]]) == reference[label], (s.name, rep)
+            assert _labels_of_bits(s, found.lower[found.index[label]]) == reference[label], (s.name, rep)
+
+
+STOP_SYSTEMS = SMALL + [("D", 9), ("D", 10), ("A", 12), ("D", 12)]
 
 
 def test_descent_from_the_simple_basis_reaches_the_table():
     # Labelled by orbit_label alone, the descent from the simple basis finds
-    # exactly the table's orbits and lower sets.
-    from rootforge.verification import _table_lower_sets, descent_lower_sets
+    # exactly the orbits and lower sets of the walk that stops.
+    from rootforge.verification import _orbits_lower_sets, descent_lower_sets
 
-    for series, rank in ORDER_SYSTEMS:
+    for series, rank in STOP_SYSTEMS:
         s = build_root_system(series, rank)
-        assert descent_lower_sets(s) == _table_lower_sets(s), s.name
+        assert descent_lower_sets(s) == _orbits_lower_sets(s), s.name
 
 
 def test_descent_needs_the_extended_children(monkeypatch):
     # Levi children alone stay inside the subdiagrams of the Dynkin diagram
     # and miss orbits such as 7A1 in E7; criterion 8 must see that.
     from rootforge import verification
-    from rootforge.verification import _table_lower_sets, descent_lower_sets
+    from rootforge.verification import _orbits_lower_sets, descent_lower_sets
 
     original = verification._maximal_children
     levi = lambda system, nodes: ((x, t) for x, t in original(system, nodes) if t is None)
     monkeypatch.setattr(verification, "_maximal_children", levi)
     e7 = build_root_system("E", 7)
     reached = descent_lower_sets(e7)
-    assert set(reached) < set(_table_lower_sets(e7))
+    assert set(reached) < set(_orbits_lower_sets(e7))
     assert not verification.check_order_graphs().ok
+
+
+def test_stopped_walk_equals_the_whole_walk():
+    # The walk that stops once its descent closes finds the labels and least
+    # representatives of the walk run to its end; the test above checks its
+    # lower sets on the same systems.
+    from rootforge.verification import whole_walk_orbits
+
+    for series, rank in STOP_SYSTEMS:
+        s = build_root_system(series, rank)
+        assert dict(enumerate_pi_orbits(s)) == whole_walk_orbits(s), s.name
+
+
+@pytest.mark.parametrize("series, rank, visited", [("E", 8, 3222), ("D", 10, 5183)])
+def test_walk_stops_at_the_last_first_occurrence(series, rank, visited):
+    # E8 has 22,910 Pi-subsets and D10 12,695: the walk stops at the first
+    # subset of the last label to appear.
+    from rootforge.classify import _orbits
+
+    assert _orbits(build_root_system(series, rank)).visited == visited
 
 
 def test_hasse_matches_set_based_reduction():
@@ -699,11 +721,20 @@ from rootforge.rootsystem import RootSystem, build_root_system
 
 # D5 has maximal children whose highest root is off the enhanced diagram;
 # they are labelled by _orbit_label, here made to give a label no
-# Pi-system of D5 has.
+# Pi-system of D5 has to every set that is not all enhanced-diagram nodes.
 s = RootSystem("D", 5, list(build_root_system("D", 5).roots), 5)
-classify._orbit_label = lambda system, nodes: classify.OrbitLabel("D5", "E8", "plain", ())
-labels = [l for l, _ in classify.enumerate_pi_orbits(s)]
-for call in (lambda: classify.hasse_diagram(s), lambda: classify.order_between_orbits(*labels[:2], s)):
+d5 = build_root_system("D", 5)
+labels = [l for l, _ in classify.enumerate_pi_orbits(d5)]
+inside = set(classify.enhanced_basis(s).nodes)
+original = classify._orbit_label
+bogus = classify.OrbitLabel("D5", "E8", "plain", ())
+classify._orbit_label = lambda system, nodes: original(system, nodes) if inside.issuperset(nodes) else bogus
+calls = (
+    lambda: classify.enumerate_pi_orbits(s),
+    lambda: classify.hasse_diagram(s),
+    lambda: classify.order_between_orbits(*labels[:2], s),
+)
+for call in calls:
     try:
         call()
     except InvariantViolation:
@@ -759,14 +790,22 @@ def _reference_pi_table(system):
     return subsets, [orbit_label(RootSet(fresh, s)) for s in subsets]
 
 
-def test_pi_table_matches_the_separate_walk_and_labels():
-    from rootforge.classify import _pi_table
+def _whole_walk(system):
+    # The walk run to its end: (the walk, its masks, their label codes).
+    from rootforge.classify import _PiWalk
 
+    walk = _PiWalk(system)
+    masks, codes = [], []
+    walk.run(lambda mask, code, *_: masks.append(mask) or codes.append(code))
+    return walk, masks, codes
+
+
+def test_pi_table_matches_the_separate_walk_and_labels():
     for series, rank in SMALL + [("D", 9), ("A", 12)]:
         s = build_root_system(series, rank)
-        table = _pi_table(s)
-        orbits = table.orbits
-        labels = [orbits[c] for c in table.codes]
+        walk, _, codes = _whole_walk(s)
+        orbits = list(walk.index)
+        labels = [orbits[c] for c in codes]
         assert (pi_node_subsets(enhanced_basis(s)), labels) == _reference_pi_table(s), s.name
 
 
@@ -815,16 +854,17 @@ def test_moset_embedding_beyond_d8():
 
 
 def test_labels_of_one_orbit_share_one_object():
-    # One label object per orbit, shared by the table and orbit_label; equal
+    # One label object per orbit, shared by the walk and orbit_label; equal
     # labels must not each hold their own strings (22,910 subsets of E8
     # against 76 orbits).
-    from rootforge.classify import _pi_table
+    from rootforge.classify import _mask_nodes, _orbits
 
     s = build_root_system("D", 6)
-    table = _pi_table(s)
-    orbits = table.orbits
-    for mask, code in zip(table.masks, table.codes):
-        assert orbit_label(RootSet(s, table.subset(mask))) is orbits[code]
+    walk, masks, codes = _whole_walk(s)
+    orbits = list(walk.index)
+    for mask, code in zip(masks, codes):
+        assert orbit_label(RootSet(s, _mask_nodes(walk.nodes, mask))) is orbits[code]
+    assert set(map(id, _orbits(s).orbits)) == set(map(id, orbits))
 
 
 # Argument checks raise typed errors, so that they hold under python -O too.
@@ -853,10 +893,11 @@ def test_witness_perm_of_a_negative_decision_raises():
         decision.witness_perm(build_root_system("E", 7))
 
 
-def _table_digest(table):
+def _walk_digest(system):
     import hashlib
 
-    text = repr((table.masks, table.codes, [l.render() for l in table.index]))
+    walk, masks, codes = _whole_walk(system)
+    text = repr((masks, codes, [l.render() for l in walk.index]))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -865,15 +906,14 @@ def _table_digest(table):
     [("D", 10, "93b7dfa32546472b"), ("D", 12, "edb92877b6e7e237"), ("E", 8, "3e8fa2554a7e4eaa")],
 )
 def test_pi_table_digest(series, rank, digest):
-    # Masks, codes and labels of the table as the walk gave them while it
-    # still kept the subtree ends that the orbit order once scanned by.
-    from rootforge.classify import _pi_table
-
-    assert _table_digest(_pi_table(build_root_system(series, rank))) == digest
+    # Masks, codes and labels of the walk run to its end, as the table of
+    # every Pi-subset held them while it still kept the subtree ends that
+    # the orbit order once scanned by; codes count up in order of appearance.
+    assert _walk_digest(build_root_system(series, rank)) == digest
 
 
 def test_pi_table_labels_each_key_once(monkeypatch):
-    # E8 has 22,910 Pi-subsets and 76 labels: the table builds one label per
+    # E8 has 22,910 Pi-subsets and 76 labels: the walk builds one label per
     # shape multiset, D counts and moset tag, not one per subset.
     from rootforge import classify
     from rootforge.rootsystem import RootSystem
@@ -883,9 +923,9 @@ def test_pi_table_labels_each_key_once(monkeypatch):
     calls = []
     original = classify._label_of
     monkeypatch.setattr(classify, "_label_of", lambda *args: calls.append(args) or original(*args))
-    table = classify._pi_table(fresh)
-    assert len(table.masks) == 22910
-    assert len(table.index) == 76
+    walk, masks, _ = _whole_walk(fresh)
+    assert len(masks) == 22910
+    assert len(walk.index) == 76
     assert len(calls) < 200
 
 

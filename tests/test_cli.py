@@ -135,3 +135,17 @@ def test_e7_and_d13_orders_are_pinned(capsys):
         code, out = run(capsys, "order", system, "--json", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, system
+
+
+def test_a12_and_d13_tables_are_pinned(capsys):
+    # sha256 of the A12 and D13 orbit tables (100 and 604 orbits), taken
+    # while every Pi-subset was still walked and kept before the first
+    # representatives were read
+    expected = {
+        "A12": "c81bca5a1f1bd586e4a52651b99884441bdd1635a3d41924acdaab2f78883343",
+        "D13": "c4473168af69cb9e6cc76b4a74438b26e1a7ceceaf2e4338339f2793d792876a",
+    }
+    for system, digest in expected.items():
+        code, out = run(capsys, "classify", system, "--json", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, system
