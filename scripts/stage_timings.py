@@ -11,10 +11,11 @@ descent included), in enumerate_pi_orbits and in hasse_diagram over all
 orbits, each stage on the caches the earlier ones filled, as `rootforge
 classify` and `rootforge order` run them, and the process's peak RSS after
 them.  A second line says what the walk did: the subsets it visited, the
-subset it stopped at (the least representative of the last label to
-appear) and the children of the descent: Levi children, extended children
-on the enhanced diagram, and extended children labelled by _orbit_label
-because their highest root is off the diagram.
+visited subsets it did not grow from because no pending label could lie
+above them, the subset it stopped at (the least representative of the
+last label to appear) and the children of the descent: Levi children,
+extended children on the enhanced diagram, and extended children labelled
+by _orbit_label because their highest root is off the diagram.
 
 A third line times core_group_model, which neither command runs, and
 splits it into its steps, run on a fresh copy of the system with cold
@@ -96,7 +97,7 @@ def main(argv):
         last = max(_mask_nodes(found.nodes, mask) for mask in found.first)
         levi, extended, labelled = found.children
         print(
-            f"     walk: {found.visited:,} subsets visited, stopped at"
+            f"     walk: {found.visited:,} subsets visited, {found.skipped:,} not grown, stopped at"
             f" {{{','.join(names[n] for n in last)}}}; descent children: {levi:,} Levi,"
             f" {extended:,} extended on the diagram, {labelled:,} extended labelled"
         )

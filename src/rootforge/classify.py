@@ -497,9 +497,14 @@ class EmbeddingMap:
 
     def __post_init__(self):
         sysm = self.system
-        fixed = {
-            sysm.proj_rep(k): sysm.proj_rep(v) for k, v in self.mapping.items()
-        }
+        sysm.check_indices(sorted(self.mapping))
+        sysm.check_indices(sorted(self.mapping.values()))
+        fixed: dict = {}
+        for k, v in self.mapping.items():
+            v = sysm.proj_rep(v)
+            # A root and its negative are one projective root: one image.
+            if fixed.setdefault(sysm.proj_rep(k), v) != v:
+                raise NotEmbedding(f"root {k} and its negative are given different images")
         object.__setattr__(self, "mapping", fixed)
         src = sorted(fixed)
         for a, b in combinations(src, 2):
@@ -640,7 +645,8 @@ class _PiWalk:
     and on the perfect moset when _needs_moset holds, so each such key is
     labelled once.  The moset is then the union of the components' larger
     colour classes, taken from the masks.  index maps the labels met so far
-    to their codes, which count up in order of appearance.
+    to their codes, which count up in order of appearance, and sigs[c] is
+    the signature of code c: its rank and the rank of its largest component.
     """
 
     def __init__(self, system: RootSystem):
@@ -675,6 +681,7 @@ class _PiWalk:
         # is then looked up again with its moset tag.
         self.found: dict[tuple, int] = {}
         self.index: dict[OrbitLabel, int] = {}
+        self.sigs: list[tuple[int, int]] = []
         self.tops: dict[int, tuple] = {}  # component mask -> highest(comp)
 
     def shape(self, comp: int) -> int | None:
@@ -733,8 +740,17 @@ class _PiWalk:
         counts = (d2, d3, width.bit_count())
         if tag is None and _needs_moset(self.system, parts, ttext, counts):
             return -1
+        label = _label_of(self.system, ttext, counts, tag)
+        return self.enter(label, sum(p.rank for p in parts), parts[0].rank)  # parts[0] is the largest
+
+    def enter(self, label: OrbitLabel, rank: int, big: int) -> int:
+        """Code of label; a new label joins index with the signature (rank,
+        rank of its largest component)."""
         index = self.index
-        return index.setdefault(_label_of(self.system, ttext, counts, tag), len(index))
+        code = index.setdefault(label, len(index))
+        if code == len(self.sigs):
+            self.sigs.append((rank, big))
+        return code
 
     def code(self, key: tuple, comps, width: int) -> int:
         """Code of the label of a Pi-subset with key key, component masks
@@ -753,15 +769,24 @@ class _PiWalk:
                 code = found[key, tag] = self.label_code(key, width, tag)
         return code
 
-    def run(self, visit) -> None:
+    def run(self, visit, room=None) -> int:
         """Walk the Pi-subsets in lexicographic order, calling
         visit(mask, code, comps, multiset, d2, d3, width) on each, until the
-        walk ends or visit raises _Closed."""
+        walk ends or visit raises _Closed; return the number of subsets it
+        did not grow from.
+
+        With room, a list that visit may change, the walk grows a subset of
+        size nodes whose largest component has big nodes only while size <
+        room[big]; without it, every subset."""
         n, adj, support, full = len(self.nodes), self.adj, self.support, self.full
         weights, shapes, found = self.weights, self.shapes, self.found
         shape, dstep, code_of, tagged = self.shape, self.dstep, self.code, self.tagged
+        if room is None:
+            room = [n + 1] * (n + 1)
+        skipped = 0
 
-        def grow(mask, comps, multiset, d2, d3, width, start):
+        def grow(mask, comps, multiset, d2, d3, width, size, big, start):
+            nonlocal skipped
             for k in range(start, n):
                 near = adj[k]
                 merged, rest, child_set = 1 << k, [], multiset
@@ -790,16 +815,23 @@ class _PiWalk:
                     code = code_of(key, rest, cwidth)
                 child = mask | 1 << k
                 visit(child, code, rest, child_set, c2, c3, cwidth)
-                grow(child, rest, child_set, c2, c3, cwidth, k + 1)
+                cbig = merged.bit_count()
+                if cbig < big:
+                    cbig = big
+                if size < room[cbig]:
+                    grow(child, rest, child_set, c2, c3, cwidth, size + 1, cbig, k + 1)
+                else:
+                    skipped += 1
 
         try:
-            grow(0, [], 0, 0, 0, 0, 0)
+            grow(0, [], 0, 0, 0, 0, 1, 0, 0)
         except _Closed:
             pass
         finally:
             # grow refers to itself through its closure: break that cycle,
             # so its frames go now rather than at the next cyclic collection.
             del grow
+        return skipped
 
     def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
         """(theta, its position or -1 off the diagram, the marks in position
@@ -864,7 +896,8 @@ class _PiWalk:
                 if at < 0:
                     counts[2] += 1
                     nodes = _child_nodes(_mask_nodes(self.nodes, mask), self.nodes[x], theta)
-                    out.add(self.index.setdefault(_orbit_label(self.system, nodes), len(self.index)))
+                    big = max(map(len, components(self.system, nodes)))
+                    out.add(self.enter(_orbit_label(self.system, nodes), len(nodes), big))
                     continue
                 counts[1] += 1
                 t2, t3 = self.dstep(at, parent)
@@ -908,9 +941,10 @@ class _Orbits(NamedTuple):
     index maps each label to its code; first[c] is the least Pi-subset
     (an int mask over nodes) with the label of code c, and lower[c] the
     bitset over codes of the labels of every Pi-system inside the subsystem
-    it generates.  visited counts the subsets the walk visited and children
-    the maximal children of the descent: Levi, extended on the diagram and
-    extended labelled by _orbit_label.
+    it generates.  visited counts the subsets the walk visited, skipped the
+    visited subsets it did not grow from because no pending label could lie
+    above them, and children the maximal children of the descent: Levi,
+    extended on the diagram and extended labelled by _orbit_label.
     """
 
     nodes: tuple[int, ...]
@@ -918,6 +952,7 @@ class _Orbits(NamedTuple):
     first: list[int]
     lower: list[int]
     visited: int
+    skipped: int
     children: tuple[int, int, int]
 
     @property
@@ -941,29 +976,65 @@ def _orbits(system: RootSystem) -> _Orbits:
     maximal children, and the known labels are all the orbits.  Each lower
     set is the label itself and the lower sets of its children.
 
+    The walk does not grow a subset S above which no pending label (known,
+    first subset not yet met) can lie.  Let T be an extension of S whose
+    label is not met yet, and follow the maximal-child relation from
+    label(T) up to the top: the first known label on the way is pending,
+    since a met label has its children known, and it contains T's
+    subsystem, so its rank is at least rank(T) > |S| and its largest
+    component has at least as many nodes as S's.  room[b] is the largest
+    rank of a pending label whose largest component has at least b nodes,
+    so the walk grows S while |S| < room[largest component of S], and every
+    label's first subset is the one the whole walk meets.
+
     Every Pi-system is conjugate to a subset of the enhanced diagram (the
     paper's main claim), so a known label that the walk never meets is an
     InvariantViolation.
     """
     walk = _PiWalk(system)
-    index = walk.index
-    index[_orbit_label(system, system.projective(system.simple_basis))] = 0
+    index, sigs, rank = walk.index, walk.sigs, system.rank
+    # pending[b][r]: the pending labels of rank r whose largest component has
+    # b nodes; top[b]: the largest such r; room: the suffix maxima of top.
+    pending = [[0] * (rank + 1) for _ in range(rank + 1)]
+    top = [0] * (rank + 1)
+    room = [0] * (rank + 1)
+
+    def settle(code: int, step: int) -> None:
+        r, b = sigs[code]
+        row = pending[b]
+        row[r] += step
+        if row[r] == (1 if step > 0 else 0):  # the count moved between 0 and 1
+            top[b] = max((i for i in range(rank + 1) if row[i]), default=0)
+            most = 0
+            for i in range(rank, -1, -1):
+                most = room[i] = max(most, top[i])
+
+    # The simple basis generates the whole system: (rank, rank) bounds its
+    # signature from above.
+    walk.enter(_orbit_label(system, system.projective(system.simple_basis)), rank, rank)
+    settle(0, 1)
     first: dict[int, int] = {}
     below: dict[int, set] = {}
     counts = [0, 0, 0]
-    visited = 0
+    visited, known = 0, 1
 
     def visit(mask, code, comps, multiset, d2, d3, width):
-        nonlocal visited
+        nonlocal visited, known
         visited += 1
         if code in first:
             return
         first[code] = mask
+        if code < known:
+            settle(code, -1)
         below[code] = walk.child_codes(mask, comps, multiset, d2, d3, width, counts) - {code}
+        for c in range(known, len(index)):
+            if c not in first:
+                settle(c, 1)
+        known = len(index)
         if len(first) == len(index):
             raise _Closed
 
-    walk.run(visit)
+    skipped = walk.run(visit, room)
     missing = [l.render() for l, c in index.items() if c not in first]
     if missing:
         raise InvariantViolation(
@@ -976,6 +1047,7 @@ def _orbits(system: RootSystem) -> _Orbits:
         [first[c] for c in codes],
         _lower_bits([below[c] for c in codes]),
         visited,
+        skipped,
         tuple(counts),
     )
 

@@ -73,6 +73,10 @@ class OracleCapExceeded(CapExceeded):
     pass
 
 
+class NoSuchRoot(RootForgeError):
+    """A root index lies outside the system's table of roots."""
+
+
 class NotEmbedding(RootForgeError):
     """A candidate map does not preserve absolute Cartan pairings."""
 

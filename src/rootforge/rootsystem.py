@@ -16,6 +16,7 @@ from operator import mul, sub
 
 from .errors import (
     InvariantViolation,
+    NoSuchRoot,
     NotIrreducibleParent,
     NotOrthogonal,
     UnsupportedType,
@@ -96,6 +97,13 @@ class RootSystem:
             self._reflect[(i, j)] = out
         return out
 
+    def check_indices(self, ordered) -> None:
+        """NoSuchRoot unless the sorted indices ordered all index roots of
+        the system; a negative index would wrap to the end of the table."""
+        if ordered and (ordered[0] < 0 or ordered[-1] >= len(self.roots)):
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise NoSuchRoot(f"{self.name} has no root with index {bad}")
+
     def proj_rep(self, i: int) -> int:
         """Canonical representative of the projective root {r_i, -r_i}.
 
@@ -144,7 +152,9 @@ class RootSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        members = tuple(sorted(set(self.members)))
+        self.system.check_indices(members)
+        object.__setattr__(self, "members", members)
 
     @property
     def symmetric(self) -> bool:

@@ -21,7 +21,7 @@ from rootforge import (
     significant_part,
 )
 from rootforge.classify import pi_node_subsets, pi_type
-from rootforge.errors import MixedAmbient, NotEmbedding, NotOrthogonal, NotPiSystem
+from rootforge.errors import MixedAmbient, NoSuchRoot, NotEmbedding, NotOrthogonal, NotPiSystem
 from rootforge.oracle import (
     compose,
     enumerate_weyl,
@@ -447,6 +447,28 @@ def test_embedding_validation():
         )  # adjacent pair sent to an orthogonal pair
 
 
+def test_a_root_and_its_negative_get_one_image():
+    d4 = build_root_system("D", 4)
+    r, a, b = d4.simple_basis[0], d4.simple_basis[0], d4.simple_basis[2]
+    with pytest.raises(NotEmbedding):
+        EmbeddingMap(d4, {r: a, d4.negative(r): b})
+    # The same projective image, given with either sign, is one image.
+    emb = EmbeddingMap(d4, {r: a, d4.negative(r): d4.negative(a)})
+    assert emb.mapping == {d4.proj_rep(r): d4.proj_rep(a)}
+
+
+def test_root_indices_out_of_range_are_refused():
+    d4 = build_root_system("D", 4)
+    last = len(d4.roots) - 1
+    for members in [(999,), (-1,), (0, last + 1)]:
+        with pytest.raises(NoSuchRoot):
+            orbit_label(RootSet(d4, members))
+    for mapping in [{999: 1}, {1: 999}, {-1: 1}, {1: -1}]:
+        with pytest.raises(NoSuchRoot):
+            EmbeddingMap(d4, mapping)
+    assert RootSet(d4, (last, 0)).members == (0, last)
+
+
 def test_is_weyl_agrees_with_oracle_exhaustively_small():
     # every pairing-preserving bijection between same-type subsets of the
     # D4 enhanced diagram is decided exactly as the brute force does
@@ -678,20 +700,26 @@ def test_descent_needs_the_extended_children(monkeypatch):
 
 
 def test_stopped_walk_equals_the_whole_walk():
-    # The walk that stops once its descent closes finds the labels and least
+    # The walk that stops once its descent closes, and grows no subset that
+    # no pending label can lie above, finds the labels and least
     # representatives of the walk run to its end; the test above checks its
-    # lower sets on the same systems.
+    # lower sets on the same systems.  The prune cuts A16's walk from 21,852
+    # subsets to 2,604.
     from rootforge.verification import whole_walk_orbits
 
-    for series, rank in STOP_SYSTEMS:
+    for series, rank in STOP_SYSTEMS + [("A", 16)]:
         s = build_root_system(series, rank)
         assert dict(enumerate_pi_orbits(s)) == whole_walk_orbits(s), s.name
 
 
-@pytest.mark.parametrize("series, rank, visited", [("E", 8, 3222), ("D", 10, 5183)])
+@pytest.mark.parametrize(
+    "series, rank, visited",
+    [("E", 7, 148), ("E", 8, 562), ("D", 10, 3229), ("A", 12, 285), ("A", 16, 2604)],
+)
 def test_walk_stops_at_the_last_first_occurrence(series, rank, visited):
-    # E8 has 22,910 Pi-subsets and D10 12,695: the walk stops at the first
-    # subset of the last label to appear.
+    # E7 has 1,433 Pi-subsets, E8 22,910, D10 12,695, A12 4,095 and A16
+    # 65,535: the walk grows no subset that no pending label can lie above,
+    # and stops at the first subset of the last label to appear.
     from rootforge.classify import _orbits
 
     assert _orbits(build_root_system(series, rank)).visited == visited

@@ -149,3 +149,17 @@ def test_a12_and_d13_tables_are_pinned(capsys):
         code, out = run(capsys, "classify", system, "--json", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, system
+
+
+def test_a16_table_and_order_are_pinned(capsys):
+    # sha256 of the A16 orbit table and order graph (296 orbits), taken
+    # while the walk still grew every subset up to the last first
+    # occurrence
+    expected = {
+        "classify": "b3c3a655dca375109bddc785924a019a2162d83cfefe954e09fe322a360be2e5",
+        "order": "5dafc7927bb9175972165f92a4e4086c5b1777318d51aefc132bfa79b537e627",
+    }
+    for command, digest in expected.items():
+        code, out = run(capsys, command, "A16", "--json", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
