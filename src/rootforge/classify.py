@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .completion import EnhancedBasis, _support, enhanced_basis
+from .completion import EnhancedBasis, _support_masks, enhanced_basis
 from .coregroups import (
     SPECIAL_SIZES,
     core_group_model,
@@ -28,9 +28,8 @@ from .diagrams import (
     _bits,
     _classify_one,
     _component_masks,
+    _tree_parity,
     classify_components,
-    dynkin_type,
-    is_dynkin_shape,
     projective_diagram_of,
     subsystem_type,  # re-exported, as is subsystem_basis below
     _embeddings,
@@ -45,7 +44,7 @@ from .errors import (
     UnrecognizedComponent,
     Unsupported,
 )
-from .mosets import _larger_class, _perfect_moset
+from .mosets import _larger_class
 from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
@@ -120,32 +119,18 @@ def dn_tag(rs: RootSet) -> DnTag:
     sysm = rs.system
     if sysm.series != "D":
         raise Unsupported(f"D-series tags are defined in D systems, not {sysm.name}")
-    members = sysm.projective(rs.members)
-    d2, d3, width = _dn_counts(sysm, members)
+    view = _PiWalk(sysm, sysm.projective(rs.members))
+    d2, d3, width = view.dcounts()
     side = None
     # Only thin sets of full width can be distinguished; only they need the type.
-    if d2 == 0 and width == sysm.rank:
-        if _needs_moset(sysm, pi_type(sysm, members).parts, None, (d2, d3, width)):
-            side = _side(sysm, _perfect_moset(sysm, members))
-    return DnTag(d2, d3, d2 == 0, width, side is not None, side)
-
-
-def _dn_counts(sysm: RootSystem, nodes: tuple[int, ...]) -> tuple[int, int, int]:
-    """(d2, d3, width) of dn_tag for sorted projective nodes."""
-    supports = {i: _support(sysm.roots[i]) for i in nodes}
-    thick_pairs = [
-        (a, b)
-        for a, b in combinations(nodes, 2)
-        if supports[a] == supports[b]
-    ]
-    d3 = 0
-    for a, b in thick_pairs:
-        for c in nodes:
-            if c in (a, b):
-                continue
-            if sysm.cartan(a, c) != 0 and sysm.cartan(b, c) != 0:
-                d3 += 1
-    return len(thick_pairs), d3, len(frozenset().union(*supports.values()))
+    if d2 == 0 and width == view.full:
+        comps, multiset = view.split()
+        if multiset is None:
+            raise NotPiSystem("D-series tags are defined for Pi-systems")
+        parts, ttext = view.type_of(multiset)
+        if _needs_moset(sysm, parts, ttext, (d2, d3, sysm.rank)):
+            side = _side(sysm, view.moset(comps))
+    return DnTag(d2, d3, d2 == 0, width.bit_count(), side is not None, side)
 
 
 def _side(sysm: RootSystem, core) -> int:
@@ -196,17 +181,16 @@ def orbit_label(rs: RootSet) -> OrbitLabel:
 
 @system_memo
 def _orbit_label(sysm: RootSystem, nodes: tuple[int, ...]) -> OrbitLabel:
-    """orbit_label of the sorted projective nodes; its diagram is built and
-    classified once."""
-    ttype = dynkin_type(projective_diagram_of(sysm, nodes))
-    if ttype is None:
+    """orbit_label of the sorted projective nodes, read off their view
+    (_PiWalk on the nodes) as the walk labels a Pi-subset: each component
+    is classified once."""
+    view = _PiWalk(sysm, nodes)
+    comps, multiset = view.split()
+    if multiset is None:
         raise NotPiSystem("orbit labels are defined for Pi-systems")
-    ttext = ttype.render()
-    counts = _dn_counts(sysm, nodes) if sysm.series == "D" else None
-    tag = None
-    if _needs_moset(sysm, ttype.parts, ttext, counts):
-        tag = _moset_tag(sysm, ttext, _perfect_moset(sysm, nodes))
-    return _label_of(sysm, ttext, counts, tag)
+    d2, d3, width = view.dcounts()
+    code = view.code((multiset, d2, d3, width == view.full), comps, width)
+    return list(view.index)[code]
 
 
 def _needs_moset(sysm: RootSystem, parts, ttext: str | None, counts) -> bool:
@@ -497,10 +481,10 @@ class EmbeddingMap:
 
     def __post_init__(self):
         sysm = self.system
-        sysm.check_indices(sorted(self.mapping))
-        sysm.check_indices(sorted(self.mapping.values()))
+        keys = sysm.check_indices(self.mapping)
+        values = sysm.check_indices(self.mapping.values())
         fixed: dict = {}
-        for k, v in self.mapping.items():
+        for k, v in zip(keys, values):
             v = sysm.proj_rep(v)
             # A root and its negative are one projective root: one image.
             if fixed.setdefault(sysm.proj_rep(k), v) != v:
@@ -564,12 +548,13 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     parity mismatch.
     """
     sysm = emb.system
-    src = RootSet(sysm, emb.source)
-    if not is_dynkin_shape(projective_diagram_of(sysm, src.members)):
+    view = _PiWalk(sysm, emb.source)
+    comps, multiset = view.split()
+    if multiset is None:
         raise NotPiSystem("Weyl membership is decided for Pi-system domains")
     model = core_group_model(sysm)
-    core = _perfect_moset(sysm, src.members)
-    schedule = _reduction_schedule(sysm, src.members, core)
+    core = view.moset(comps)
+    schedule = _reduction_schedule(sysm, emb.source, core)
     f_core = {n: emb.mapping[n] for n in core}
     word1, map1 = weyl_into_moset(sysm, core)
     word2, map2 = weyl_into_moset(sysm, tuple(f_core.values()))
@@ -647,26 +632,34 @@ class _PiWalk:
     colour classes, taken from the masks.  index maps the labels met so far
     to their codes, which count up in order of appearance, and sigs[c] is
     the signature of code c: its rank and the rank of its largest component.
+
+    Built on other sorted projective nodes, the same tables are the one
+    int-mask view of their diagram: split, dcounts and moset read the set of
+    every node as the walk reads a Pi-subset, and orbit_label, dn_tag,
+    is_weyl_embedding and _maximal_children label through them.
     """
 
-    def __init__(self, system: RootSystem):
+    def __init__(self, system: RootSystem, nodes: tuple[int, ...] | None = None):
         self.system = system
-        self.nodes = nodes = tuple(sorted(enhanced_basis(system).nodes))
+        if nodes is None:
+            nodes = tuple(sorted(enhanced_basis(system).nodes))
+        self.nodes = nodes
         n = len(nodes)
-        pos = range(n)
         self.adj = adj = _adjacency(system, nodes)
-        # plus[i]: the positions whose nodes pair to +1 with nodes[i].
-        self.plus = [
-            sum(1 << j for j in _bits(adj[i]) if system.cartan(nodes[i], nodes[j]) > 0) for i in pos
-        ]
         self.tagged = system.series == "D"
         if self.tagged:
-            support = [sum(1 << c for c in _support(system.roots[v])) for v in nodes]
-            twin = [sum(1 << j for j in pos if j != i and support[j] == support[i]) for i in pos]
-            around = [
-                [1 << a | 1 << b for a in _bits(adj[k]) for b in _bits(twin[a] & adj[k]) if a < b]
-                for k in pos
-            ]
+            covers = _support_masks(system)
+            support = [covers[v] for v in nodes]
+            owners: dict[int, int] = {}  # a support -> the positions with it
+            for i, cover in enumerate(support):
+                owners[cover] = owners.get(cover, 0) | 1 << i
+            # A node has at most one twin: the other sign on its coordinate pair.
+            twin = [owners[cover] & ~(1 << i) for i, cover in enumerate(support)]
+            around = [[] for _ in range(n)]
+            for a, t in enumerate(twin):
+                if t >> a > 1:  # each thick pair once, from its lower node
+                    for k in _bits(adj[a] & adj[t.bit_length() - 1]):
+                        around[k].append(1 << a | t)
             self.full = (1 << system.rank) - 1
         else:  # no tag outside the D series: the counts stay 0
             support, twin, around = [0] * n, [0] * n, [()] * n
@@ -695,10 +688,9 @@ class _PiWalk:
             if part is None or part.extended:
                 kind = None
             else:
-                if part not in self.kinds:
-                    self.kinds[part] = len(self.kinds)
-                    self.weights.append(1 << self.slot * self.kinds[part])
-                kind = self.kinds[part]
+                kind = self.kinds.setdefault(part, len(self.kinds))
+                if kind == len(self.weights):
+                    self.weights.append(1 << self.slot * kind)
             self.shapes[comp] = kind
         return kind
 
@@ -721,10 +713,35 @@ class _PiWalk:
                 d3 += (near & adj[t] & mask).bit_count()
         return d2, d3
 
-    def label_code(self, key: tuple, width: int, tag) -> int:
-        """Code of the label of a first-seen key, or -1 when tag is None and
-        the label needs the moset."""
-        multiset, d2, d3, _ = key
+    def split(self) -> tuple[list[int], int | None]:
+        """The component masks of the set of every node, and their shape
+        multiset: None unless every component is plain ADE."""
+        comps = _component_masks((1 << len(self.nodes)) - 1, self.adj)
+        kinds = [self.shape(comp) for comp in comps]
+        return comps, None if None in kinds else sum(self.weights[k] for k in kinds)
+
+    def dcounts(self) -> tuple[int, int, int]:
+        """(d2, d3, width) of the set of every node: dstep folded over the
+        nodes in order, and the union of their supports; all 0 outside the
+        D series."""
+        d2 = d3 = width = 0
+        for k in range(len(self.nodes) if self.tagged else 0):
+            s2, s3 = self.dstep(k, (1 << k) - 1)
+            d2 += s2
+            d3 += s3
+            width |= self.support[k]
+        return d2, d3, width
+
+    def moset(self, comps) -> tuple[int, ...]:
+        """The nodes of the perfect moset of a Pi-subset with component
+        masks comps: the larger colour class of each component."""
+        core = 0
+        for comp in comps:
+            core |= _larger_class(comp, self.adj)
+        return _mask_nodes(self.nodes, core)
+
+    def type_of(self, multiset: int) -> tuple:
+        """(parts, type text) of a shape multiset."""
         types = self.types
         if multiset not in types:
             count = (1 << self.slot) - 1
@@ -736,12 +753,19 @@ class _PiWalk:
                 )
             )
             types[multiset] = (ttype.parts, ttype.render())
-        parts, ttext = types[multiset]
+        return types[multiset]
+
+    def label_code(self, key: tuple, width: int, tag) -> int:
+        """Code of the label of a first-seen key, or -1 when tag is None and
+        the label needs the moset."""
+        multiset, d2, d3, _ = key
+        parts, ttext = self.type_of(multiset)
         counts = (d2, d3, width.bit_count())
         if tag is None and _needs_moset(self.system, parts, ttext, counts):
             return -1
         label = _label_of(self.system, ttext, counts, tag)
-        return self.enter(label, sum(p.rank for p in parts), parts[0].rank)  # parts[0] is the largest
+        # parts[0] is the largest; the empty set has none.
+        return self.enter(label, sum(p.rank for p in parts), parts[0].rank if parts else 0)
 
     def enter(self, label: OrbitLabel, rank: int, big: int) -> int:
         """Code of label; a new label joins index with the signature (rank,
@@ -760,10 +784,7 @@ class _PiWalk:
         if code is None:
             code = found[key] = self.label_code(key, width, None)
         if code < 0:
-            core = 0
-            for comp in comps:
-                core |= _larger_class(comp, self.adj)
-            tag = _moset_tag(self.system, self.types[key[0]][1], _mask_nodes(self.nodes, core))
+            tag = _moset_tag(self.system, self.types[key[0]][1], self.moset(comps))
             code = found.get((key, tag))
             if code is None:
                 code = found[key, tag] = self.label_code(key, width, tag)
@@ -834,27 +855,20 @@ class _PiWalk:
         return skipped
 
     def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
-        """(theta, its position or -1 off the diagram, the marks in position
+        """(theta, its position or -1 off the nodes, the marks in position
         order) of a component mask, memoised per mask: theta is the
         projective highest root of the subsystem it generates
         (rootsystem._highest_root), on the component's roots with the signs
         that make tree neighbours pair to -1."""
         top = self.tops.get(comp)
         if top is None:
-            system, nodes, adj, plus = self.system, self.nodes, self.adj, self.plus
-            # Sign flips travel along the tree: a neighbour of an unflipped
-            # node is flipped when the two pair to +1, one of a flipped node
-            # when they pair to -1.
-            flipped, seen = 0, comp & -comp
-            frontier = seen
-            while frontier:
-                grown = 0
-                for i in _bits(frontier):
-                    new = adj[i] & comp & ~seen
-                    flipped |= new & ~plus[i] if flipped >> i & 1 else new & plus[i]
-                    seen |= new
-                    grown |= new
-                frontier = grown
+            system, nodes, adj = self.system, self.nodes, self.adj
+            # A sign flips across each edge whose ends pair to +1.
+            plus = {
+                i: sum(1 << j for j in _bits(adj[i]) if system.cartan(nodes[i], nodes[j]) > 0)
+                for i in _bits(comp)
+            }
+            flipped = _tree_parity(comp, adj, plus)
             members = tuple(
                 system.negative(nodes[i]) if flipped >> i & 1 else nodes[i] for i in _bits(comp)
             )
@@ -896,8 +910,12 @@ class _PiWalk:
                 if at < 0:
                     counts[2] += 1
                     nodes = _child_nodes(_mask_nodes(self.nodes, mask), self.nodes[x], theta)
-                    big = max(map(len, components(self.system, nodes)))
-                    out.add(self.enter(_orbit_label(self.system, nodes), len(nodes), big))
+                    label = _orbit_label(self.system, nodes)
+                    code = self.index.get(label)
+                    if code is None:  # a new label: its signature from the child's tables
+                        big = max(c.bit_count() for c in _PiWalk(self.system, nodes).split()[0])
+                        code = self.enter(label, len(nodes), big)
+                    out.add(code)
                     continue
                 counts[1] += 1
                 t2, t3 = self.dstep(at, parent)
@@ -1083,39 +1101,18 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
     component, and removing one of a larger mark gives a proper subsystem
     (a maximal one when the mark is prime), so the extended child is given
     for marks of 2 or more; every node of a component of type A has mark 1.
-    The component's signs are fixed along its tree so that neighbours pair
-    to -1, which makes it the basis the marks refer to.  _PiWalk.child_codes
-    gives the same children on masks.
+    The marks are read off the nodes' view (_PiWalk.highest), whose signs
+    make tree neighbours pair to -1: the basis the marks refer to.
+    _PiWalk.child_codes gives the same children on the enhanced diagram.
     """
-    for comp in _signed_components(system, nodes):
-        theta, marks = _highest_root(system, tuple(comp.values()))
-        theta = system.proj_rep(theta)
-        for x, mark in zip(comp, marks):
+    view = _PiWalk(system, nodes)
+    for comp in view.split()[0]:
+        theta, _, marks = view.highest(comp)
+        for x, mark in zip(_bits(comp), marks):
             if len(nodes) > 1:
-                yield x, None
+                yield nodes[x], None
             if mark > 1:
-                yield x, theta
-
-
-def _signed_components(system: RootSystem, nodes: tuple[int, ...]) -> list[dict]:
-    """The components of a Pi-system on projective nodes, each a dict from
-    a node to its root with the sign that makes tree neighbours pair to -1."""
-    out: list[dict] = []
-    seen: set = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = {start: start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in nodes:
-                if y not in comp and system.cartan(x, y) != 0:
-                    comp[y] = system.negative(y) if system.cartan(comp[x], y) > 0 else y
-                    stack.append(y)
-        seen.update(comp)
-        out.append(comp)
-    return out
+                yield nodes[x], theta
 
 
 def _child_nodes(nodes: tuple[int, ...], x: int, theta: int | None) -> tuple[int, ...]:

@@ -229,8 +229,10 @@ def _label_key(label: str):
     return (1, int(label[1:]), 0)
 
 
-def _support(vec) -> frozenset:
-    return frozenset(i for i, x in enumerate(vec) if x != 0)
+@system_memo
+def _support_masks(system: RootSystem) -> tuple[int, ...]:
+    """Row i is the int mask of the coordinates that root i touches."""
+    return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in system.roots)
 
 
 def _path(adj, prev, cur) -> list:
@@ -258,11 +260,8 @@ def _name_basis(system: RootSystem) -> dict:
         for k, node in enumerate(_path(adj, None, start), start=1):
             names[node] = str(k)
     elif system.series == "D":
-        twins = [
-            (a, b)
-            for a, b in combinations(basis, 2)
-            if _support(system.roots[a]) == _support(system.roots[b])
-        ]
+        support = _support_masks(system)
+        twins = [(a, b) for a, b in combinations(basis, 2) if support[a] == support[b]]
         if len(twins) != 1:
             raise InvariantViolation(f"{len(twins)} twin pairs in the basis of {system.name}")
         a, b = twins[0]
@@ -320,14 +319,10 @@ def _name_added(system: RootSystem, nodes, names) -> dict:
             raise InvariantViolation(f"the completion of {system.name} added nodes")
         return names
     if system.series == "D":
-        support_of = {n: _support(system.roots[n]) for n in nodes}
+        support = _support_masks(system)
         for n in added:
             twin = _unique(
-                [
-                    x
-                    for x in nodes
-                    if x != n and x in names and support_of[x] == support_of[n]
-                ],
+                [x for x in nodes if x != n and x in names and support[x] == support[n]],
                 f"support twin of an extra node in {system.name}",
             )
             names[n] = names[twin] + "'"
@@ -403,7 +398,7 @@ def enhanced_basis(system: RootSystem, policy: str = "least") -> EnhancedBasis:
     superset either way, so both policies give the same nodes; only the
     names of the added nodes may differ.
     """
-    if len(components(system, tuple(range(len(system.roots))))) != 1:
+    if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducible("enhanced bases are defined for irreducible systems")
     base_names = _name_basis(system)
     temp = dict(base_names)

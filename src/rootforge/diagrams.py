@@ -160,11 +160,12 @@ def _bits(mask: int) -> list[int]:
 def _adjacency(system: RootSystem, nodes) -> list[int]:
     """Row i is the int mask of the positions j != i whose nodes[j] is not
     orthogonal to nodes[i]: the projective diagram of nodes on positions."""
-    pos = range(len(nodes))
-    return [
-        sum(1 << j for j in pos if j != i and system.cartan(nodes[i], nodes[j]) != 0)
-        for i in pos
-    ]
+    adj = [0] * len(nodes)
+    for (i, a), (j, b) in combinations(enumerate(nodes), 2):
+        if system.cartan(a, b):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
 
 
 def _component_masks(mask: int, adj) -> list[int]:
@@ -182,6 +183,25 @@ def _component_masks(mask: int, adj) -> list[int]:
         out.append(comp)
         mask &= ~comp
     return out
+
+
+def _tree_parity(comp: int, adj, flip) -> int:
+    """Int mask of the positions of a tree component comp at odd parity
+    from its lowest position, where the parity changes across the edge from
+    position i to j exactly when bit j of flip[i] is set; adj[i] is the int
+    mask of the neighbours of position i.  With flip = adj the two parities
+    are the colour classes."""
+    odd = 0
+    seen = frontier = comp & -comp
+    while frontier:
+        grown = 0
+        for i in _bits(frontier):
+            new = adj[i] & comp & ~seen
+            odd |= new & ~flip[i] if odd >> i & 1 else new & flip[i]
+            seen |= new
+            grown |= new
+        frontier = grown
+    return odd
 
 
 def _graph_view(d: Diagram | ProjectiveDiagram):

@@ -9,9 +9,10 @@ from .diagrams import (
     _adjacency,
     _bits,
     _component_masks,
-    component_type,
+    _tree_parity,
     is_dynkin_shape,
     projective_diagram_of,
+    subsystem_type,
 )
 from .errors import (
     InvariantViolation,
@@ -63,14 +64,13 @@ def mu(system: RootSystem) -> int:
     """Common cardinality of the mosets of an irreducible system.
 
     Computed from the series formula and cross-checked against the
-    recursion through the orthogonal complement of a root.
+    recursion through the orthogonal complement of a root, whose type
+    names its components.
     """
     value = _mu_formula(system.series, system.rank)
     alpha = system.simple_basis[0]
     psi = orthogonal_complement(system, (alpha,), tuple(range(len(system.roots))))
-    recursed = 1 + sum(
-        _mu_of_component(system, comp) for comp in components(system, psi)
-    ) if psi else 1
+    recursed = 1 + sum(_mu_formula(p.series, p.rank) for p in subsystem_type(system, psi).parts)
     if value != recursed:
         raise InvariantViolation("moset cardinality recursion failed")
     return value
@@ -82,11 +82,6 @@ def _mu_formula(series: str, rank: int) -> int:
     if series == "D":
         return 2 * (rank // 2)
     return {6: 4, 7: 7, 8: 8}[rank]
-
-
-def _mu_of_component(system: RootSystem, comp: tuple[int, ...]) -> int:
-    part = component_type(system, comp)
-    return _mu_formula(part.series, part.rank)
 
 
 def perfect_moset(rs: RootSet) -> Moset:
@@ -101,37 +96,19 @@ def perfect_moset(rs: RootSet) -> Moset:
     nodes = sysm.projective(rs.members)
     if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
-    return Moset(sysm, _perfect_moset(sysm, nodes), tuple(rs.members))
-
-
-def _perfect_moset(system: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    """Members of perfect_moset for projective nodes already known to form
-    a Pi-system, for callers that have just classified their diagram."""
-    nodes = sorted(nodes)
-    adj = _adjacency(system, nodes)
+    adj = _adjacency(sysm, nodes)
     core = 0
     for comp in _component_masks((1 << len(nodes)) - 1, adj):
         core |= _larger_class(comp, adj)
-    return tuple(nodes[i] for i in _bits(core))
+    return Moset(sysm, tuple(nodes[i] for i in _bits(core)), tuple(rs.members))
 
 
 def _larger_class(comp: int, adj) -> int:
     """The perfect moset's share of one component of a Pi-system diagram,
     given as an int mask over positions whose neighbour masks are adj: the
-    larger colour class, ties going to the class of the lowest position.
-    Colours alternate with the distance from that position."""
-    classes = [comp & -comp, 0]
-    seen = frontier = classes[0]
-    side = 0
-    while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= adj[i]
-        frontier = reach & comp & ~seen
-        seen |= frontier
-        side ^= 1
-        classes[side] |= frontier
-    low, high = classes
+    larger colour class, ties going to the class of the lowest position."""
+    high = _tree_parity(comp, adj, adj)
+    low = comp & ~high
     return low if low.bit_count() >= high.bit_count() else high
 
 
@@ -167,7 +144,7 @@ def all_mosets_conjugate_check(system: RootSystem, cap: int = 10**6) -> bool:
     generator orbit walk that they form a single Weyl orbit."""
     if len(system.roots) > 130:
         raise OracleCapExceeded("moset conjugacy scan is limited to small ranks")
-    if len(components(system, tuple(range(len(system.roots))))) != 1:
+    if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducible("moset conjugacy check expects an irreducible system")
     mosets = all_mosets(system)
     m = mu(system)

@@ -9,6 +9,7 @@ length 8, and the Cartan pairing of roots a, b is dot(a, b) // 4.
 from __future__ import annotations
 
 import inspect
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
@@ -97,12 +98,18 @@ class RootSystem:
             self._reflect[(i, j)] = out
         return out
 
-    def check_indices(self, ordered) -> None:
-        """NoSuchRoot unless the sorted indices ordered all index roots of
-        the system; a negative index would wrap to the end of the table."""
-        if ordered and (ordered[0] < 0 or ordered[-1] >= len(self.roots)):
-            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+    def check_indices(self, indices) -> list[int]:
+        """The indices as ints; NoSuchRoot unless each one is an integer
+        that indexes a root of the system.  A negative index would wrap to
+        the end of the table."""
+        try:
+            out = list(map(operator.index, indices))
+        except TypeError as exc:
+            raise NoSuchRoot(f"{self.name} has no root with a non-integer index: {exc}") from None
+        if out and not 0 <= min(out) <= max(out) < len(self.roots):
+            bad = min(out) if min(out) < 0 else max(out)
             raise NoSuchRoot(f"{self.name} has no root with index {bad}")
+        return out
 
     def proj_rep(self, i: int) -> int:
         """Canonical representative of the projective root {r_i, -r_i}.
@@ -152,8 +159,7 @@ class RootSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(set(self.members)))
-        self.system.check_indices(members)
+        members = tuple(sorted(set(self.system.check_indices(self.members))))
         object.__setattr__(self, "members", members)
 
     @property
@@ -302,42 +308,6 @@ def reflect(system: RootSystem, beta: int, alpha: int) -> int:
     return system.reflect(beta, alpha)
 
 
-def walk(start, neighbours) -> dict:
-    """Every node reachable from start, mapped to the parity of its depth in
-    the walk: its distance parity when the graph is bipartite, as the
-    diagrams of Pi-systems are.
-
-    neighbours(node, seen) returns the neighbours of node that are not yet
-    keys of seen; skipping them there keeps the walk from testing an edge
-    into a visited node.
-    """
-    seen = {start: 0}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        side = 1 - seen[node]
-        for nxt in neighbours(node, seen):
-            seen[nxt] = side
-            stack.append(nxt)
-    return seen
-
-
-def cartan_neighbours(system: RootSystem, pool):
-    """The neighbours function of `walk` for the non-orthogonality graph on
-    pool.  A node it returns has been reached and leaves the pool, so each
-    later call, in this walk or a later one over the same pool, scans only
-    the nodes no walk has reached yet."""
-    rest = dict.fromkeys(pool)
-
-    def neighbours(cur, seen):
-        found = [x for x in rest if x not in seen and system.cartan(cur, x) != 0]
-        for x in found:
-            del rest[x]
-        return found
-
-    return neighbours
-
-
 @system_memo
 def cartan_links(system: RootSystem) -> tuple[int, ...]:
     """Row i is an int mask of the roots not orthogonal to root i, itself
@@ -357,15 +327,24 @@ def positive_mask(system: RootSystem) -> int:
 
 
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components under the non-orthogonality relation."""
-    neighbours = cartan_neighbours(system, members)
-    seen: set[int] = set()
+    """Connected components under the non-orthogonality relation, in the
+    order of their first members.  A member that a walk reaches leaves the
+    pool, so each step scans only the members no walk has reached yet."""
+    pool = dict.fromkeys(members)
     out = []
     for start in members:
-        if start not in seen:
-            comp = walk(start, neighbours)
-            seen.update(comp)
-            out.append(tuple(sorted(comp)))
+        if start not in pool:
+            continue
+        del pool[start]
+        comp, stack = [start], [start]
+        while stack:
+            cur = stack.pop()
+            found = [x for x in pool if system.cartan(cur, x) != 0]
+            for x in found:
+                del pool[x]
+            comp += found
+            stack += found
+        out.append(tuple(sorted(comp)))
     return out
 
 
@@ -466,7 +445,7 @@ def theta_component(system: RootSystem, o: tuple[int, ...]) -> tuple[int, ...]:
     for a, b in combinations(o, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("theta component needs an orthogonal subset")
-    if len(components(system, tuple(range(len(system.roots))))) != 1:
+    if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducibleParent("theta component needs an irreducible parent")
     psi = orthogonal_complement(system, o, tuple(range(len(system.roots))))
     big = [c for c in components(system, psi) if len(c) > 2]

@@ -74,6 +74,30 @@ def test_dn_tag_statistics():
         assert not dn_tag(RootSet(d5, subset)).distinguished
 
 
+def test_d_counts_agree_with_the_reference():
+    # The walk and dn_tag fold dstep over int masks; the reference counts
+    # pairs directly.  Weyl images of the Pi-subsets lie off the diagram.
+    from dn_reference import dn_counts
+    from rootforge.classify import _PiWalk, _apply, _mask_nodes
+
+    rng = random.Random(15)
+    for rank in range(4, 11):
+        s = build_root_system("D", rank)
+        walk, seen = _PiWalk(s), []
+        walk.run(lambda mask, code, comps, multiset, d2, d3, width: seen.append((mask, (d2, d3, width.bit_count()))))
+        subsets = []
+        for mask, counts in seen:
+            nodes = _mask_nodes(walk.nodes, mask)
+            tag = dn_tag(RootSet(s, nodes))
+            assert counts == (tag.d2, tag.d3, tag.width) == dn_counts(s, nodes), (s.name, nodes)
+            subsets.append(nodes)
+        for nodes in rng.choices(subsets, k=300):
+            word = [rng.randrange(len(s.roots)) for _ in range(rng.randint(1, 8))]
+            image = s.projective(_apply(s, word, n) for n in nodes)
+            tag = dn_tag(RootSet(s, image))
+            assert (tag.d2, tag.d3, tag.width) == dn_counts(s, image), (s.name, image)
+
+
 def test_orbit_label_rendering():
     d6 = build_root_system("D", 6)
     eb = enhanced_basis(d6)
@@ -460,10 +484,12 @@ def test_a_root_and_its_negative_get_one_image():
 def test_root_indices_out_of_range_are_refused():
     d4 = build_root_system("D", 4)
     last = len(d4.roots) - 1
-    for members in [(999,), (-1,), (0, last + 1)]:
+    # Every index is checked, before any sorting: a wrong type in the middle
+    # of the set is caught as well as one at an end.
+    for members in [(999,), (-1,), (0, last + 1), (1.5,), ("3",), (0, 2.0, last), (0, "5", last), (0, None, 1)]:
         with pytest.raises(NoSuchRoot):
             orbit_label(RootSet(d4, members))
-    for mapping in [{999: 1}, {1: 999}, {-1: 1}, {1: -1}]:
+    for mapping in [{999: 1}, {1: 999}, {-1: 1}, {1: -1}, {1.5: 1}, {1: "2"}, {0: 0, "1": 1, 2: 2}, {0: 0, 1: 1.0}]:
         with pytest.raises(NoSuchRoot):
             EmbeddingMap(d4, mapping)
     assert RootSet(d4, (last, 0)).members == (0, last)
@@ -841,14 +867,17 @@ def test_fresh_label_classifies_its_diagram_once(monkeypatch):
     from rootforge import classify, diagrams
     from rootforge.rootsystem import RootSystem
 
+    # One shape recognition per component of a label not computed before.
     fresh = RootSystem("E", 6, list(build_root_system("E", 6).roots), 8)
-    subset = enhanced_basis(fresh).subset(["1", "3", "4"])
-    original = diagrams.classify_components
+    eb = enhanced_basis(fresh)
+    original = diagrams._classify_one
     seen = []
     for module in (classify, diagrams):
-        monkeypatch.setattr(module, "classify_components", lambda d: seen.append(d) or original(d))
-    assert orbit_label(RootSet(fresh, subset)).render() == "A3"
-    assert len(seen) == 1
+        monkeypatch.setattr(module, "_classify_one", lambda *args: seen.append(args) or original(*args))
+    for names, text, parts in [(["1", "3", "4"], "A3", 1), (["1", "3", "5", "6"], "2A2", 2)]:
+        seen.clear()
+        assert orbit_label(RootSet(fresh, eb.subset(names))).render() == text
+        assert len(seen) == parts, names
 
 
 def test_both_completion_policies_give_the_same_pi_subsets():
