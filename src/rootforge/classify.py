@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .completion import EnhancedBasis, _support_masks, enhanced_basis
+from .completion import EnhancedBasis, enhanced_basis
 from .coregroups import (
     SPECIAL_SIZES,
     core_group_model,
@@ -24,15 +24,14 @@ from .coregroups import (
 )
 from .diagrams import (
     TypeLabel,
-    _adjacency,
+    _NodeView,
     _bits,
     _classify_one,
     _component_masks,
-    _tree_parity,
-    classify_components,
+    _embeddings,
+    _mask_nodes,
     projective_diagram_of,
     subsystem_type,  # re-exported, as is subsystem_basis below
-    _embeddings,
 )
 from .errors import (
     InvariantViolation,
@@ -41,15 +40,12 @@ from .errors import (
     NotInEnhancedBasis,
     NotOrthogonal,
     NotPiSystem,
-    UnrecognizedComponent,
     Unsupported,
 )
-from .mosets import _larger_class
 from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
     RootSystem,
-    _highest_root,
     build_root_system,
     cartan_links,
     components,
@@ -69,8 +65,12 @@ _SPECIAL = {"E7": E7_SPECIAL, "E8": E8_SPECIAL}
 
 
 def pi_type(system: RootSystem, members) -> TypeLabel:
-    """Isomorphism type of a Pi-system (the type of its diagram)."""
-    return classify_components(projective_diagram_of(system, members))
+    """Isomorphism type of a Pi-system (the type of its diagram); of other
+    sets the type of their diagram when each component is ADE or extended
+    ADE, and UnrecognizedComponent otherwise."""
+    view = _NodeView(system, system.projective(system.check_indices(members)))
+    comps = _component_masks((1 << len(view.nodes)) - 1, view.adj)
+    return TypeLabel(tuple(_classify_one(comp, view.adj) for comp in comps))
 
 
 def significant_part(rs: RootSet) -> RootSet:
@@ -119,23 +119,9 @@ def dn_tag(rs: RootSet) -> DnTag:
     sysm = rs.system
     if sysm.series != "D":
         raise Unsupported(f"D-series tags are defined in D systems, not {sysm.name}")
-    view = _PiWalk(sysm, sysm.projective(rs.members))
-    d2, d3, width = view.dcounts()
-    side = None
-    # Only thin sets of full width can be distinguished; only they need the type.
-    if d2 == 0 and width == view.full:
-        comps, multiset = view.split()
-        if multiset is None:
-            raise NotPiSystem("D-series tags are defined for Pi-systems")
-        parts, ttext = view.type_of(multiset)
-        if _needs_moset(sysm, parts, ttext, (d2, d3, sysm.rank)):
-            side = _side(sysm, view.moset(comps))
-    return DnTag(d2, d3, d2 == 0, width.bit_count(), side is not None, side)
-
-
-def _side(sysm: RootSystem, core) -> int:
-    """Side bit of a distinguished set whose perfect moset is core."""
-    return sum(1 for i in core if _sum_form(sysm.roots[i])) % 2
+    _, (d2, d3, width), tag = _label_data(sysm, sysm.projective(rs.members), "D-series tags")
+    side = None if tag is None else tag[0]
+    return DnTag(d2, d3, d2 == 0, width, tag is not None, side)
 
 
 # -- orbit labels --------------------------------------------------------------
@@ -181,16 +167,25 @@ def orbit_label(rs: RootSet) -> OrbitLabel:
 
 @system_memo
 def _orbit_label(sysm: RootSystem, nodes: tuple[int, ...]) -> OrbitLabel:
-    """orbit_label of the sorted projective nodes, read off their view
-    (_PiWalk on the nodes) as the walk labels a Pi-subset: each component
-    is classified once."""
-    view = _PiWalk(sysm, nodes)
+    """orbit_label of the sorted projective nodes."""
+    return _label_of(sysm, *_label_data(sysm, nodes, "orbit labels"))
+
+
+def _label_data(sysm: RootSystem, nodes: tuple[int, ...], what: str) -> tuple:
+    """(type text, D counts (d2, d3, width), _moset_tag or None) of a
+    Pi-system on sorted projective nodes, read off their view as the walk
+    reads a Pi-subset: each component is classified once.  NotPiSystem,
+    naming what is defined, for any other set."""
+    view = _NodeView(sysm, nodes)
     comps, multiset = view.split()
     if multiset is None:
-        raise NotPiSystem("orbit labels are defined for Pi-systems")
+        raise NotPiSystem(f"{what} are defined for Pi-systems")
     d2, d3, width = view.dcounts()
-    code = view.code((multiset, d2, d3, width == view.full), comps, width)
-    return list(view.index)[code]
+    parts, ttext = view.type_of(multiset)
+    counts = (d2, d3, width.bit_count())
+    if not _needs_moset(sysm, parts, ttext, counts):
+        return ttext, counts, None
+    return ttext, counts, _moset_tag(sysm, ttext, view.moset(comps))
 
 
 def _needs_moset(sysm: RootSystem, parts, ttext: str | None, counts) -> bool:
@@ -209,10 +204,11 @@ def _needs_moset(sysm: RootSystem, parts, ttext: str | None, counts) -> bool:
 
 def _moset_tag(sysm: RootSystem, ttext: str, core) -> tuple:
     """The label data read off the perfect moset core of a Pi-system of
-    type ttext for which _needs_moset holds: (side,) in a D system,
-    (charge, parity) in E7 and E8."""
+    type ttext for which _needs_moset holds: (side,) in a D system, the
+    parity of the number of its sum-form members (dn_tag), and (charge,
+    parity) in E7 and E8."""
     if sysm.series == "D":
-        return (_side(sysm, core),)
+        return (sum(1 for i in core if _sum_form(sysm.roots[i])) % 2,)
     charge, expected = len(core), _SPECIAL[sysm.name][ttext]
     if charge != expected:
         raise InvariantViolation(
@@ -515,25 +511,22 @@ class WeylDecision:
         return perm_from_word(system, self.witness_word)
 
 
-def _reduction_schedule(system: RootSystem, members, core):
-    """Deletion order (a, e) peeling the set down to its perfect moset:
-    at each step a is the unique neighbor of an end e that lies in the
-    core, and a is removed."""
-    current = set(members)
-    out = []
-    while current != set(core):
-        step = None
-        for e in sorted(current & set(core)):
-            nbrs = [
-                x for x in current if x != e and system.cartan(e, x) != 0
-            ]
-            if len(nbrs) == 1 and nbrs[0] not in core:
-                step = (nbrs[0], e)
+def _reduction_schedule(view: _NodeView, core) -> list:
+    """Deletion order (a, e) peeling the view's nodes down to their perfect
+    moset core: at each step a is the unique neighbor of an end e that lies
+    in the core, and a is removed."""
+    nodes, adj = view.nodes, view.adj
+    keep = sum(1 << nodes.index(c) for c in core)
+    current, out = (1 << len(nodes)) - 1, []
+    while current != keep:
+        for e in _bits(current & keep):
+            near = adj[e] & current
+            if near & (near - 1) == 0 and near & ~keep:
                 break
-        if step is None:
+        else:
             raise InvariantViolation("reduction stalled before the perfect moset")
-        current.discard(step[0])
-        out.append(step)
+        current &= ~near
+        out.append((nodes[near.bit_length() - 1], nodes[e]))
     return out
 
 
@@ -548,13 +541,13 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     parity mismatch.
     """
     sysm = emb.system
-    view = _PiWalk(sysm, emb.source)
+    view = _NodeView(sysm, emb.source)
     comps, multiset = view.split()
     if multiset is None:
         raise NotPiSystem("Weyl membership is decided for Pi-system domains")
     model = core_group_model(sysm)
     core = view.moset(comps)
-    schedule = _reduction_schedule(sysm, emb.source, core)
+    schedule = _reduction_schedule(view, core)
     f_core = {n: emb.mapping[n] for n in core}
     word1, map1 = weyl_into_moset(sysm, core)
     word2, map2 = weyl_into_moset(sysm, tuple(f_core.values()))
@@ -603,157 +596,37 @@ def _join_root(system: RootSystem, a: int, b: int) -> int:
 # -- orbit enumeration over the enhanced diagram --------------------------------
 
 
-def _mask_nodes(nodes: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """The nodes[i] for the set bits i of mask, in order."""
-    return tuple(nodes[i] for i in _bits(mask))
-
-
 class _Closed(Exception):
     """Raised by a visitor of _PiWalk.run to end the walk."""
 
 
-class _PiWalk:
+class _PiWalk(_NodeView):
     """The depth-first walk over the Pi-subsets of the enhanced diagram, the
-    only one, with the state that labels them.
+    only one, with the state that labels them, on the view of the diagram's
+    sorted nodes.
 
-    A subset is an int mask whose bit i stands for nodes[i].  Pi-ness is
-    closed under taking subsets, so growth over sorted nodes that stops at
-    each candidate that is not a Pi-system visits exactly the family, in
-    lexicographic order.  The walk keeps the components of a subset as int
-    masks.  A new node merges exactly the components it touches, so only
-    the merged one is classified, once per component mask, and one that is
-    not plain ADE prunes the candidate.  The multiset of component shapes
-    is an int with one count per shape.  In a D system the tag counts grow
-    along by dstep.
+    Pi-ness is closed under taking subsets, so growth over sorted nodes
+    that stops at each candidate that is not a Pi-system visits exactly the
+    family, in lexicographic order.  The walk keeps the components of a
+    subset as int masks.  A new node merges exactly the components it
+    touches, so only the merged one is classified, once per component mask,
+    and one that is not plain ADE prunes the candidate.  In a D system the
+    tag counts grow along by dstep.
 
     A label depends only on the key (shape multiset, d2, d3, full width),
     and on the perfect moset when _needs_moset holds, so each such key is
-    labelled once.  The moset is then the union of the components' larger
-    colour classes, taken from the masks.  index maps the labels met so far
-    to their codes, which count up in order of appearance, and sigs[c] is
-    the signature of code c: its rank and the rank of its largest component.
-
-    Built on other sorted projective nodes, the same tables are the one
-    int-mask view of their diagram: split, dcounts and moset read the set of
-    every node as the walk reads a Pi-subset, and orbit_label, dn_tag,
-    is_weyl_embedding and _maximal_children label through them.
+    labelled once.  index maps the labels met so far to their codes, which
+    count up in order of appearance, and sigs[c] is the signature of code
+    c: its rank and the rank of its largest component.
     """
 
-    def __init__(self, system: RootSystem, nodes: tuple[int, ...] | None = None):
-        self.system = system
-        if nodes is None:
-            nodes = tuple(sorted(enhanced_basis(system).nodes))
-        self.nodes = nodes
-        n = len(nodes)
-        self.adj = adj = _adjacency(system, nodes)
-        self.tagged = system.series == "D"
-        if self.tagged:
-            covers = _support_masks(system)
-            support = [covers[v] for v in nodes]
-            owners: dict[int, int] = {}  # a support -> the positions with it
-            for i, cover in enumerate(support):
-                owners[cover] = owners.get(cover, 0) | 1 << i
-            # A node has at most one twin: the other sign on its coordinate pair.
-            twin = [owners[cover] & ~(1 << i) for i, cover in enumerate(support)]
-            around = [[] for _ in range(n)]
-            for a, t in enumerate(twin):
-                if t >> a > 1:  # each thick pair once, from its lower node
-                    for k in _bits(adj[a] & adj[t.bit_length() - 1]):
-                        around[k].append(1 << a | t)
-            self.full = (1 << system.rank) - 1
-        else:  # no tag outside the D series: the counts stay 0
-            support, twin, around = [0] * n, [0] * n, [()] * n
-            self.full = -1
-        self.support, self.twin, self.around = support, twin, around
-        self.slot = n.bit_length()  # bits per shape count: a subset has at most n components
-        self.kinds: dict = {}  # component shape -> its index, in order of appearance
-        self.weights: list[int] = []  # index -> the multiset of one component of that shape
-        self.shapes: dict[int, int | None] = {}  # component mask -> index of its shape
-        self.types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
+    def __init__(self, system: RootSystem):
+        super().__init__(system, tuple(sorted(enhanced_basis(system).nodes)))
         # key -> label code, or -1 when the label needs the moset; such a key
         # is then looked up again with its moset tag.
         self.found: dict[tuple, int] = {}
         self.index: dict[OrbitLabel, int] = {}
         self.sigs: list[tuple[int, int]] = []
-        self.tops: dict[int, tuple] = {}  # component mask -> highest(comp)
-
-    def shape(self, comp: int) -> int | None:
-        """Index of the shape of a component mask; None unless plain ADE."""
-        kind = self.shapes.get(comp, -1)
-        if kind == -1:
-            try:
-                part = _classify_one(comp, self.adj)
-            except UnrecognizedComponent:
-                part = None
-            if part is None or part.extended:
-                kind = None
-            else:
-                kind = self.kinds.setdefault(part, len(self.kinds))
-                if kind == len(self.weights):
-                    self.weights.append(1 << self.slot * kind)
-            self.shapes[comp] = kind
-        return kind
-
-    def dstep(self, k: int, mask: int) -> tuple[int, int]:
-        """The (d2, d3) that node k adds to the D counts of mask, which does
-        not hold k; removing k from mask | 1 << k takes it off again.  Node k
-        makes a thick pair with each twin t (same coordinate support) in
-        mask, counted in d3 once per common neighbour of k and t, and is a
-        new common neighbour of each thick pair around it."""
-        d2 = d3 = 0
-        for pair in self.around[k]:
-            if pair & mask == pair:
-                d3 += 1
-        twins = self.twin[k] & mask
-        if twins:
-            adj = self.adj
-            near = adj[k]
-            for t in _bits(twins):
-                d2 += 1
-                d3 += (near & adj[t] & mask).bit_count()
-        return d2, d3
-
-    def split(self) -> tuple[list[int], int | None]:
-        """The component masks of the set of every node, and their shape
-        multiset: None unless every component is plain ADE."""
-        comps = _component_masks((1 << len(self.nodes)) - 1, self.adj)
-        kinds = [self.shape(comp) for comp in comps]
-        return comps, None if None in kinds else sum(self.weights[k] for k in kinds)
-
-    def dcounts(self) -> tuple[int, int, int]:
-        """(d2, d3, width) of the set of every node: dstep folded over the
-        nodes in order, and the union of their supports; all 0 outside the
-        D series."""
-        d2 = d3 = width = 0
-        for k in range(len(self.nodes) if self.tagged else 0):
-            s2, s3 = self.dstep(k, (1 << k) - 1)
-            d2 += s2
-            d3 += s3
-            width |= self.support[k]
-        return d2, d3, width
-
-    def moset(self, comps) -> tuple[int, ...]:
-        """The nodes of the perfect moset of a Pi-subset with component
-        masks comps: the larger colour class of each component."""
-        core = 0
-        for comp in comps:
-            core |= _larger_class(comp, self.adj)
-        return _mask_nodes(self.nodes, core)
-
-    def type_of(self, multiset: int) -> tuple:
-        """(parts, type text) of a shape multiset."""
-        types = self.types
-        if multiset not in types:
-            count = (1 << self.slot) - 1
-            ttype = TypeLabel(
-                tuple(
-                    p
-                    for p, i in self.kinds.items()
-                    for _ in range(multiset >> self.slot * i & count)
-                )
-            )
-            types[multiset] = (ttype.parts, ttype.render())
-        return types[multiset]
 
     def label_code(self, key: tuple, width: int, tag) -> int:
         """Code of the label of a first-seen key, or -1 when tag is None and
@@ -854,30 +727,6 @@ class _PiWalk:
             del grow
         return skipped
 
-    def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
-        """(theta, its position or -1 off the nodes, the marks in position
-        order) of a component mask, memoised per mask: theta is the
-        projective highest root of the subsystem it generates
-        (rootsystem._highest_root), on the component's roots with the signs
-        that make tree neighbours pair to -1."""
-        top = self.tops.get(comp)
-        if top is None:
-            system, nodes, adj = self.system, self.nodes, self.adj
-            # A sign flips across each edge whose ends pair to +1.
-            plus = {
-                i: sum(1 << j for j in _bits(adj[i]) if system.cartan(nodes[i], nodes[j]) > 0)
-                for i in _bits(comp)
-            }
-            flipped = _tree_parity(comp, adj, plus)
-            members = tuple(
-                system.negative(nodes[i]) if flipped >> i & 1 else nodes[i] for i in _bits(comp)
-            )
-            theta, marks = _highest_root(system, members)
-            theta = system.proj_rep(theta)
-            at = nodes.index(theta) if theta in nodes else -1
-            top = self.tops[comp] = (theta, at, marks)
-        return top
-
     def child_codes(self, mask: int, comps, multiset: int, d2: int, d3: int, width: int, counts: list) -> set:
         """Codes of the maximal children (_maximal_children) of the Pi-subset
         mask, whose walk state is comps, multiset, d2, d3 and width.
@@ -913,7 +762,7 @@ class _PiWalk:
                     label = _orbit_label(self.system, nodes)
                     code = self.index.get(label)
                     if code is None:  # a new label: its signature from the child's tables
-                        big = max(c.bit_count() for c in _PiWalk(self.system, nodes).split()[0])
+                        big = max(c.bit_count() for c in _NodeView(self.system, nodes).split()[0])
                         code = self.enter(label, len(nodes), big)
                     out.add(code)
                     continue
@@ -1101,11 +950,11 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
     component, and removing one of a larger mark gives a proper subsystem
     (a maximal one when the mark is prime), so the extended child is given
     for marks of 2 or more; every node of a component of type A has mark 1.
-    The marks are read off the nodes' view (_PiWalk.highest), whose signs
+    The marks are read off the nodes' view (_NodeView.highest), whose signs
     make tree neighbours pair to -1: the basis the marks refer to.
     _PiWalk.child_codes gives the same children on the enhanced diagram.
     """
-    view = _PiWalk(system, nodes)
+    view = _NodeView(system, nodes)
     for comp in view.split()[0]:
         theta, _, marks = view.highest(comp)
         for x, mark in zip(_bits(comp), marks):

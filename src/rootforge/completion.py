@@ -22,7 +22,7 @@ from .errors import (
     RootForgeError,
     Unsupported,
 )
-from .rootsystem import RootSet, RootSystem, _highest_root, components, system_memo
+from .rootsystem import RootSet, RootSystem, _highest_root, _support_masks, components, system_memo
 
 
 # -- D4 stars and extension roots -----------------------------------------
@@ -227,12 +227,6 @@ def _label_key(label: str):
     if label.isdigit():
         return (0, int(label), 0)
     return (1, int(label[1:]), 0)
-
-
-@system_memo
-def _support_masks(system: RootSystem) -> tuple[int, ...]:
-    """Row i is the int mask of the coordinates that root i touches."""
-    return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in system.roots)
 
 
 def _path(adj, prev, cur) -> list:

@@ -14,7 +14,14 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import NotIrreducible, NotPiSystem, TooLarge, UnrecognizedComponent
-from .rootsystem import RootSet, RootSystem, _highest_root, components, subsystem_basis
+from .rootsystem import (
+    RootSet,
+    RootSystem,
+    _highest_root,
+    _support_masks,
+    components,
+    subsystem_basis,
+)
 
 MAX_NODES = 64
 
@@ -303,27 +310,24 @@ def _classify_one(comp: int, adj, quads: int = 0) -> Irreducible:
     raise UnrecognizedComponent("tree with more than one branching node")
 
 
-def dynkin_type(d: ProjectiveDiagram) -> TypeLabel | None:
-    """The type of d when every component is a plain (non-extended) ADE
-    diagram, and None otherwise."""
-    try:
-        label = classify_components(d)
-    except UnrecognizedComponent:
-        return None
-    return None if any(p.extended for p in label.parts) else label
-
-
 def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
     """True iff every component is a plain (non-extended) ADE diagram."""
-    return dynkin_type(d) is not None
+    adj, quads = _graph_view(d)
+    try:
+        parts = [_classify_one(comp, adj, quads) for comp in _component_masks((1 << len(adj)) - 1, adj)]
+    except UnrecognizedComponent:
+        return False
+    return not any(p.extended for p in parts)
 
 
 def subsystem_type(system: RootSystem, members) -> TypeLabel:
     """Isomorphism type of a closed subsystem."""
     if not members:
         return TypeLabel(())
-    basis = subsystem_basis(system, members)
-    return classify_components(projective_diagram_of(system, basis))
+    basis = subsystem_basis(system, system.check_indices(members))
+    adj = _NodeView(system, basis).adj
+    comps = _component_masks((1 << len(basis)) - 1, adj)
+    return TypeLabel(tuple(_classify_one(comp, adj) for comp in comps))
 
 
 def component_type(system: RootSystem, comp) -> Irreducible:
@@ -331,6 +335,167 @@ def component_type(system: RootSystem, comp) -> Irreducible:
     if len(label.parts) != 1:
         raise NotIrreducible(f"expected an irreducible subsystem, got {label.render()}")
     return label.parts[0]
+
+
+# -- the int-mask view of a node set ------------------------------------------
+
+
+def _mask_nodes(nodes: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The nodes[i] for the set bits i of mask, in order."""
+    return tuple(nodes[i] for i in _bits(mask))
+
+
+class _NodeView:
+    """The projective diagram of sorted projective nodes as int-mask tables:
+    the one way a node set is read.  The walk over Pi-subsets
+    (classify._PiWalk) is built on it; orbit labels, D tags, perfect mosets,
+    Pi-system types and maximal children read their own nodes through it.
+    Callers check the indices first (RootSet, RootSystem.check_indices).
+
+    Bit i of a mask stands for nodes[i], and adj[i] masks the neighbours of
+    position i.  shape classifies a component mask once; a shape multiset
+    is an int with one count per shape.  In a D system support[i] masks the
+    coordinates nodes[i] touches, twin[i] the position on the same
+    coordinate pair, and around[k] the thick pairs whose ends both
+    neighbour k: dstep reads the tag counts off them.
+    """
+
+    def __init__(self, system: RootSystem, nodes: tuple[int, ...]):
+        self.system = system
+        self.nodes = nodes
+        n = len(nodes)
+        self.adj = adj = _adjacency(system, nodes)
+        self.tagged = system.series == "D"
+        if self.tagged:
+            covers = _support_masks(system)
+            support = [covers[v] for v in nodes]
+            owners: dict[int, int] = {}  # a support -> the positions with it
+            for i, cover in enumerate(support):
+                owners[cover] = owners.get(cover, 0) | 1 << i
+            # A node has at most one twin: the other sign on its coordinate pair.
+            twin = [owners[cover] & ~(1 << i) for i, cover in enumerate(support)]
+            around = [[] for _ in range(n)]
+            for a, t in enumerate(twin):
+                if t >> a > 1:  # each thick pair once, from its lower node
+                    for k in _bits(adj[a] & adj[t.bit_length() - 1]):
+                        around[k].append(1 << a | t)
+            self.full = (1 << system.rank) - 1
+        else:  # no tag outside the D series: the counts stay 0
+            support, twin, around = [0] * n, [0] * n, [()] * n
+            self.full = -1
+        self.support, self.twin, self.around = support, twin, around
+        self.slot = n.bit_length()  # bits per shape count: a subset has at most n components
+        self.kinds: dict = {}  # component shape -> its index, in order of appearance
+        self.weights: list[int] = []  # index -> the multiset of one component of that shape
+        self.shapes: dict[int, int | None] = {}  # component mask -> index of its shape
+        self.types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
+        self.tops: dict[int, tuple] = {}  # component mask -> highest(comp)
+
+    def shape(self, comp: int) -> int | None:
+        """Index of the shape of a component mask; None unless plain ADE."""
+        kind = self.shapes.get(comp, -1)
+        if kind == -1:
+            try:
+                part = _classify_one(comp, self.adj)
+            except UnrecognizedComponent:
+                part = None
+            if part is None or part.extended:
+                kind = None
+            else:
+                kind = self.kinds.setdefault(part, len(self.kinds))
+                if kind == len(self.weights):
+                    self.weights.append(1 << self.slot * kind)
+            self.shapes[comp] = kind
+        return kind
+
+    def dstep(self, k: int, mask: int) -> tuple[int, int]:
+        """The (d2, d3) that node k adds to the D counts of mask, which does
+        not hold k; removing k from mask | 1 << k takes it off again.  Node k
+        makes a thick pair with each twin t (same coordinate support) in
+        mask, counted in d3 once per common neighbour of k and t, and is a
+        new common neighbour of each thick pair around it."""
+        d2 = d3 = 0
+        for pair in self.around[k]:
+            if pair & mask == pair:
+                d3 += 1
+        twins = self.twin[k] & mask
+        if twins:
+            adj = self.adj
+            near = adj[k]
+            for t in _bits(twins):
+                d2 += 1
+                d3 += (near & adj[t] & mask).bit_count()
+        return d2, d3
+
+    def split(self) -> tuple[list[int], int | None]:
+        """The component masks of the set of every node, and their shape
+        multiset: None unless every component is plain ADE, that is, unless
+        the nodes form a Pi-system."""
+        comps = _component_masks((1 << len(self.nodes)) - 1, self.adj)
+        kinds = [self.shape(comp) for comp in comps]
+        return comps, None if None in kinds else sum(self.weights[k] for k in kinds)
+
+    def dcounts(self) -> tuple[int, int, int]:
+        """(d2, d3, width) of the set of every node: dstep folded over the
+        nodes in order, and the union of their supports; all 0 outside the
+        D series."""
+        d2 = d3 = width = 0
+        for k in range(len(self.nodes) if self.tagged else 0):
+            s2, s3 = self.dstep(k, (1 << k) - 1)
+            d2 += s2
+            d3 += s3
+            width |= self.support[k]
+        return d2, d3, width
+
+    def moset(self, comps) -> tuple[int, ...]:
+        """The nodes of the perfect moset of a Pi-subset with component
+        masks comps: per component the larger colour class, ties going to
+        the class of the lowest position."""
+        core = 0
+        for comp in comps:
+            high = _tree_parity(comp, self.adj, self.adj)
+            low = comp & ~high
+            core |= low if low.bit_count() >= high.bit_count() else high
+        return _mask_nodes(self.nodes, core)
+
+    def type_of(self, multiset: int) -> tuple:
+        """(parts, type text) of a shape multiset."""
+        types = self.types
+        if multiset not in types:
+            count = (1 << self.slot) - 1
+            ttype = TypeLabel(
+                tuple(
+                    p
+                    for p, i in self.kinds.items()
+                    for _ in range(multiset >> self.slot * i & count)
+                )
+            )
+            types[multiset] = (ttype.parts, ttype.render())
+        return types[multiset]
+
+    def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
+        """(theta, its position or -1 off the nodes, the marks in position
+        order) of a component mask, memoised per mask: theta is the
+        projective highest root of the subsystem it generates
+        (rootsystem._highest_root), on the component's roots with the signs
+        that make tree neighbours pair to -1."""
+        top = self.tops.get(comp)
+        if top is None:
+            system, nodes, adj = self.system, self.nodes, self.adj
+            # A sign flips across each edge whose ends pair to +1.
+            plus = {
+                i: sum(1 << j for j in _bits(adj[i]) if system.cartan(nodes[i], nodes[j]) > 0)
+                for i in _bits(comp)
+            }
+            flipped = _tree_parity(comp, adj, plus)
+            members = tuple(
+                system.negative(nodes[i]) if flipped >> i & 1 else nodes[i] for i in _bits(comp)
+            )
+            theta, marks = _highest_root(system, members)
+            theta = system.proj_rep(theta)
+            at = nodes.index(theta) if theta in nodes else -1
+            top = self.tops[comp] = (theta, at, marks)
+        return top
 
 
 # -- Pi-systems -------------------------------------------------------------
@@ -349,7 +514,7 @@ def is_pi_system(rs: RootSet) -> bool:
     sysm = rs.system
     if any(sysm.cartan(a, b) not in (0, -1) for a, b in combinations(rs.members, 2)):
         return False
-    return dynkin_type(delta_diagram(rs)) is not None
+    return _NodeView(sysm, sysm.projective(rs.members)).split()[1] is not None
 
 
 def minimal_root(rs: RootSet) -> int:

@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagrams import (
-    _adjacency,
-    _bits,
-    _component_masks,
-    _tree_parity,
-    is_dynkin_shape,
-    projective_diagram_of,
-    subsystem_type,
-)
+from .diagrams import _NodeView, subsystem_type
 from .errors import (
     InvariantViolation,
     NotIrreducible,
@@ -93,23 +85,11 @@ def perfect_moset(rs: RootSet) -> Moset:
     toward the class containing the smallest node.
     """
     sysm = rs.system
-    nodes = sysm.projective(rs.members)
-    if not is_dynkin_shape(projective_diagram_of(sysm, nodes)):
+    view = _NodeView(sysm, sysm.projective(rs.members))
+    comps, multiset = view.split()
+    if multiset is None:
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
-    adj = _adjacency(sysm, nodes)
-    core = 0
-    for comp in _component_masks((1 << len(nodes)) - 1, adj):
-        core |= _larger_class(comp, adj)
-    return Moset(sysm, tuple(nodes[i] for i in _bits(core)), tuple(rs.members))
-
-
-def _larger_class(comp: int, adj) -> int:
-    """The perfect moset's share of one component of a Pi-system diagram,
-    given as an int mask over positions whose neighbour masks are adj: the
-    larger colour class, ties going to the class of the lowest position."""
-    high = _tree_parity(comp, adj, adj)
-    low = comp & ~high
-    return low if low.bit_count() >= high.bit_count() else high
+    return Moset(sysm, view.moset(comps), tuple(rs.members))
 
 
 def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:

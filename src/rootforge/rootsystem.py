@@ -326,6 +326,12 @@ def positive_mask(system: RootSystem) -> int:
     return sum(1 << i for i in system.positive)
 
 
+@system_memo
+def _support_masks(system: RootSystem) -> tuple[int, ...]:
+    """Row i is the int mask of the coordinates that root i touches."""
+    return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in system.roots)
+
+
 def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components under the non-orthogonality relation, in the
     order of their first members.  A member that a walk reaches leaves the

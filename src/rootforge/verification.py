@@ -18,7 +18,6 @@ from .classify import (
     _PiWalk,
     _child_nodes,
     _lower_bits,
-    _mask_nodes,
     _maximal_children,
     _orbits,
     enumerate_pi_orbits,
@@ -30,7 +29,7 @@ from .classify import (
 )
 from .completion import complete, enhanced_basis
 from .coregroups import core_group_model, core_order_formula
-from .diagrams import are_isomorphic, automorphism_group, subsystem_type
+from .diagrams import _mask_nodes, are_isomorphic, automorphism_group, subsystem_type
 from .errors import InvariantViolation
 from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (

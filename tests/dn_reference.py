@@ -1,7 +1,7 @@
 """The D-series tag counts kept as an independent reference for the tests.
 
-The package grows (d2, d3) node by node along the walk's int-mask tables
-(classify._PiWalk.dstep); this is the earlier direct count over pairs,
+The package grows (d2, d3) node by node along a node set's int-mask tables
+(diagrams._NodeView.dstep); this is the earlier direct count over pairs,
 written straight from the definition in dn_tag's docstring.
 """
 

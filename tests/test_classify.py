@@ -13,14 +13,16 @@ from rootforge import (
     enhanced_basis,
     enumerate_pi_orbits,
     hasse_diagram,
+    is_pi_system,
     is_weyl_embedding,
     moset_embedding,
     orbit_label,
     order_between_orbits,
     parity_of_orthogonal,
+    perfect_moset,
     significant_part,
 )
-from rootforge.classify import pi_node_subsets, pi_type
+from rootforge.classify import pi_node_subsets, pi_type, subsystem_type
 from rootforge.errors import MixedAmbient, NoSuchRoot, NotEmbedding, NotOrthogonal, NotPiSystem
 from rootforge.oracle import (
     compose,
@@ -487,8 +489,13 @@ def test_root_indices_out_of_range_are_refused():
     # Every index is checked, before any sorting: a wrong type in the middle
     # of the set is caught as well as one at an end.
     for members in [(999,), (-1,), (0, last + 1), (1.5,), ("3",), (0, 2.0, last), (0, "5", last), (0, None, 1)]:
-        with pytest.raises(NoSuchRoot):
-            orbit_label(RootSet(d4, members))
+        for check in (orbit_label, perfect_moset, is_pi_system, significant_part, dn_tag):
+            with pytest.raises(NoSuchRoot):
+                check(RootSet(d4, members))
+        # The entry points on raw members check the indices themselves.
+        for check in (pi_type, subsystem_type):
+            with pytest.raises(NoSuchRoot):
+                check(d4, members)
     for mapping in [{999: 1}, {1: 999}, {-1: 1}, {1: -1}, {1.5: 1}, {1: "2"}, {0: 0, "1": 1, 2: 2}, {0: 0, 1: 1.0}]:
         with pytest.raises(NoSuchRoot):
             EmbeddingMap(d4, mapping)
@@ -933,6 +940,44 @@ def test_dn_tag_outside_the_d_series_raises():
     e6 = build_root_system("E", 6)
     with pytest.raises(Unsupported):
         dn_tag(RootSet(e6, e6.simple_basis))
+
+
+def test_dn_tag_of_a_set_that_is_not_a_pi_system_raises():
+    # Roots 30, 32 and 40 of D6 pair to -1, -1 and +1: their diagram is the
+    # triangle A~2.  The set is thin and touches 4 of the 6 coordinates, so
+    # a check made only on thin sets of full width would miss it.
+    d6 = build_root_system("D", 6)
+    with pytest.raises(NotPiSystem):
+        dn_tag(RootSet(d6, (30, 32, 40)))
+
+
+def test_sets_that_are_not_pi_systems():
+    # pi_type names an extended shape and raises on any other that is not
+    # ADE, as the type of the frozenset diagram does; such a set is no
+    # Pi-system and has no perfect moset.
+    from rootforge import extended_pi_system
+    from rootforge.diagrams import classify_components, projective_diagram_of
+    from rootforge.errors import UnrecognizedComponent
+
+    d4, d6, d8 = (build_root_system("D", rank) for rank in (4, 6, 8))
+    cases = [(d6, (30, 32, 40), "A~2"), (d4, extended_pi_system(RootSet(d4, d4.simple_basis)).members, "D~4")]
+    rng = random.Random(16)
+    while len(cases) < 6:
+        members = tuple(rng.sample(d8.positive, 5))
+        try:
+            classify_components(projective_diagram_of(d8, members))
+        except UnrecognizedComponent:
+            cases.append((d8, members, None))
+    for system, members, text in cases:
+        if text is None:
+            with pytest.raises(UnrecognizedComponent):
+                pi_type(system, members)
+        else:
+            reference = classify_components(projective_diagram_of(system, members))
+            assert pi_type(system, members) == reference and reference.render() == text
+        assert not is_pi_system(RootSet(system, members)), members
+        with pytest.raises(NotPiSystem):
+            perfect_moset(RootSet(system, members))
 
 
 def test_are_conjugate_across_systems_raises():

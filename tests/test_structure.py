@@ -56,6 +56,24 @@ def test_no_id_calls():
     assert not found, found
 
 
+def test_node_sets_are_classified_through_their_view():
+    # A node set is read through its int-mask view (diagrams._NodeView):
+    # classify_components and is_dynkin_shape stay public, and traced, for
+    # diagram objects only, and classify reads nothing of mosets.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("classify_components", "is_dynkin_shape"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif path.name == "classify.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(name.split(".")[-1] == "mosets" for name in names):
+                    found.append(f"{path.name}:{node.lineno} imports from mosets")
+    assert not found, found
+
+
 def test_traced_names_resolve():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
