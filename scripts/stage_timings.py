@@ -5,17 +5,19 @@ Usage: python scripts/stage_timings.py [--no-core-group] [SYSTEM ...]
 (default: E7 E8 D10)
 
 Prints the import time once, then per system the seconds spent building
-the root system and enhanced basis, in _orbits (the walk over Pi-subsets
-that stops once the descent through maximal subsystems closes, the
-descent included), in enumerate_pi_orbits and in hasse_diagram over all
-orbits, each stage on the caches the earlier ones filled, as `rootforge
-classify` and `rootforge order` run them, and the process's peak RSS after
-them.  A second line says what the walk did: the subsets it visited, the
-visited subsets it did not grow from because no pending label could lie
-above them, the subset it stopped at (the least representative of the
-last label to appear) and the children of the descent: Levi children,
-extended children on the enhanced diagram, and extended children labelled
-by _orbit_label because their highest root is off the diagram.
+the root system and enhanced basis, in _orbits (the descent through
+maximal subsystems from the simple basis, then the walk over Pi-subsets
+that meets each label's least representative), in enumerate_pi_orbits and
+in hasse_diagram over all orbits, each stage on the caches the earlier
+ones filled, as `rootforge classify` and `rootforge order` run them, and
+the process's peak RSS after them.  A second line times _orbits' two
+passes apart, on a fresh copy of the system with cold caches, and says
+what they did: the subsets the walk visited, the subset it stopped at
+(the least representative of the last label to be met), the children of
+the descent (Levi children, extended children on the enhanced diagram,
+and extended children labelled by _orbit_label because their highest
+root is off the diagram) and the representatives whose children the
+descent took off the diagram.
 
 A third line times core_group_model, which neither command runs, and
 splits it into its steps, run on a fresh copy of the system with cold
@@ -34,7 +36,15 @@ import time
 
 start = time.perf_counter()
 import rootforge  # noqa: E402
-from rootforge.classify import _mask_nodes, _orbits, enumerate_pi_orbits, hasse_diagram  # noqa: E402
+from rootforge.classify import (  # noqa: E402
+    _descent,
+    _first_subsets,
+    _mask_nodes,
+    _orbits,
+    _PiWalk,
+    enumerate_pi_orbits,
+    hasse_diagram,
+)
 from rootforge.coregroups import (  # noqa: E402
     _close_group,
     _derive_labeling,
@@ -96,10 +106,14 @@ def main(argv):
         # sorted node tuples, so it stopped at the greatest representative.
         last = max(_mask_nodes(found.nodes, mask) for mask in found.first)
         levi, extended, labelled = found.children
+        walk = _PiWalk(rootforge.build_root_system.__wrapped__(system.series, system.rank))
+        (below, ranks, _, _), t_descent = timed(_descent, walk)
+        _, t_first = timed(_first_subsets, walk, below, ranks)
         print(
-            f"     walk: {found.visited:,} subsets visited, {found.skipped:,} not grown, stopped at"
-            f" {{{','.join(names[n] for n in last)}}}; descent children: {levi:,} Levi,"
-            f" {extended:,} extended on the diagram, {labelled:,} extended labelled"
+            f"     descent {t_descent:6.3f}s: {levi:,} Levi children, {extended:,} extended on"
+            f" the diagram, {labelled:,} extended labelled, {found.off:,} representatives off"
+            f" the diagram; walk {t_first:6.3f}s: {found.visited:,} subsets visited, stopped at"
+            f" {{{','.join(names[n] for n in last)}}}"
         )
         if not core:
             continue

@@ -26,7 +26,6 @@ from .diagrams import (
     TypeLabel,
     _NodeView,
     _bits,
-    _classify_one,
     _component_masks,
     _embeddings,
     _mask_nodes,
@@ -68,9 +67,7 @@ def pi_type(system: RootSystem, members) -> TypeLabel:
     """Isomorphism type of a Pi-system (the type of its diagram); of other
     sets the type of their diagram when each component is ADE or extended
     ADE, and UnrecognizedComponent otherwise."""
-    view = _NodeView(system, system.projective(system.check_indices(members)))
-    comps = _component_masks((1 << len(view.nodes)) - 1, view.adj)
-    return TypeLabel(tuple(_classify_one(comp, view.adj) for comp in comps))
+    return _NodeView(system, system.projective(system.check_indices(members))).type_label()
 
 
 def significant_part(rs: RootSet) -> RootSet:
@@ -177,10 +174,10 @@ def _label_data(sysm: RootSystem, nodes: tuple[int, ...], what: str) -> tuple:
     reads a Pi-subset: each component is classified once.  NotPiSystem,
     naming what is defined, for any other set."""
     view = _NodeView(sysm, nodes)
-    comps, multiset = view.split()
+    comps, multiset = view.split(view.every)
     if multiset is None:
         raise NotPiSystem(f"{what} are defined for Pi-systems")
-    d2, d3, width = view.dcounts()
+    d2, d3, width = view.dcounts(view.every)
     parts, ttext = view.type_of(multiset)
     counts = (d2, d3, width.bit_count())
     if not _needs_moset(sysm, parts, ttext, counts):
@@ -517,7 +514,7 @@ def _reduction_schedule(view: _NodeView, core) -> list:
     in the core, and a is removed."""
     nodes, adj = view.nodes, view.adj
     keep = sum(1 << nodes.index(c) for c in core)
-    current, out = (1 << len(nodes)) - 1, []
+    current, out = view.every, []
     while current != keep:
         for e in _bits(current & keep):
             near = adj[e] & current
@@ -542,7 +539,7 @@ def is_weyl_embedding(emb: EmbeddingMap) -> WeylDecision:
     """
     sysm = emb.system
     view = _NodeView(sysm, emb.source)
-    comps, multiset = view.split()
+    comps, multiset = view.split(view.every)
     if multiset is None:
         raise NotPiSystem("Weyl membership is decided for Pi-system domains")
     model = core_group_model(sysm)
@@ -616,17 +613,19 @@ class _PiWalk(_NodeView):
     A label depends only on the key (shape multiset, d2, d3, full width),
     and on the perfect moset when _needs_moset holds, so each such key is
     labelled once.  index maps the labels met so far to their codes, which
-    count up in order of appearance, and sigs[c] is the signature of code
-    c: its rank and the rank of its largest component.
+    count up in order of appearance.  The same state on other nodes of the
+    system, given with the index to share, labels the maximal children of a
+    Pi-system off the diagram (_descent).
     """
 
-    def __init__(self, system: RootSystem):
-        super().__init__(system, tuple(sorted(enhanced_basis(system).nodes)))
+    def __init__(self, system: RootSystem, nodes: tuple[int, ...] | None = None, index: dict | None = None):
+        if nodes is None:
+            nodes = tuple(sorted(enhanced_basis(system).nodes))
+        super().__init__(system, nodes)
         # key -> label code, or -1 when the label needs the moset; such a key
         # is then looked up again with its moset tag.
         self.found: dict[tuple, int] = {}
-        self.index: dict[OrbitLabel, int] = {}
-        self.sigs: list[tuple[int, int]] = []
+        self.index: dict[OrbitLabel, int] = {} if index is None else index
 
     def label_code(self, key: tuple, width: int, tag) -> int:
         """Code of the label of a first-seen key, or -1 when tag is None and
@@ -636,18 +635,8 @@ class _PiWalk(_NodeView):
         counts = (d2, d3, width.bit_count())
         if tag is None and _needs_moset(self.system, parts, ttext, counts):
             return -1
-        label = _label_of(self.system, ttext, counts, tag)
-        # parts[0] is the largest; the empty set has none.
-        return self.enter(label, sum(p.rank for p in parts), parts[0].rank if parts else 0)
-
-    def enter(self, label: OrbitLabel, rank: int, big: int) -> int:
-        """Code of label; a new label joins index with the signature (rank,
-        rank of its largest component)."""
         index = self.index
-        code = index.setdefault(label, len(index))
-        if code == len(self.sigs):
-            self.sigs.append((rank, big))
-        return code
+        return index.setdefault(_label_of(self.system, ttext, counts, tag), len(index))
 
     def code(self, key: tuple, comps, width: int) -> int:
         """Code of the label of a Pi-subset with key key, component masks
@@ -663,24 +652,17 @@ class _PiWalk(_NodeView):
                 code = found[key, tag] = self.label_code(key, width, tag)
         return code
 
-    def run(self, visit, room=None) -> int:
+    def run(self, visit, more=None) -> None:
         """Walk the Pi-subsets in lexicographic order, calling
         visit(mask, code, comps, multiset, d2, d3, width) on each, until the
-        walk ends or visit raises _Closed; return the number of subsets it
-        did not grow from.
-
-        With room, a list that visit may change, the walk grows a subset of
-        size nodes whose largest component has big nodes only while size <
-        room[big]; without it, every subset."""
+        walk ends or visit raises _Closed.  With more, the walk grows a
+        subset whose label has code code only while more(code) holds;
+        without it, every subset."""
         n, adj, support, full = len(self.nodes), self.adj, self.support, self.full
         weights, shapes, found = self.weights, self.shapes, self.found
         shape, dstep, code_of, tagged = self.shape, self.dstep, self.code, self.tagged
-        if room is None:
-            room = [n + 1] * (n + 1)
-        skipped = 0
 
-        def grow(mask, comps, multiset, d2, d3, width, size, big, start):
-            nonlocal skipped
+        def grow(mask, comps, multiset, d2, d3, width, start):
             for k in range(start, n):
                 near = adj[k]
                 merged, rest, child_set = 1 << k, [], multiset
@@ -709,40 +691,36 @@ class _PiWalk(_NodeView):
                     code = code_of(key, rest, cwidth)
                 child = mask | 1 << k
                 visit(child, code, rest, child_set, c2, c3, cwidth)
-                cbig = merged.bit_count()
-                if cbig < big:
-                    cbig = big
-                if size < room[cbig]:
-                    grow(child, rest, child_set, c2, c3, cwidth, size + 1, cbig, k + 1)
-                else:
-                    skipped += 1
+                if more is None or more(code):
+                    grow(child, rest, child_set, c2, c3, cwidth, k + 1)
 
         try:
-            grow(0, [], 0, 0, 0, 0, 1, 0, 0)
+            grow(0, [], 0, 0, 0, 0, 0)
         except _Closed:
             pass
         finally:
             # grow refers to itself through its closure: break that cycle,
             # so its frames go now rather than at the next cyclic collection.
             del grow
-        return skipped
 
-    def child_codes(self, mask: int, comps, multiset: int, d2: int, d3: int, width: int, counts: list) -> set:
-        """Codes of the maximal children (_maximal_children) of the Pi-subset
-        mask, whose walk state is comps, multiset, d2, d3 and width.
+    def child_codes(self, mask: int, comps, multiset: int, d2: int, d3: int, width: int, counts: list) -> list:
+        """The maximal children (_maximal_children) of the Pi-subset mask,
+        whose walk state is comps, multiset, d2, d3 and width, as (code,
+        child) pairs: the child is a mask, or its sorted nodes when its
+        theta is not among the view's nodes.
 
-        A child on the diagram is keyed from its parent: only the component
+        A child among the nodes is keyed from its parent: only the component
         of x is split again, x's dstep is taken off and theta's put on.  A
-        child whose theta is off the diagram is labelled by _orbit_label.
-        counts gathers the Levi children, the extended ones on the diagram
+        child whose theta is off the nodes is labelled by _orbit_label.
+        counts gathers the Levi children, the extended ones among the nodes
         and those labelled, in that order."""
-        support = self.support
+        support, index = self.support, self.index
         # width without x: the coordinates that x alone covers go.
         once = twice = 0
         for i in _bits(mask):
             twice |= once & support[i]
             once |= support[i]
-        out = set()
+        out: list = []
         for comp in comps:
             theta, at, marks = self.highest(comp)
             others = [c for c in comps if c != comp]
@@ -753,31 +731,20 @@ class _PiWalk(_NodeView):
                 pwidth = width & ~(support[x] & ~twice)
                 if parent:
                     counts[0] += 1
-                    out.add(self._child_code(others, base, comp & ~(1 << x), d2 - s2, d3 - s3, pwidth))
+                    code = self._child_code(others, base, comp & ~(1 << x), d2 - s2, d3 - s3, pwidth)
+                    out.append((code, parent))
                 if mark < 2:
                     continue
                 if at < 0:
                     counts[2] += 1
                     nodes = _child_nodes(_mask_nodes(self.nodes, mask), self.nodes[x], theta)
-                    label = _orbit_label(self.system, nodes)
-                    code = self.index.get(label)
-                    if code is None:  # a new label: its signature from the child's tables
-                        big = max(c.bit_count() for c in _NodeView(self.system, nodes).split()[0])
-                        code = self.enter(label, len(nodes), big)
-                    out.add(code)
+                    out.append((index.setdefault(_orbit_label(self.system, nodes), len(index)), nodes))
                     continue
                 counts[1] += 1
                 t2, t3 = self.dstep(at, parent)
-                out.add(
-                    self._child_code(
-                        others,
-                        base,
-                        comp & ~(1 << x) | 1 << at,
-                        d2 - s2 + t2,
-                        d3 - s3 + t3,
-                        pwidth | support[at],
-                    )
-                )
+                rest = comp & ~(1 << x) | 1 << at
+                code = self._child_code(others, base, rest, d2 - s2 + t2, d3 - s3 + t3, pwidth | support[at])
+                out.append((code, parent | 1 << at))
         return out
 
     def _child_code(self, others, base: int, rest: int, d2: int, d3: int, width: int) -> int:
@@ -808,10 +775,10 @@ class _Orbits(NamedTuple):
     index maps each label to its code; first[c] is the least Pi-subset
     (an int mask over nodes) with the label of code c, and lower[c] the
     bitset over codes of the labels of every Pi-system inside the subsystem
-    it generates.  visited counts the subsets the walk visited, skipped the
-    visited subsets it did not grow from because no pending label could lie
-    above them, and children the maximal children of the descent: Levi,
-    extended on the diagram and extended labelled by _orbit_label.
+    it generates.  visited counts the subsets the walk visited, children the
+    maximal children of the descent (Levi, extended on the diagram and
+    extended labelled by _orbit_label) and off the representatives that the
+    descent took its children from off the diagram.
     """
 
     nodes: tuple[int, ...]
@@ -819,104 +786,132 @@ class _Orbits(NamedTuple):
     first: list[int]
     lower: list[int]
     visited: int
-    skipped: int
     children: tuple[int, int, int]
+    off: int
 
     @property
     def orbits(self) -> list[OrbitLabel]:
         return list(self.index)
 
 
+def _descent(walk: _PiWalk) -> tuple[list[set], list[int], tuple[int, int, int], int]:
+    """The descent of _orbits on the walk's index: (below, ranks, children,
+    off), where below[c] holds the codes of the maximal children of label c
+    other than c, ranks[c] is the rank of c, children counts the children
+    by kind (_PiWalk.child_codes) and off the representatives read off the
+    diagram.  A label's representative is the first child that carried it
+    or, if that lies off the diagram, an on-diagram child with the label
+    met before the label's turn.  One on the diagram is read on the walk's
+    own tables, one off it on the state of its own nodes."""
+    system, index = walk.system, walk.index
+    position = {v: i for i, v in enumerate(walk.nodes)}
+
+    def placed(nodes: tuple[int, ...]) -> int | tuple[int, ...]:
+        """nodes as a mask on the diagram when they all lie on it."""
+        if all(v in position for v in nodes):
+            return sum(1 << position[v] for v in nodes)
+        return nodes
+
+    reps = [placed(system.projective(system.simple_basis))]
+    below: list[set] = []
+    counts = [0, 0, 0]
+    off = 0
+    while len(below) < len(reps):
+        code, rep = len(below), reps[len(below)]
+        if isinstance(rep, int):
+            view, mask = walk, rep
+        else:
+            off += 1
+            view = _PiWalk(system, rep, index)
+            mask = view.every
+        comps, multiset = view.split(mask)
+        d2, d3, width = view.dcounts(mask)
+        if view.code((multiset, d2, d3, width == view.full), comps, width) != code:
+            raise InvariantViolation(f"a representative in {system.name} has another label than its own")
+        children = view.child_codes(mask, comps, multiset, d2, d3, width, counts)
+        reps.extend([None] * (len(index) - len(reps)))
+        for c, child in children:
+            if not isinstance(reps[c], int):
+                if view is not walk or isinstance(child, tuple):
+                    child = placed(child if isinstance(child, tuple) else _mask_nodes(view.nodes, child))
+                if reps[c] is None or isinstance(child, int):
+                    reps[c] = child
+        below.append({c for c, _ in children} - {code})
+    ranks = [rep.bit_count() if isinstance(rep, int) else len(rep) for rep in reps]
+    return below, ranks, tuple(counts), off
+
+
+def _first_subsets(walk: _PiWalk, below: list[set], ranks: list[int]) -> tuple[list[int], int]:
+    """The first subset the walk meets with each label of the descent, and
+    the number of subsets it visits: it grows a subset of label c only
+    while a label not met yet lies above c (by below) with a larger rank,
+    and stops when every label is met."""
+    system, n = walk.system, len(below)
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for p, children in enumerate(below):
+        for c in children:
+            parents[c].append(p)
+    upper = _lower_bits(parents)
+    higher = [0] * (system.rank + 1)  # higher[r]: the labels of rank above r
+    for c, r in enumerate(ranks):
+        for s in range(r):
+            higher[s] |= 1 << c
+    first = [0] * n
+    pending, visited = (1 << n) - 1, 0
+
+    def visit(mask, code, *_):
+        nonlocal pending, visited
+        visited += 1
+        if code >= n:
+            raise InvariantViolation(
+                f"the walk over {system.name} meets {list(walk.index)[code].render()},"
+                " which the descent from the simple basis does not reach"
+            )
+        if pending >> code & 1:
+            first[code] = mask
+            pending ^= 1 << code
+            if not pending:
+                raise _Closed
+
+    walk.run(visit, lambda code: pending & upper[code] & higher[ranks[code]])
+    if pending:
+        missing = list(walk.index)[(pending & -pending).bit_length() - 1].render()
+        raise InvariantViolation(
+            f"no Pi-subset of the enhanced diagram of {system.name} has the label {missing}"
+        )
+    return first, visited
+
+
 @system_memo
 def _orbits(system: RootSystem) -> _Orbits:
-    """Every orbit with its least representative and lower set, from a walk
-    over the Pi-subsets that stops once the descent through maximal
-    subsystems closes.
+    """Every orbit with its least representative and lower set, in two
+    passes on the enhanced diagram's walk state.
 
-    The label of the simple basis, the whole system, is known before the
-    walk.  The first subset the walk meets with a label is the label's
-    least representative, and its maximal children (_maximal_children) are
-    labelled at once; their labels join the known ones.  The walk stops as
-    soon as every known label has its first subset: the known labels then
-    hold the top and are closed under children.  Every proper subsystem
-    lies in a maximal one, so every orbit lies below the top through
-    maximal children, and the known labels are all the orbits.  Each lower
-    set is the label itself and the lower sets of its children.
+    The descent (_descent) starts from the simple basis, which generates
+    the whole system, and labels the maximal children (_maximal_children)
+    of one representative of each label.  Every proper subsystem lies in a
+    maximal one, so the descent reaches every orbit, and each lower set is
+    the label itself and the lower sets of its children.
 
-    The walk does not grow a subset S above which no pending label (known,
-    first subset not yet met) can lie.  Let T be an extension of S whose
-    label is not met yet, and follow the maximal-child relation from
-    label(T) up to the top: the first known label on the way is pending,
-    since a met label has its children known, and it contains T's
-    subsystem, so its rank is at least rank(T) > |S| and its largest
-    component has at least as many nodes as S's.  room[b] is the largest
-    rank of a pending label whose largest component has at least b nodes,
-    so the walk grows S while |S| < room[largest component of S], and every
-    label's first subset is the one the whole walk meets.
+    The walk (_first_subsets) then finds each label's first subset, its
+    least representative, as the walk's order is lexicographic.  It grows
+    a subset of label c only while some pending label (first subset not
+    met yet) lies above c and has a larger rank, and stops when no label
+    is pending.  No first subset is lost: let R be the least representative
+    of a pending label p.  Every proper prefix P of R in sorted order is a
+    Pi-system inside the subsystem R generates, so its label lies below p
+    and has rank |P| < |R|; the walk reaches R through its prefixes and
+    grows each of them.
 
     Every Pi-system is conjugate to a subset of the enhanced diagram (the
-    paper's main claim), so a known label that the walk never meets is an
-    InvariantViolation.
+    paper's main claim), so a label that the descent reaches and the walk
+    never meets is an InvariantViolation, and so is a label that the walk
+    meets and the descent does not reach.
     """
     walk = _PiWalk(system)
-    index, sigs, rank = walk.index, walk.sigs, system.rank
-    # pending[b][r]: the pending labels of rank r whose largest component has
-    # b nodes; top[b]: the largest such r; room: the suffix maxima of top.
-    pending = [[0] * (rank + 1) for _ in range(rank + 1)]
-    top = [0] * (rank + 1)
-    room = [0] * (rank + 1)
-
-    def settle(code: int, step: int) -> None:
-        r, b = sigs[code]
-        row = pending[b]
-        row[r] += step
-        if row[r] == (1 if step > 0 else 0):  # the count moved between 0 and 1
-            top[b] = max((i for i in range(rank + 1) if row[i]), default=0)
-            most = 0
-            for i in range(rank, -1, -1):
-                most = room[i] = max(most, top[i])
-
-    # The simple basis generates the whole system: (rank, rank) bounds its
-    # signature from above.
-    walk.enter(_orbit_label(system, system.projective(system.simple_basis)), rank, rank)
-    settle(0, 1)
-    first: dict[int, int] = {}
-    below: dict[int, set] = {}
-    counts = [0, 0, 0]
-    visited, known = 0, 1
-
-    def visit(mask, code, comps, multiset, d2, d3, width):
-        nonlocal visited, known
-        visited += 1
-        if code in first:
-            return
-        first[code] = mask
-        if code < known:
-            settle(code, -1)
-        below[code] = walk.child_codes(mask, comps, multiset, d2, d3, width, counts) - {code}
-        for c in range(known, len(index)):
-            if c not in first:
-                settle(c, 1)
-        known = len(index)
-        if len(first) == len(index):
-            raise _Closed
-
-    skipped = walk.run(visit, room)
-    missing = [l.render() for l, c in index.items() if c not in first]
-    if missing:
-        raise InvariantViolation(
-            f"no Pi-subset of the enhanced diagram of {system.name} has the label {missing[0]}"
-        )
-    codes = range(len(index))
-    return _Orbits(
-        walk.nodes,
-        index,
-        [first[c] for c in codes],
-        _lower_bits([below[c] for c in codes]),
-        visited,
-        skipped,
-        tuple(counts),
-    )
+    below, ranks, children, off = _descent(walk)
+    first, visited = _first_subsets(walk, below, ranks)
+    return _Orbits(walk.nodes, walk.index, first, _lower_bits(below), visited, children, off)
 
 
 @system_memo
@@ -955,7 +950,7 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
     _PiWalk.child_codes gives the same children on the enhanced diagram.
     """
     view = _NodeView(system, nodes)
-    for comp in view.split()[0]:
+    for comp in view.split(view.every)[0]:
         theta, _, marks = view.highest(comp)
         for x, mark in zip(_bits(comp), marks):
             if len(nodes) > 1:

@@ -322,12 +322,7 @@ def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
 
 def subsystem_type(system: RootSystem, members) -> TypeLabel:
     """Isomorphism type of a closed subsystem."""
-    if not members:
-        return TypeLabel(())
-    basis = subsystem_basis(system, system.check_indices(members))
-    adj = _NodeView(system, basis).adj
-    comps = _component_masks((1 << len(basis)) - 1, adj)
-    return TypeLabel(tuple(_classify_one(comp, adj) for comp in comps))
+    return _NodeView(system, subsystem_basis(system, system.check_indices(members))).type_label()
 
 
 def component_type(system: RootSystem, comp) -> Irreducible:
@@ -364,6 +359,7 @@ class _NodeView:
         self.system = system
         self.nodes = nodes
         n = len(nodes)
+        self.every = (1 << n) - 1  # the mask of every node
         self.adj = adj = _adjacency(system, nodes)
         self.tagged = system.series == "D"
         if self.tagged:
@@ -427,21 +423,27 @@ class _NodeView:
                 d3 += (near & adj[t] & mask).bit_count()
         return d2, d3
 
-    def split(self) -> tuple[list[int], int | None]:
-        """The component masks of the set of every node, and their shape
+    def type_label(self) -> TypeLabel:
+        """Type of the diagram of every node: the shape of each component,
+        extended shapes included; UnrecognizedComponent for any other."""
+        comps = _component_masks(self.every, self.adj)
+        return TypeLabel(tuple(_classify_one(comp, self.adj) for comp in comps))
+
+    def split(self, mask: int) -> tuple[list[int], int | None]:
+        """The component masks of the positions in mask, and their shape
         multiset: None unless every component is plain ADE, that is, unless
-        the nodes form a Pi-system."""
-        comps = _component_masks((1 << len(self.nodes)) - 1, self.adj)
+        they form a Pi-system."""
+        comps = _component_masks(mask, self.adj)
         kinds = [self.shape(comp) for comp in comps]
         return comps, None if None in kinds else sum(self.weights[k] for k in kinds)
 
-    def dcounts(self) -> tuple[int, int, int]:
-        """(d2, d3, width) of the set of every node: dstep folded over the
-        nodes in order, and the union of their supports; all 0 outside the
-        D series."""
+    def dcounts(self, mask: int) -> tuple[int, int, int]:
+        """(d2, d3, width) of the positions in mask: dstep folded over them
+        in order, and the union of their supports; all 0 outside the D
+        series."""
         d2 = d3 = width = 0
-        for k in range(len(self.nodes) if self.tagged else 0):
-            s2, s3 = self.dstep(k, (1 << k) - 1)
+        for k in _bits(mask) if self.tagged else ():
+            s2, s3 = self.dstep(k, mask & ((1 << k) - 1))
             d2 += s2
             d3 += s3
             width |= self.support[k]
@@ -514,7 +516,8 @@ def is_pi_system(rs: RootSet) -> bool:
     sysm = rs.system
     if any(sysm.cartan(a, b) not in (0, -1) for a, b in combinations(rs.members, 2)):
         return False
-    return _NodeView(sysm, sysm.projective(rs.members)).split()[1] is not None
+    view = _NodeView(sysm, sysm.projective(rs.members))
+    return view.split(view.every)[1] is not None
 
 
 def minimal_root(rs: RootSet) -> int:

@@ -86,7 +86,7 @@ def perfect_moset(rs: RootSet) -> Moset:
     """
     sysm = rs.system
     view = _NodeView(sysm, sysm.projective(rs.members))
-    comps, multiset = view.split()
+    comps, multiset = view.split(view.every)
     if multiset is None:
         raise NotPiSystem("perfect mosets are defined for Pi-systems")
     return Moset(sysm, view.moset(comps), tuple(rs.members))

@@ -483,10 +483,10 @@ def check_order_graphs() -> Result:
     def fn():
         # The paper's central claim: the enhanced diagram holds a member of
         # every orbit of Pi-systems.  The descent from the simple basis
-        # reaches every orbit below the whole system, so the orbits of the
-        # walk that stops once its own descent closes must be exactly the
-        # descent's, with the same order; and the walk run to its end must
-        # find no further label and the same least representatives.
+        # reaches every orbit below the whole system, so _orbits (its own
+        # descent, then a pruned walk) must give exactly its orbits and
+        # order; and the walk run to its end must find no further label
+        # and the same least representatives.
         for series, rank in (("E", 7), ("E", 8), ("D", 10)):
             system = build_root_system(series, rank)
             if descent_lower_sets(system) != _orbits_lower_sets(system):

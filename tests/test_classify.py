@@ -704,12 +704,14 @@ def test_labels_below_matches_search_over_the_completion():
             assert _labels_of_bits(s, found.lower[found.index[label]]) == reference[label], (s.name, rep)
 
 
-STOP_SYSTEMS = SMALL + [("D", 9), ("D", 10), ("A", 12), ("D", 12)]
+# D11 and D13 have representatives whose children the descent takes off
+# the enhanced diagram.
+STOP_SYSTEMS = SMALL + [("D", 9), ("D", 10), ("D", 11), ("A", 12), ("D", 12), ("D", 13)]
 
 
 def test_descent_from_the_simple_basis_reaches_the_table():
     # Labelled by orbit_label alone, the descent from the simple basis finds
-    # exactly the orbits and lower sets of the walk that stops.
+    # exactly the orbits and lower sets of _orbits.
     from rootforge.verification import _orbits_lower_sets, descent_lower_sets
 
     for series, rank in STOP_SYSTEMS:
@@ -733,11 +735,10 @@ def test_descent_needs_the_extended_children(monkeypatch):
 
 
 def test_stopped_walk_equals_the_whole_walk():
-    # The walk that stops once its descent closes, and grows no subset that
-    # no pending label can lie above, finds the labels and least
-    # representatives of the walk run to its end; the test above checks its
-    # lower sets on the same systems.  The prune cuts A16's walk from 21,852
-    # subsets to 2,604.
+    # The walk that stops once every label of the descent is met, and grows
+    # a subset only while a pending label lies above it with a larger rank,
+    # finds the labels and least representatives of the walk run to its
+    # end; the test above checks its lower sets on the same systems.
     from rootforge.verification import whole_walk_orbits
 
     for series, rank in STOP_SYSTEMS + [("A", 16)]:
@@ -747,12 +748,13 @@ def test_stopped_walk_equals_the_whole_walk():
 
 @pytest.mark.parametrize(
     "series, rank, visited",
-    [("E", 7, 148), ("E", 8, 562), ("D", 10, 3229), ("A", 12, 285), ("A", 16, 2604)],
+    [("E", 7, 94), ("E", 8, 238), ("D", 10, 497), ("A", 12, 224), ("A", 16, 820)],
 )
 def test_walk_stops_at_the_last_first_occurrence(series, rank, visited):
     # E7 has 1,433 Pi-subsets, E8 22,910, D10 12,695, A12 4,095 and A16
-    # 65,535: the walk grows no subset that no pending label can lie above,
-    # and stops at the first subset of the last label to appear.
+    # 65,535: the walk grows a subset only while a pending label lies above
+    # its label with a larger rank, and stops at the first subset of the
+    # last label to be met.  These counts measure that prune.
     from rootforge.classify import _orbits
 
     assert _orbits(build_root_system(series, rank)).visited == visited
@@ -804,16 +806,45 @@ for call in calls:
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
-def test_maximal_child_missing_from_the_table_raises(flags):
-    # Typed, so that it holds under python -O too; the run under -O shows it.
+WALK_LABEL_MISSING_FROM_THE_DESCENT = """
+import sys
+from rootforge import classify
+from rootforge.errors import InvariantViolation
+from rootforge.rootsystem import build_root_system
+
+# With every mark read as 1 the descent takes Levi children only, which
+# stay inside the Dynkin diagram and miss orbits such as 7A1 in E7; the
+# walk then meets a label that the descent did not reach.
+original = classify._PiWalk.highest
+classify._PiWalk.highest = lambda walk, comp: original(walk, comp)[:2] + ((1,) * comp.bit_count(),)
+try:
+    classify.enumerate_pi_orbits(build_root_system("E", 7))
+except InvariantViolation as exc:
+    sys.exit(0 if "does not reach" in str(exc) else str(exc))
+sys.exit("no InvariantViolation")
+"""
+
+
+def _exits_0(script, flags):
+    # Run script in a fresh interpreter with flags; typed checks hold under
+    # python -O too, and the run under -O shows it.
     import os
     import subprocess
     import sys
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, *flags, "-c", MISSING_CHILD_LABEL], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_maximal_child_missing_from_the_table_raises(flags):
+    _exits_0(MISSING_CHILD_LABEL, flags)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_walk_label_missing_from_the_descent_raises(flags):
+    _exits_0(WALK_LABEL_MISSING_FROM_THE_DESCENT, flags)
 
 
 def test_moset_embedding_off_the_moset_raises_typed_error(monkeypatch):
@@ -871,7 +902,7 @@ def test_pi_table_matches_the_separate_walk_and_labels():
 
 
 def test_fresh_label_classifies_its_diagram_once(monkeypatch):
-    from rootforge import classify, diagrams
+    from rootforge import diagrams
     from rootforge.rootsystem import RootSystem
 
     # One shape recognition per component of a label not computed before.
@@ -879,8 +910,7 @@ def test_fresh_label_classifies_its_diagram_once(monkeypatch):
     eb = enhanced_basis(fresh)
     original = diagrams._classify_one
     seen = []
-    for module in (classify, diagrams):
-        monkeypatch.setattr(module, "_classify_one", lambda *args: seen.append(args) or original(*args))
+    monkeypatch.setattr(diagrams, "_classify_one", lambda *args: seen.append(args) or original(*args))
     for names, text, parts in [(["1", "3", "4"], "A3", 1), (["1", "3", "5", "6"], "2A2", 2)]:
         seen.clear()
         assert orbit_label(RootSet(fresh, eb.subset(names))).render() == text

@@ -163,3 +163,17 @@ def test_a16_table_and_order_are_pinned(capsys):
         code, out = run(capsys, command, "A16", "--json", "-")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_d14_table_and_order_are_pinned(capsys):
+    # sha256 of the D14 orbit table and order graph (909 orbits), taken
+    # while the walk still labelled maximal children as it met first
+    # subsets and pruned by rank and largest component
+    expected = {
+        "classify": "e69eba8307e538d0421c08175f952e17c7c86417ff93f4a90d06cabc5b3cdef7",
+        "order": "f9a1db6366ddeb594bb99ab5a0c8d4b41b54c58c9bb1e810292809ef67bac5b2",
+    }
+    for command, digest in expected.items():
+        code, out = run(capsys, command, "D14", "--json", "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
