@@ -253,41 +253,50 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     placing one element at a time inside the subsystem orthogonal to the
     already placed targets, walking roots with reflections.  That scope
     is an int mask over the positive roots (`rootsystem.cartan_links`).
+    A step's reflections are in scope roots, orthogonal to every placed
+    target, so they fix the placed images and only the others are moved.
     """
-    model = core_group_model(system)
-    nodes = system.projective(subset)
+    nodes = system.projective(system.check_indices(subset))
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("only orthogonal sets can enter the moset")
     links = cartan_links(system)
-    moset = set(model.moset)
+    moset = _moset_mask(system)
+    proj = system.proj_rep
     scope = positive_mask(system)
     word: list[int] = []
-    images = {n: n for n in nodes}
-    for n in nodes:
-        cur = images[n]
-        targets = {m for m in moset if scope >> m & 1}
-        if system.proj_rep(cur) in targets:
-            target = system.proj_rep(cur)
-        else:
-            step_word = _walk_to(system, scope, cur, targets)
+    images = list(nodes)
+    for k in range(len(nodes)):
+        targets = moset & scope
+        target = proj(images[k])
+        if not targets >> target & 1:
+            step_word = _walk_to(system, scope, images[k])
             word.extend(step_word)
-            images = {k: _apply(system, step_word, img) for k, img in images.items()}
-            target = system.proj_rep(images[n])
-            if target not in targets:
+            images[k:] = [_apply(system, step_word, img) for img in images[k:]]
+            target = proj(images[k])
+            if not targets >> target & 1:
                 raise InvariantViolation("walk landed outside the moset targets")
-        moset.discard(target)
         scope &= ~links[target]
-    mapping = {n: system.proj_rep(images[n]) for n in nodes}
-    return tuple(word), mapping
+    return tuple(word), {n: proj(img) for n, img in zip(nodes, images)}
 
 
-def _walk_to(system: RootSystem, scope: int, start: int, targets: set) -> tuple[int, ...]:
-    """Breadth-first walk from a root to any target by reflections in the
-    positive roots of scope; returns the word.  Each root is reflected only
-    in the scope roots not orthogonal to it, lowest first: the generators
-    of its component of scope that move it."""
+@system_memo
+def _moset_mask(system: RootSystem) -> int:
+    """Int mask of the model moset's members."""
+    return sum(1 << m for m in core_group_model(system).moset)
+
+
+@system_memo
+def _walk_to(system: RootSystem, scope: int, start: int) -> tuple[int, ...]:
+    """Breadth-first walk from a root to any model moset member in scope by
+    reflections in the positive roots of scope; returns the word.  Each
+    root is reflected only in the scope roots not orthogonal to it, lowest
+    first: the generators of its component of scope that move it.  The
+    targets are fixed by scope, since weyl_into_moset drops each placed
+    target from it, so the word depends on (scope, start) alone."""
     links = cartan_links(system)
+    targets = _moset_mask(system) & scope
+    proj = system.proj_rep
     parents: dict[int, tuple[int, int] | None] = {start: None}
     frontier = [start]
     while frontier:
@@ -298,7 +307,7 @@ def _walk_to(system: RootSystem, scope: int, start: int, targets: set) -> tuple[
                 if nxt in parents:
                     continue
                 parents[nxt] = (cur, g)
-                if system.proj_rep(nxt) in targets:
+                if targets >> proj(nxt) & 1:
                     word = []
                     while parents[nxt] is not None:
                         nxt, g = parents[nxt]
@@ -333,7 +342,7 @@ def parity_of_orthogonal(system: RootSystem, subset) -> int:
     """
     if system.series != "E" or system.rank not in SPECIAL_SIZES:
         raise Unsupported("parity is defined for orthogonal sets in E7 and E8")
-    nodes = system.projective(subset)
+    nodes = system.projective(system.check_indices(subset))
     for a, b in combinations(nodes, 2):
         if system.cartan(a, b) != 0:
             raise NotOrthogonal("parity is defined for orthogonal sets")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import itemgetter
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
@@ -543,8 +544,13 @@ def extend_partial_map(model: CoreGroupModel, mapping: dict):
             raise NotInMoset("partial map must stay inside the moset")
         items.append((model.position(src), model.position(dst)))
     pool = model.element_index.get(items[0], ()) if items else model.element_list
+    if len(items) < 2:
+        # With at most one pair, every element of the pool agrees.
+        return next(((True, word) for _, word in pool), (False, None))
+    sources, targets = zip(*items)
+    images = itemgetter(*sources)
     for perm, word in pool:
-        if all(perm[s] == d for s, d in items):
+        if images(perm) == targets:
             return True, word
     return False, None
 

@@ -130,8 +130,9 @@ def _proj_table(system: RootSystem) -> bytes:
 
 
 def _key(system: RootSystem, subset) -> bytes:
-    """A projective subset as the sorted bytes of its representatives."""
-    return bytes(sorted({system.proj_rep(i) for i in subset}))
+    """A projective subset as the sorted bytes of its representatives;
+    NoSuchRoot unless each index is one of the system's roots."""
+    return bytes(sorted({system.proj_rep(i) for i in system.check_indices(subset)}))
 
 
 def _orbit(system: RootSystem, start_key: bytes, cap: int) -> set[bytes]:

@@ -51,9 +51,13 @@ class RootSystem:
         self.ambient_dim = ambient_dim
         self._index = {r: i for i, r in enumerate(self.roots)}
         self._neg = tuple(self._index[neg(r)] for r in self.roots)
+        # proj_rep of every root: the membership walks read it per step.
+        self._proj = tuple(
+            i if _lex_positive(r) else self._neg[i] for i, r in enumerate(self.roots)
+        )
         self._cartan: dict[tuple[int, int], int] = {}
         self._reflect: dict[tuple[int, int], int] = {}
-        self.positive = tuple(i for i, r in enumerate(self.roots) if _lex_positive(r))
+        self.positive = tuple(i for i, p in enumerate(self._proj) if p == i)
         self.simple_basis = subsystem_basis(self, range(len(self.roots)))
         # Results of the functions decorated with system_memo.
         self.memo: dict = {}
@@ -117,7 +121,7 @@ class RootSystem:
         The representative is the member whose first nonzero coordinate is
         positive, i.e. the lexicographically positive one.
         """
-        return i if _lex_positive(self.roots[i]) else self._neg[i]
+        return self._proj[i]
 
     def projective(self, members) -> tuple[int, ...]:
         """Sorted canonical representatives of the projective roots of members."""
@@ -312,11 +316,24 @@ def reflect(system: RootSystem, beta: int, alpha: int) -> int:
 def cartan_links(system: RootSystem) -> tuple[int, ...]:
     """Row i is an int mask of the roots not orthogonal to root i, itself
     and its negative included.  Only Weyl membership walks on these rows,
-    so classification never builds them."""
-    roots = system.roots
-    return tuple(
-        sum(1 << j for j, s in enumerate(roots) if sum(map(mul, r, s))) for r in roots
-    )
+    so classification never builds them.
+
+    Each unordered pair of positive roots is paired once: a pairing sets
+    the bits of both signs of each root in the other's row, and a negative
+    root's row is its positive's, since -r pairs to zero with what r does.
+    """
+    roots, negative = system.roots, system._neg
+    rows = [0] * len(roots)
+    pos = system.positive
+    for k, i in enumerate(pos):
+        r = roots[i]
+        for j in pos[k:]:
+            if sum(map(mul, r, roots[j])):
+                rows[i] |= 1 << j | 1 << negative[j]
+                rows[j] |= 1 << i | 1 << negative[i]
+    for i in pos:
+        rows[negative[i]] = rows[i]
+    return tuple(rows)
 
 
 @system_memo

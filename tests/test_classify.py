@@ -271,6 +271,18 @@ def test_parity_closed_form_matches_moset_labels():
                 assert parity_of_orthogonal(s, moved) == walked
 
 
+def test_parity_of_orthogonal_refuses_raw_indices_that_are_no_roots():
+    # An index past the table would fail the pairing check with a bare
+    # IndexError, and -1 would wrap to the last root.
+    from rootforge.coregroups import core_group_model
+
+    e7 = build_root_system("E", 7)
+    moset = core_group_model(e7).moset
+    for subset in [(500, 0, 5), (-1, *moset[:2]), (1.5, *moset[1:3]), (*moset[:3], 126)]:
+        with pytest.raises(NoSuchRoot):
+            parity_of_orthogonal(e7, subset)
+
+
 def test_parity_only_at_special_sizes():
     from rootforge.coregroups import core_group_model
     from rootforge.errors import Unsupported

@@ -1,5 +1,7 @@
 """Weyl membership of embeddings: pinned witness decisions, systems beyond
-256 roots, and the non-orthogonality rows the witness walk runs on."""
+256 roots, the non-orthogonality rows the witness walk runs on, and the
+memoised walk and the core group scan against their earlier forms
+(membership_reference)."""
 
 import hashlib
 import random
@@ -12,6 +14,7 @@ from rootforge import (
     are_isomorphic,
     automorphism_group,
     build_root_system,
+    core_group_model,
     enhanced_basis,
     is_weyl_embedding,
     orbit_label,
@@ -19,7 +22,9 @@ from rootforge import (
 from rootforge.classify import pi_node_subsets
 from rootforge.diagrams import projective_diagram_of
 from rootforge.oracle import perm_from_word
-from rootforge.verification import E7_TABLE, E8_TABLE
+from rootforge.verification import E7_TABLE, E8_TABLE, SMALL
+
+import membership_reference
 
 
 def _moved(system, word, nodes):
@@ -158,18 +163,18 @@ def test_distinguished_side_isomorphisms_are_rejected(rank, classes):
         assert not decision.is_weyl and decision.witness_word is None
 
 
-@pytest.mark.parametrize("series, rank", [("A", 4), ("D", 5), ("E", 6), ("E", 7)])
+@pytest.mark.parametrize(
+    "series, rank", list(dict.fromkeys(SMALL + [("E", 7), ("E", 8), ("D", 8), ("D", 12), ("A", 16)]))
+)
 def test_cartan_links_rows(series, rank):
-    from rootforge.rootsystem import cartan_links
+    # Row i holds every j with dot(r_i, r_j) != 0, over all roots, so i and
+    # -i too; the rows are built from the positive pairs alone.
+    from rootforge.rootsystem import cartan_links, dot
 
     system = build_root_system(series, rank)
-    rows = cartan_links(system)
-    count = len(system.roots)
-    assert len(rows) == count
-    for i in range(count):
-        assert [rows[i] >> j & 1 == 1 for j in range(count)] == [
-            system.cartan(i, j) != 0 for j in range(count)
-        ]
+    roots = system.roots
+    expected = tuple(sum(1 << j for j, s in enumerate(roots) if dot(r, s) != 0) for r in roots)
+    assert cartan_links(system) == expected
 
 
 def test_classify_and_order_build_no_cartan_links(monkeypatch, capsys):
@@ -201,3 +206,87 @@ def test_positive_mask_is_memoised_on_the_system():
     keys = [key for key in fresh.memo if key[0] is positive_mask.__wrapped__]
     assert len(keys) == 1
     assert fresh.memo[keys[0]] == sum(1 << i for i in fresh.positive)
+
+
+def _orthogonal_sets(rng, system, count):
+    """count seeded orthogonal sets of raw root indices, either sign, grown
+    greedily from random roots to a random size between 1 and mu."""
+    mu = len(core_group_model(system).moset)
+    for _ in range(count):
+        size, picked = rng.randint(1, mu), []
+        pool = list(range(len(system.roots)))
+        while pool and len(picked) < size:
+            r = rng.choice(pool)
+            picked.append(r)
+            pool = [x for x in pool if system.cartan(x, r) == 0]
+        yield picked
+
+
+@pytest.mark.parametrize("series, rank", [("E", 7), ("E", 8), ("D", 8), ("D", 12)])
+def test_weyl_into_moset_matches_the_unmemoised_walk(series, rank, monkeypatch):
+    # One system object answers the whole stream, so later sets reuse the
+    # walks of earlier ones; each answer must equal, word for word, the
+    # walk that moves every image and walks every step afresh, and a call
+    # runs at most one new walk per element placed.
+    from rootforge.classify import _walk_to, weyl_into_moset
+
+    system = build_root_system(series, rank)
+    mu = len(core_group_model(system).moset)
+    rng = random.Random(1800 + rank)
+    walks, walk_to = [], membership_reference.walk_to
+
+    def counted(*args):
+        walks.append(args)
+        return walk_to(*args)
+
+    def entries():
+        return sum(1 for key in system.memo if key[0] is _walk_to.__wrapped__)
+
+    monkeypatch.setattr(membership_reference, "walk_to", counted)
+    before = entries()
+    for subset in _orthogonal_sets(rng, system, 200):
+        expected = membership_reference.weyl_into_moset(system, subset)
+        added = entries()
+        assert weyl_into_moset(system, subset) == expected
+        assert entries() - added <= mu
+    assert entries() - before < len(walks)
+
+
+@pytest.mark.parametrize("series, rank", [("E", 7), ("E", 8), ("D", 8)])
+def test_extend_partial_map_matches_the_pairwise_scan(series, rank):
+    # Seeded partial maps of 0 to 4 moset nodes, injective or not: the
+    # first element found and its word are the pairwise scan's.
+    from rootforge.coregroups import extend_partial_map
+
+    model = core_group_model(build_root_system(series, rank))
+    rng = random.Random(rank)
+    found = []
+    for size in range(5):
+        for _ in range(40):
+            sources = rng.sample(model.moset, size)
+            if rng.random() < 0.8:
+                images = rng.sample(model.moset, size)
+            else:
+                images = [rng.choice(model.moset) for _ in sources]
+            mapping = dict(zip(sources, images))
+            answer = extend_partial_map(model, mapping)
+            assert answer == membership_reference.extend_partial_map(model, mapping)
+            found.append(answer[0])
+    assert extend_partial_map(model, {}) == (True, model.element_list[0][1])
+    assert True in found and False in found
+
+
+def test_weyl_into_moset_refuses_raw_indices_that_are_no_roots():
+    # A negative index would wrap to the end of the table and give a
+    # second memo key for one root; a float or an index past the table
+    # would fail with a bare Python error.
+    from rootforge.classify import _walk_to, weyl_into_moset
+    from rootforge.errors import NoSuchRoot
+    from rootforge.rootsystem import RootSystem
+
+    e8 = build_root_system("E", 8)
+    fresh = RootSystem("E", 8, list(e8.roots), e8.ambient_dim)
+    for subset in [(300,), (-1,), (1.5,), ("3",), (0, 240)]:
+        with pytest.raises(NoSuchRoot):
+            weyl_into_moset(fresh, subset)
+    assert not any(key[0] is _walk_to.__wrapped__ for key in fresh.memo)

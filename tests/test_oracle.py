@@ -16,7 +16,7 @@ from rootforge import (
     weyl_order,
 )
 from rootforge.classify import pi_node_subsets
-from rootforge.errors import CapExceeded, MixedAmbient
+from rootforge.errors import CapExceeded, MixedAmbient, NoSuchRoot
 from rootforge.mosets import all_mosets
 from rootforge.oracle import (
     compose,
@@ -122,6 +122,20 @@ def test_elements_preserve_pairings():
         for _ in range(4):
             i, j = rng.randrange(n), rng.randrange(n)
             assert s.cartan(i, j) == s.cartan(w.perm[i], w.perm[j])
+
+
+def test_oracle_keys_refuse_raw_indices_that_are_no_roots():
+    # Each oracle entry point keys its subset on root indices: a negative
+    # index would fail to pack into bytes, one past the table would raise
+    # IndexError and a float TypeError.
+    e7 = build_root_system("E", 7)
+    for subset in [(-1,), (999,), (1.5,), (0, 126)]:
+        with pytest.raises(NoSuchRoot):
+            subset_orbit_bfs(e7, subset)
+        with pytest.raises(NoSuchRoot):
+            orbit_id_map(e7, [(0,), subset])
+        with pytest.raises(NoSuchRoot):
+            set_stabilizer(e7, subset, [])
 
 
 def test_subset_orbit():
