@@ -25,8 +25,6 @@ from .coregroups import (
 from .diagrams import (
     TypeLabel,
     _NodeView,
-    _bits,
-    _component_masks,
     _embeddings,
     _mask_nodes,
     projective_diagram_of,
@@ -45,10 +43,14 @@ from .oracle import perm_from_word
 from .rootsystem import (
     RootSet,
     RootSystem,
+    _bits,
+    _component_masks,
     build_root_system,
     cartan_links,
     components,
     e7_cut_root,
+    orthogonal,
+    orthogonal_complement,
     positive_mask,
     subsystem_basis,
     system_memo,
@@ -257,9 +259,8 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
     target, so they fix the placed images and only the others are moved.
     """
     nodes = system.projective(system.check_indices(subset))
-    for a, b in combinations(nodes, 2):
-        if system.cartan(a, b) != 0:
-            raise NotOrthogonal("only orthogonal sets can enter the moset")
+    if not orthogonal(system, nodes):
+        raise NotOrthogonal("only orthogonal sets can enter the moset")
     links = cartan_links(system)
     moset = _moset_mask(system)
     proj = system.proj_rep
@@ -343,9 +344,8 @@ def parity_of_orthogonal(system: RootSystem, subset) -> int:
     if system.series != "E" or system.rank not in SPECIAL_SIZES:
         raise Unsupported("parity is defined for orthogonal sets in E7 and E8")
     nodes = system.projective(system.check_indices(subset))
-    for a, b in combinations(nodes, 2):
-        if system.cartan(a, b) != 0:
-            raise NotOrthogonal("parity is defined for orthogonal sets")
+    if not orthogonal(system, nodes):
+        raise NotOrthogonal("parity is defined for orthogonal sets")
     if len(nodes) not in SPECIAL_SIZES[system.rank]:
         raise Unsupported(
             f"parity is not an orbit invariant of {len(nodes)}-sets in {system.name}"
@@ -440,21 +440,16 @@ def moset_embedding(eb: EnhancedBasis, subset) -> dict:
     nodeset = set(eb.nodes)
     if not all(n in nodeset for n in nodes):
         raise NotInEnhancedBasis("subset must consist of enhanced basis nodes")
-    for a, b in combinations(nodes, 2):
-        if sysm.cartan(a, b) != 0:
-            raise NotOrthogonal("moset embeddings take orthogonal subsets")
+    if not orthogonal(sysm, nodes):
+        raise NotOrthogonal("moset embeddings take orthogonal subsets")
     m_set = set(eb.moset)
     inside = [n for n in nodes if n in m_set]
     outside = [n for n in nodes if n not in m_set]
     mapping = {n: n for n in inside}
     if not outside:
         return mapping
-    scope = [
-        x
-        for x in eb.nodes
-        if all(sysm.cartan(x, i) == 0 for i in inside)
-    ]
-    for comp in components(sysm, tuple(scope)):
+    scope = orthogonal_complement(sysm, tuple(inside), eb.nodes)
+    for comp in components(sysm, scope):
         local = [n for n in outside if n in comp]
         if not local:
             continue
@@ -769,8 +764,8 @@ def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
     """All node subsets of the enhanced diagram that are Pi-systems, in
     depth-first (lexicographic) order, as a list of the caller's own.
 
-    Both completion policies give the same node set, so the walk over the
-    system's default enhanced basis serves every policy.
+    The walk is the system's own: the completion is canonical, so every
+    enhanced basis of the system has the walk's nodes.
     """
     walk = _PiWalk(eb.system)
     nodes, subsets = walk.nodes, []

@@ -1,16 +1,19 @@
 """Completion of symmetric root sets and enhanced bases.
 
 A symmetric set is complete when every D4-type subset contains its
-extension root.  The completion is computed by repeated elementary
-extensions; for an irreducible system the completion of a simple basis is
-the enhanced basis, whose projective diagram carries canonical node names
-("1".."n" for basis nodes, "l1","l2",... for the extra nodes of the E
-series, primed labels for the D series).
+extension root.  The completion, the least complete superset, is grown in
+rounds: each round adds every extension root that the current set's D4
+subsets lack, with its negative, until none is missing.  For an
+irreducible system the completion of a simple basis is the enhanced
+basis, whose projective diagram carries canonical node names ("1".."n"
+for basis nodes, "l1","l2",... for the extra nodes of the E series,
+primed labels for the D series).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .diagrams import ProjectiveDiagram, projective_diagram_of
@@ -22,7 +25,17 @@ from .errors import (
     RootForgeError,
     Unsupported,
 )
-from .rootsystem import RootSet, RootSystem, _highest_root, _support_masks, components, system_memo
+from .rootsystem import (
+    RootSet,
+    RootSystem,
+    _adjacency,
+    _bits,
+    _highest_root,
+    _support_masks,
+    components,
+    orthogonal,
+    system_memo,
+)
 
 
 # -- D4 stars and extension roots -----------------------------------------
@@ -30,15 +43,12 @@ from .rootsystem import RootSet, RootSystem, _highest_root, _support_masks, comp
 
 def d4_stars(system: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """All D4-type subdiagrams of the projective node set, as (center, ends)."""
-    nodeset = list(nodes)
+    adj = _adjacency(system, nodes)
     stars = []
-    for c in nodeset:
-        nbrs = [x for x in nodeset if x != c and system.cartan(c, x) != 0]
-        if len(nbrs) < 3:
-            continue
-        for ends in combinations(nbrs, 3):
-            if all(system.cartan(a, b) == 0 for a, b in combinations(ends, 2)):
-                stars.append((c, tuple(sorted(ends))))
+    for c, row in zip(nodes, adj):
+        for ends in combinations(_bits(row), 3):
+            if not any(adj[a] >> b & 1 for a, b in combinations(ends, 2)):
+                stars.append((c, tuple(sorted(nodes[e] for e in ends))))
     return stars
 
 
@@ -62,9 +72,8 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
             fixed.append(system.negative(e))
         else:
             raise NotD4("end root not adjacent to the center")
-    for a, b in combinations(fixed, 2):
-        if system.cartan(a, b) != 0:
-            raise NotD4("end roots of a D4 set must be orthogonal")
+    if not orthogonal(system, fixed):
+        raise NotD4("end roots of a D4 set must be orthogonal")
     return system.negative(_highest_root(system, (c, *fixed))[0])
 
 
@@ -72,7 +81,7 @@ def is_complete(rs: RootSet) -> bool:
     """True iff every D4-type subset has its extension root in the set."""
     if not rs.symmetric:
         raise NotSymmetric("completeness is defined for symmetric sets")
-    return next(_d4_extensions(rs.system, rs.members, _star_nodes), None) is None
+    return _completion(rs.system, rs.members) == rs.members
 
 
 def elementary_extension(
@@ -102,51 +111,39 @@ def elementary_extension(
     return tuple(sorted(nodes + (delta,))), delta
 
 
-def _d4_extensions(system: RootSystem, members, key, pick=min):
-    """Complete the symmetrized set one elementary extension at a time.
+def _completion(system: RootSystem, members) -> tuple[int, ...]:
+    """Sorted members of the least complete symmetric superset of members.
 
-    Among the D4 subdiagrams lacking their extension root, pick(..., key=key)
-    chooses the star (center, ends) to extend; the projective node of each
-    added root is yielded in turn.  key is applied afresh after every step,
-    so it may depend on what the caller has seen yielded.
+    Each round adds every extension root missing from the current set's D4
+    subdiagrams, with its negative, and the loop stops when a round finds
+    none missing.  A complete superset of the current set holds each
+    missing root, so by induction on the rounds every added root lies in
+    every complete superset of members: the result is the least one, and
+    no order of single extensions could give another.
     """
     members = set(system.symmetrize(tuple(members)))
     while True:
-        nodes = system.projective(members)
-        missing = []
-        for center, ends in d4_stars(system, nodes):
-            delta = extension_root(system, center, ends)
-            if delta not in members:
-                missing.append(((center, ends), delta))
+        stars = d4_stars(system, system.projective(members))
+        missing = {extension_root(system, c, ends) for c, ends in stars} - members
         if not missing:
-            return
-        delta = pick(missing, key=lambda item: key(item[0]))[1]
-        members.add(delta)
-        members.add(system.negative(delta))
-        yield system.proj_rep(delta)
-
-
-def _star_nodes(star) -> tuple[int, ...]:
-    return tuple(sorted(star[1] + (star[0],)))
+            return tuple(sorted(members))
+        members |= missing
+        members.update(system.negative(d) for d in missing)
 
 
 def complete(rs: RootSet) -> RootSet:
     """Minimal complete symmetric superset of the given set.
 
-    The set is symmetrized first; then the D4 subdiagram with the least
-    sorted node tuple that lacks its extension root is extended, until none
-    remains.  Every added root lies in every complete superset, so the
-    result is the least complete superset (complete sets are closed under
-    intersection), whatever order the extensions take.
+    Complete sets are closed under intersection, so a least complete
+    superset exists; _completion reaches it in rounds, each adding only
+    roots that every complete superset must hold.
     """
-    sysm = rs.system
-    added = tuple(_d4_extensions(sysm, rs.members, _star_nodes))
-    return RootSet(sysm, sysm.symmetrize(rs.members + added))
+    return RootSet(rs.system, _completion(rs.system, rs.members))
 
 
 def completion_nodes(rs: RootSet) -> tuple[int, ...]:
     """Projective node set of the completion."""
-    return rs.system.projective(complete(rs).members)
+    return rs.system.projective(_completion(rs.system, rs.members))
 
 
 # -- enhanced bases --------------------------------------------------------
@@ -165,9 +162,8 @@ class EnhancedBasis:
     nodes: tuple[int, ...]
     names: dict
     moset: tuple[int, ...]
-    added_order: tuple[int, ...]
 
-    @property
+    @cached_property
     def name_to_node(self) -> dict:
         return {v: k for k, v in self.names.items()}
 
@@ -243,10 +239,9 @@ def _path(adj, prev, cur) -> list:
 
 def _name_basis(system: RootSystem) -> dict:
     """Canonical labels for the simple basis nodes of an irreducible system."""
-    basis = list(system.simple_basis)
-    adj = {
-        b: [x for x in basis if x != b and system.cartan(b, x) != 0] for b in basis
-    }
+    basis = system.simple_basis
+    rows = _adjacency(system, basis)
+    adj = {b: [basis[j] for j in _bits(row)] for b, row in zip(basis, rows)}
     names: dict = {}
     if system.series == "A":
         ends = [b for b in basis if len(adj[b]) <= 1]
@@ -294,71 +289,45 @@ def _name_basis(system: RootSystem) -> dict:
     return names
 
 
-def _unique(candidates, what: str):
-    if len(candidates) != 1:
-        raise RootForgeError(f"cannot identify {what}: {len(candidates)} candidates")
-    return candidates[0]
+# The extra nodes of the enhanced E diagrams, in naming order: each label
+# goes to the one unnamed extra node joined to every named neighbour.
+_E_EXTRA = {
+    6: (("l1", ("1", "4", "6")), ("l2", ())),
+    7: (("l1", ("1", "4", "6")), ("l2", ("l1",)), ("l3", ("1", "6")), ("l4", ("1", "l2"))),
+}
+_E_EXTRA[8] = _E_EXTRA[7] + (
+    ("l5", ("8",)),
+    ("l6", ("l4",)),
+    ("l7", ("7",)),
+    ("l8", ("l3", "3")),
+)
 
 
 def _name_added(system: RootSystem, nodes, names) -> dict:
-    """Extend basis names to the extra nodes of the completion."""
-    names = dict(names)
+    """Extend basis names to the extra nodes of the completion: in the D
+    series each extra node is its basis support twin primed, in the E
+    series _E_EXTRA names them, each label one node.  InvariantViolation
+    unless every extra node is named."""
+    base, names = names, dict(names)
     added = [n for n in nodes if n not in names]
-
-    def nbrs(n):
-        return {x for x in nodes if x != n and system.cartan(n, x) != 0}
-
-    if system.series == "A":
-        if added:
-            raise InvariantViolation(f"the completion of {system.name} added nodes")
-        return names
     if system.series == "D":
         support = _support_masks(system)
         for n in added:
-            twin = _unique(
-                [x for x in nodes if x != n and x in names and support[x] == support[n]],
-                f"support twin of an extra node in {system.name}",
-            )
-            names[n] = names[twin] + "'"
-        return names
-
-    def named(label):
-        return next(k for k, v in names.items() if v == label)
-
-    def pick(label, what, pred=lambda n: True):
-        node = _unique([n for n in added if n not in names and pred(n)], what)
-        names[node] = label
-        return node
-
-    l1 = pick(
-        "l1",
-        "the extra node joined to basis nodes 1, 4 and 6",
-        lambda n: {named("1"), named("4"), named("6")} <= nbrs(n),
-    )
-    if system.rank == 6:
-        pick("l2", "the second extra node of E6")
-        return names
-    l2 = pick("l2", "the extra node joined to l1", lambda n: l1 in nbrs(n))
-    l3 = pick(
-        "l3",
-        "the extra node joined to 1 and 6",
-        lambda n: named("1") in nbrs(n) and named("6") in nbrs(n),
-    )
-    l4 = pick(
-        "l4",
-        "the extra node joined to 1 and l2",
-        lambda n: named("1") in nbrs(n) and l2 in nbrs(n),
-    )
-    if system.rank == 7:
-        if len(names) != len(nodes):
-            raise InvariantViolation("an extra node of E7 is left unnamed")
-        return names
-    pick("l5", "the extra node joined to 8", lambda n: named("8") in nbrs(n))
-    pick("l6", "the extra node joined to l4", lambda n: l4 in nbrs(n))
-    pick("l7", "the extra node joined to 7", lambda n: named("7") in nbrs(n))
-    l8 = pick("l8", "the last extra node of E8")
-    if not {l3, named("3")} <= nbrs(l8):
-        raise InvariantViolation("l8 is not joined to l3 and 3")
+            twins = [x for x in base if support[x] == support[n]]
+            if len(twins) == 1:
+                names[n] = base[twins[0]] + "'"
+    elif system.series == "E":
+        by_name = {v: k for k, v in names.items()}
+        for label, near in _E_EXTRA[system.rank]:
+            found = [
+                n for n in added if n not in names and all(system.cartan(n, by_name[x]) for x in near)
+            ]
+            if len(found) != 1:
+                raise InvariantViolation(f"{len(found)} candidates for {label} in {system.name}")
+            names[found[0]] = label
+            by_name[label] = found[0]
+    if len(names) != len(nodes):
+        raise InvariantViolation(f"an extra node of {system.name} is left unnamed")
     return names
 
 
@@ -376,37 +345,17 @@ def _moset_nodes(system: RootSystem, names: dict) -> tuple[int, ...]:
     else:
         labels = ["2", "3", "5", "7", "l1", "l3", "l4", "l5"]
     nodes = tuple(sorted(by_name[l] for l in labels))
-    for a, b in combinations(nodes, 2):
-        if system.cartan(a, b) != 0:
-            raise InvariantViolation("boldfaced nodes must be orthogonal")
+    if not orthogonal(system, nodes):
+        raise InvariantViolation("boldfaced nodes must be orthogonal")
     return nodes
 
 
 @system_memo
-def enhanced_basis(system: RootSystem, policy: str = "least") -> EnhancedBasis:
+def enhanced_basis(system: RootSystem) -> EnhancedBasis:
     """Enhanced basis of an irreducible system: the completion of its
-    simple basis, with canonical node names and the boldfaced moset.
-
-    policy picks which extendable D4 subdiagram is used first ("least" or
-    "greatest" by node labels).  The completion is the least complete
-    superset either way, so both policies give the same nodes; only the
-    names of the added nodes may differ.
-    """
+    simple basis, with canonical node names and the boldfaced moset."""
     if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducible("enhanced bases are defined for irreducible systems")
-    base_names = _name_basis(system)
-    temp = dict(base_names)
-
-    def star_key(star):
-        center, ends = star
-        return tuple(sorted(_label_key(temp[x]) for x in ends + (center,)))
-
-    pick = max if policy == "greatest" else min
-    added_order = []
-    for delta in _d4_extensions(system, system.simple_basis, star_key, pick):
-        added_order.append(delta)
-        temp[delta] = f"l{len(added_order)}"
-    nodes = tuple(sorted(system.simple_basis + tuple(added_order)))
-    names = _name_added(system, nodes, base_names)
-    moset = _moset_nodes(system, names)
-    return EnhancedBasis(system, nodes, names, moset, tuple(added_order))
+    nodes = system.projective(_completion(system, system.simple_basis))
+    names = _name_added(system, nodes, _name_basis(system))
+    return EnhancedBasis(system, nodes, names, _moset_nodes(system, names))

@@ -25,6 +25,11 @@ from .oracle import MAX_ROOTS, _table
 from .rootsystem import (
     RootSet,
     RootSystem,
+    _adjacency,
+    _bits,
+    _reflection_closure,
+    orthogonal,
+    orthogonal_complement,
     subsystem_basis,
     subsystem_generated,
     system_memo,
@@ -137,14 +142,7 @@ def _reach(system: RootSystem, basis, start) -> list[int]:
 
     The closure steps on bytes, so the reach may hold at most MAX_ROOTS
     roots; a larger one raises InvariantViolation."""
-    reach = list(dict.fromkeys(start))
-    reached = set(reach)
-    for x in reach:  # grows until closed under the basis reflections
-        for g in basis:
-            y = system.reflect(x, g)
-            if y not in reached:
-                reached.add(y)
-                reach.append(y)
+    reach = _reflection_closure(system, basis, start)
     if len(reach) > MAX_ROOTS:
         raise InvariantViolation(
             f"a local closure reaches {len(reach)} roots; byte states hold {MAX_ROOTS}"
@@ -200,6 +198,7 @@ def _generator_pool(system: RootSystem, eb: EnhancedBasis):
     """Seeds of the candidate subsystems: D4 stars of the enhanced diagram
     whose four ends lie in the moset, and A3 paths through two moset nodes."""
     nodes = eb.nodes
+    adj = _adjacency(system, nodes)
     m_set = set(eb.moset)
     pools = []
     for center, ends in d4_stars(system, nodes):
@@ -208,11 +207,8 @@ def _generator_pool(system: RootSystem, eb: EnhancedBasis):
         if four <= m_set:
             pools.append(tuple(sorted((center,) + ends)))
     for a, b in combinations(eb.moset, 2):
-        for c in nodes:
-            if c in (a, b):
-                continue
-            if system.cartan(a, c) != 0 and system.cartan(b, c) != 0:
-                pools.append(tuple(sorted((a, c, b))))
+        common = adj[nodes.index(a)] & adj[nodes.index(b)]
+        pools += [tuple(sorted((a, nodes[k], b))) for k in _bits(common)]
     return pools
 
 
@@ -575,11 +571,8 @@ def induced_group_on(model: CoreGroupModel, subset) -> set[tuple[int, ...]]:
 def verify_moset(system: RootSystem, members) -> None:
     """Raise NotMoset unless members form a moset of the whole system."""
     nodes = system.projective(members)
-    for a, b in combinations(nodes, 2):
-        if system.cartan(a, b) != 0:
-            raise NotMoset("members are not pairwise orthogonal")
-    for cand in system.proj_nodes:
-        if cand in nodes:
-            continue
-        if all(system.cartan(cand, m) == 0 for m in nodes):
-            raise NotMoset("orthogonal set is not maximal")
+    if not orthogonal(system, nodes):
+        raise NotMoset("members are not pairwise orthogonal")
+    # A node pairs to 2 with itself, so the complement holds no member.
+    if orthogonal_complement(system, nodes, system.proj_nodes):
+        raise NotMoset("orthogonal set is not maximal")

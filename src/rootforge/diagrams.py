@@ -17,6 +17,9 @@ from .errors import NotIrreducible, NotPiSystem, TooLarge, UnrecognizedComponent
 from .rootsystem import (
     RootSet,
     RootSystem,
+    _adjacency,
+    _bits,
+    _component_masks,
     _highest_root,
     _support_masks,
     components,
@@ -127,24 +130,25 @@ def type_label(*parts: tuple[str, int] | Irreducible) -> TypeLabel:
 
 
 def gamma_diagram(rs: RootSet) -> Diagram:
-    sysm = rs.system
-    bonds = []
-    for a, b in combinations(rs.members, 2):
-        if sysm.negative(a) == b:
-            bonds.append((frozenset((a, b)), 4))
-        elif sysm.cartan(a, b) != 0:
-            bonds.append((frozenset((a, b)), 1))
-    return Diagram(tuple(rs.members), frozenset(bonds))
+    sysm, nodes = rs.system, rs.members
+    # Each bond is met from both ends; the frozenset keeps it once.
+    bonds = frozenset(
+        (frozenset((a, nodes[j])), 4 if sysm.negative(a) == nodes[j] else 1)
+        for a, row in zip(nodes, _adjacency(sysm, nodes))
+        for j in _bits(row)
+    )
+    return Diagram(tuple(nodes), bonds)
 
 
 def delta_diagram(rs: RootSet) -> ProjectiveDiagram:
     sysm = rs.system
     nodes = sysm.projective(rs.members)
-    adj = set()
-    for a, b in combinations(nodes, 2):
-        if sysm.cartan(a, b) != 0:
-            adj.add(frozenset((a, b)))
-    return ProjectiveDiagram(nodes, frozenset(adj))
+    adj = frozenset(
+        frozenset((a, nodes[j]))
+        for a, row in zip(nodes, _adjacency(sysm, nodes))
+        for j in _bits(row)
+    )
+    return ProjectiveDiagram(nodes, adj)
 
 
 def projective_diagram_of(system: RootSystem, nodes: tuple[int, ...]) -> ProjectiveDiagram:
@@ -152,44 +156,6 @@ def projective_diagram_of(system: RootSystem, nodes: tuple[int, ...]) -> Project
 
 
 # -- shape recognition -----------------------------------------------------
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _adjacency(system: RootSystem, nodes) -> list[int]:
-    """Row i is the int mask of the positions j != i whose nodes[j] is not
-    orthogonal to nodes[i]: the projective diagram of nodes on positions."""
-    adj = [0] * len(nodes)
-    for (i, a), (j, b) in combinations(enumerate(nodes), 2):
-        if system.cartan(a, b):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return adj
-
-
-def _component_masks(mask: int, adj) -> list[int]:
-    """Connected components of the positions in mask, as int masks; adj[i]
-    is the int mask of the neighbours of position i."""
-    out = []
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            for i in _bits(frontier):
-                reach |= adj[i]
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        out.append(comp)
-        mask &= ~comp
-    return out
 
 
 def _tree_parity(comp: int, adj, flip) -> int:

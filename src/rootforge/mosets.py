@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 from .diagrams import _NodeView, subsystem_type
 from .errors import (
     InvariantViolation,
@@ -18,6 +16,7 @@ from .rootsystem import (
     RootSet,
     RootSystem,
     components,
+    orthogonal,
     orthogonal_complement,
 )
 
@@ -40,9 +39,8 @@ def extend_to_moset(system: RootSystem, seed, scope) -> Moset:
     """
     scope_p = system.projective(scope)
     seed_p = system.projective(seed)
-    for a, b in combinations(seed_p, 2):
-        if system.cartan(a, b) != 0:
-            raise NotOrthogonalSeed("seed must be pairwise orthogonal")
+    if not orthogonal(system, seed_p):
+        raise NotOrthogonalSeed("seed must be pairwise orthogonal")
     members = list(seed_p)
     for cand in scope_p:
         if cand in members:

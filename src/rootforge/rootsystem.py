@@ -349,26 +349,57 @@ def _support_masks(system: RootSystem) -> tuple[int, ...]:
     return tuple(sum(1 << c for c, x in enumerate(r) if x) for r in system.roots)
 
 
-def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components under the non-orthogonality relation, in the
-    order of their first members.  A member that a walk reaches leaves the
-    pool, so each step scans only the members no walk has reached yet."""
-    pool = dict.fromkeys(members)
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
     out = []
-    for start in members:
-        if start not in pool:
-            continue
-        del pool[start]
-        comp, stack = [start], [start]
-        while stack:
-            cur = stack.pop()
-            found = [x for x in pool if system.cartan(cur, x) != 0]
-            for x in found:
-                del pool[x]
-            comp += found
-            stack += found
-        out.append(tuple(sorted(comp)))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _adjacency(system: RootSystem, nodes) -> list[int]:
+    """Row i is the int mask of the positions j != i whose nodes[j] is not
+    orthogonal to nodes[i]: the diagram of nodes on positions, the one
+    table every pairing of a root set is read from."""
+    adj = [0] * len(nodes)
+    for (i, a), (j, b) in combinations(enumerate(nodes), 2):
+        if system.cartan(a, b):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _component_masks(mask: int, adj) -> list[int]:
+    """Connected components of the positions in mask, as int masks, in the
+    order of their lowest positions; adj[i] is the int mask of the
+    neighbours of position i."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= adj[i]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
+def components(system: RootSystem, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Connected components under the non-orthogonality relation, each
+    sorted, in the order of their first members."""
+    nodes = tuple(dict.fromkeys(members))
+    comps = _component_masks((1 << len(nodes)) - 1, _adjacency(system, nodes))
+    return [tuple(sorted(nodes[i] for i in _bits(comp))) for comp in comps]
+
+
+def orthogonal(system: RootSystem, nodes) -> bool:
+    """True iff the roots of nodes are pairwise orthogonal."""
+    return all(system.cartan(a, b) == 0 for a, b in combinations(nodes, 2))
 
 
 def subsystem_basis(system: RootSystem, members) -> tuple[int, ...]:
@@ -415,20 +446,21 @@ def subsystem_generated(rs: RootSet) -> RootSet:
     add over an orthogonal sum, a norm-2 vector of L lies in a single
     component's lattice, so the roots in L are exactly C.
     """
-    sysm = rs.system
-    gens = rs.members
-    orbit = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in gens:
-                c = sysm.reflect(b, a)
-                if c not in orbit:
-                    orbit.add(c)
-                    new.append(c)
-        frontier = new
-    return RootSet(sysm, tuple(orbit))
+    return RootSet(rs.system, tuple(_reflection_closure(rs.system, rs.members, rs.members)))
+
+
+def _reflection_closure(system: RootSystem, gens, start) -> list[int]:
+    """The roots that the reflections in gens carry start to, start first
+    and then in the order found."""
+    reach = list(dict.fromkeys(start))
+    reached = set(reach)
+    for x in reach:  # grows until closed under the reflections
+        for g in gens:
+            y = system.reflect(x, g)
+            if y not in reached:
+                reached.add(y)
+                reach.append(y)
+    return reach
 
 
 def _highest_root(system: RootSystem, members: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -465,9 +497,8 @@ def orthogonal_complement(system: RootSystem, x: tuple[int, ...], scope: tuple[i
 def theta_component(system: RootSystem, o: tuple[int, ...]) -> tuple[int, ...]:
     """The unique irreducible component of the orthogonal complement of o
     that is not of type A1, or the empty tuple when every component is A1."""
-    for a, b in combinations(o, 2):
-        if system.cartan(a, b) != 0:
-            raise NotOrthogonal("theta component needs an orthogonal subset")
+    if not orthogonal(system, o):
+        raise NotOrthogonal("theta component needs an orthogonal subset")
     if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducibleParent("theta component needs an irreducible parent")
     psi = orthogonal_complement(system, o, tuple(range(len(system.roots))))

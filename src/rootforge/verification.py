@@ -27,9 +27,9 @@ from .classify import (
     order_between_orbits,
     pi_node_subsets,
 )
-from .completion import complete, enhanced_basis
+from .completion import complete, d4_stars, elementary_extension, enhanced_basis, extension_root
 from .coregroups import core_group_model, core_order_formula
-from .diagrams import _mask_nodes, are_isomorphic, automorphism_group, subsystem_type
+from .diagrams import _mask_nodes, automorphism_group, subsystem_type
 from .errors import InvariantViolation
 from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (
@@ -286,14 +286,31 @@ def check_enhanced_diagrams() -> Result:
             eb = enhanced_basis(system)
             if len(eb.moset) != _mu_formula(series, rank):
                 problems.append(f"moset size {series}{rank}")
-            other = enhanced_basis(system, "greatest")
-            if not are_isomorphic(eb.diagram(), other.diagram())[0]:
-                problems.append(f"policy isomorphism {series}{rank}")
-        return not problems, "diagram shape checks" + (
+            if _extended_one_at_a_time(system) != eb.nodes:
+                problems.append(f"elementary extensions {series}{rank}")
+        return not problems, "diagram shapes; elementary extensions reach every SMALL completion" + (
             f"; bad {problems}" if problems else ""
         )
 
     return _run("4 enhanced Dynkin diagrams", 20.0, fn)
+
+
+def _extended_one_at_a_time(system) -> tuple[int, ...]:
+    """The simple basis extended by one elementary_extension at a time, the
+    greatest D4 star (by its sorted nodes) that lacks its extra node first,
+    until none does.  The completion is canonical, so this order must reach
+    the nodes of enhanced_basis, which adds every missing root per round."""
+    nodes = system.simple_basis
+    while True:
+        missing = [
+            (tuple(sorted(ends + (center,))), center, ends)
+            for center, ends in d4_stars(system, nodes)
+            if system.proj_rep(extension_root(system, center, ends)) not in nodes
+        ]
+        if not missing:
+            return nodes
+        _, center, ends = max(missing)
+        nodes = elementary_extension(system, nodes, center, ends)[0]
 
 
 # -- criterion 5: small-rank classification vs oracle ---------------------------

@@ -11,9 +11,8 @@ from itertools import combinations
 
 from rootforge.classify import _apply
 from rootforge.coregroups import core_group_model
-from rootforge.diagrams import _bits
 from rootforge.errors import InvariantViolation, NotOrthogonal
-from rootforge.rootsystem import cartan_links, positive_mask
+from rootforge.rootsystem import _bits, cartan_links, positive_mask
 
 
 def weyl_into_moset(system, subset):

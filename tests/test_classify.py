@@ -929,16 +929,6 @@ def test_fresh_label_classifies_its_diagram_once(monkeypatch):
         assert len(seen) == parts, names
 
 
-def test_both_completion_policies_give_the_same_pi_subsets():
-    from rootforge.verification import SMALL
-
-    for series, rank in SMALL + [("D", 9), ("D", 10)]:
-        s = build_root_system(series, rank)
-        least, greatest = enhanced_basis(s), enhanced_basis(s, "greatest")
-        assert sorted(greatest.nodes) == sorted(least.nodes), s.name
-        assert pi_node_subsets(greatest) == pi_node_subsets(least)
-
-
 def test_moset_embedding_beyond_d8():
     # Orthogonal 1- and 2-subsets off the moset; D9 and D10 components were
     # once matched against D4-D8 models only.

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from rootforge import (
     RootSet,
-    are_isomorphic,
     build_root_system,
     complete,
     elementary_extension,
@@ -170,9 +171,13 @@ def test_e7_extension_trace():
     assert {"l1", "2", "7"} <= nbrs("l2")
     assert nbrs("l3") == {"1", "6"}
     assert nbrs("l4") == {"1", "l2"}
-    # the first extension joins the unique D4 star of the Dynkin diagram
-    first = eb.added_order[0]
-    assert eb.names[first] == "l1"
+    # l1 extends the unique D4 star of the Dynkin diagram
+    for rank in (6, 7, 8):
+        s = build_root_system("E", rank)
+        stars = d4_stars(s, s.simple_basis)
+        assert len(stars) == 1
+        eb = enhanced_basis(s)
+        assert s.proj_rep(extension_root(s, *stars[0])) == eb.node("l1")
 
 
 def test_e8_diagram_shape():
@@ -201,12 +206,41 @@ def test_d_series_prime_names():
     assert {eb.names[n] for n in eb.moset} == {"1", "1'", "3", "3'", "5", "5'"}
 
 
-def test_policy_independence():
-    for label in [("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
+def _extend_in_random_order(system, members, rng):
+    """Projective nodes of the completion of members, grown by one
+    elementary_extension at a time on a D4 star that rng picks among those
+    lacking their extra node."""
+    nodes = system.projective(members)
+    while True:
+        missing = [
+            (center, ends)
+            for center, ends in d4_stars(system, nodes)
+            if system.proj_rep(extension_root(system, center, ends)) not in nodes
+        ]
+        if not missing:
+            return nodes
+        nodes = elementary_extension(system, nodes, *rng.choice(missing))[0]
+
+
+def test_completion_is_reached_by_elementary_extensions_in_any_order():
+    # The completion is canonical: extending one star at a time, in any
+    # order, reaches what the round-based loop adds all at once.
+    from rootforge.verification import SMALL
+
+    rng = random.Random(19)
+    for label in SMALL + [("D", 9), ("D", 10)]:
         s = build_root_system(*label)
-        a = enhanced_basis(s, "least").diagram()
-        b = enhanced_basis(s, "greatest").diagram()
-        assert are_isomorphic(a, b)[0]
+        for _ in range(3):
+            assert _extend_in_random_order(s, s.simple_basis, rng) == enhanced_basis(s).nodes
+    grown = 0
+    for label, top in [(("D", 6), 9), (("E", 7), 7), (("E", 8), 7)]:
+        s = build_root_system(*label)
+        for _ in range(40):
+            x = tuple(rng.sample(range(len(s.roots)), rng.randint(2, top)))
+            nodes = _extend_in_random_order(s, x, rng)
+            assert complete(RootSet(s, x)).members == s.symmetrize(nodes)
+            grown += len(nodes) > len(s.projective(x))
+    assert grown >= 20
 
 
 def test_enhanced_bases_conjugate_small():
@@ -281,24 +315,10 @@ def test_bases_inside_phi_conjugate_by_stabilizer():
             )
 
 
-def test_enhanced_basis_policy_by_keyword():
-    s = build_root_system("E", 7)
-    by_keyword = enhanced_basis(s, policy="greatest")
-    assert by_keyword is enhanced_basis(s, policy="greatest")
-    assert by_keyword.names == enhanced_basis(s, "greatest").names
-
-
-def test_enhanced_basis_spellings_share_one_memo_entry():
-    from rootforge.rootsystem import RootSystem
-
-    e6 = build_root_system("E", 6)
-    s = RootSystem("E", 6, list(e6.roots), e6.ambient_dim)  # empty memo
-    eb = enhanced_basis(s)
-    assert enhanced_basis(s, "least") is eb
-    assert enhanced_basis(s, policy="least") is eb
-    assert sum(1 for key in s.memo if key[0] is enhanced_basis.__wrapped__) == 1
-    with pytest.raises(TypeError):
-        enhanced_basis(s, "least", policy="least")
+def test_name_to_node_is_built_once_per_basis():
+    eb = enhanced_basis(build_root_system("E", 8))
+    assert eb.name_to_node is eb.name_to_node
+    assert {eb.node(label) for label in eb.names.values()} == set(eb.nodes)
 
 
 def test_columns_outside_the_d_series_raise():

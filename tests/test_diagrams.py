@@ -282,7 +282,7 @@ def _outcome(fn, *args):
 
 def _connected_masks(adj):
     """Every connected nonempty set of positions, as int masks."""
-    from rootforge.diagrams import _bits
+    from rootforge.rootsystem import _bits
 
     seen = {1 << i for i in range(len(adj))}
     frontier = list(seen)
@@ -301,7 +301,8 @@ def _connected_masks(adj):
 
 
 def _agree(adj, comp, quads=()):
-    from rootforge.diagrams import _bits, _classify_one
+    from rootforge.diagrams import _classify_one
+    from rootforge.rootsystem import _bits
 
     members = _bits(comp)
     view = {i: _bits(adj[i] & comp) for i in members}
@@ -313,7 +314,7 @@ def _agree(adj, comp, quads=()):
 
 def test_mask_recognizer_matches_the_dict_one_on_enhanced_diagrams():
     from rootforge import enhanced_basis
-    from rootforge.diagrams import _adjacency
+    from rootforge.rootsystem import _adjacency
     from rootforge.verification import SMALL
 
     seen = set()

@@ -16,6 +16,7 @@ from rootforge import (
 )
 from rootforge.classify import subsystem_type
 from rootforge.errors import NotIrreducible, NotOrthogonal, UnsupportedType
+from rootforge.rootsystem import RootSystem, system_memo
 
 
 def test_root_counts():
@@ -452,3 +453,57 @@ def test_reflection_orbit_equals_additive_closure_on_random_sets():
             assert subsystem_generated(rs).members == _additive_closure(rs)
     e8 = build_root_system("E", 8)
     assert subsystem_generated(RootSet(e8, ())).members == ()
+
+
+def _pool_components(system, members):
+    # The earlier components: a breadth-first walk over a pool of members.
+    pool = dict.fromkeys(members)
+    out = []
+    for start in members:
+        if start not in pool:
+            continue
+        del pool[start]
+        comp, stack = [start], [start]
+        while stack:
+            cur = stack.pop()
+            found = [x for x in pool if system.cartan(cur, x) != 0]
+            for x in found:
+                del pool[x]
+            comp += found
+            stack += found
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def test_components_match_the_pool_walk():
+    import random
+
+    rng = random.Random(7)
+    for label in [("A", 5), ("D", 6), ("E", 7)]:
+        s = build_root_system(*label)
+        for _ in range(50):
+            # Repeats and negatives included.
+            members = [rng.randrange(len(s.roots)) for _ in range(rng.randint(0, 12))]
+            members += [s.negative(m) for m in members[:2]] + members[:1]
+            rng.shuffle(members)
+            assert components(s, tuple(members)) == _pool_components(s, members)
+
+
+def test_system_memo_spellings_share_one_entry():
+    calls = []
+
+    @system_memo
+    def scaled(system, factor=2):
+        calls.append(factor)
+        return len(system.roots) * factor
+
+    a2 = build_root_system("A", 2)
+    s = RootSystem("A", 2, list(a2.roots), a2.ambient_dim)  # empty memo
+    out = scaled(s)
+    assert scaled(s, 2) == scaled(s, factor=2) == out == 12
+    assert calls == [2]
+    assert sum(1 for key in s.memo if key[0] is scaled.__wrapped__) == 1
+    assert scaled(s, factor=3) == scaled(s, 3) == 18
+    assert calls == [2, 3]
+    with pytest.raises(TypeError):
+        scaled(s, 2, factor=2)

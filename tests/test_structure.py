@@ -74,6 +74,46 @@ def test_node_sets_are_classified_through_their_view():
     assert not found, found
 
 
+def _over_pairs(node) -> bool:
+    """True for a loop or comprehension over combinations(..., 2)."""
+    if isinstance(node, ast.For):
+        iters = [node.iter]
+    else:
+        iters = [g.iter for g in getattr(node, "generators", ())]
+    return any(
+        isinstance(it, ast.Call)
+        and getattr(it.func, "id", getattr(it.func, "attr", None)) == "combinations"
+        and len(it.args) == 2
+        and isinstance(it.args[1], ast.Constant)
+        and it.args[1].value == 2
+        for it in iters
+    )
+
+
+def _cartan_against_zero(node) -> bool:
+    for cmp in ast.walk(node):
+        if isinstance(cmp, ast.Compare):
+            sides = [cmp.left, *cmp.comparators]
+            if any(
+                isinstance(x, ast.Call) and getattr(x.func, "attr", None) == "cartan" for x in sides
+            ) and any(isinstance(x, ast.Constant) and x.value == 0 for x in sides):
+                return True
+    return False
+
+
+def test_pairwise_orthogonality_is_tested_one_way():
+    # A root set's pairings are read through rootsystem: orthogonal() for
+    # pairwise orthogonality, _adjacency for the bonds.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "rootsystem.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _over_pairs(node) and _cartan_against_zero(node)
+    ]
+    assert not found, found
+
+
 def test_traced_names_resolve():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
