@@ -14,10 +14,9 @@ the process's peak RSS after them.  A second line times _orbits' two
 passes apart, on a fresh copy of the system with cold caches, and says
 what they did: the subsets the walk visited, the subset it stopped at
 (the least representative of the last label to be met), the children of
-the descent (Levi children, extended children on the enhanced diagram,
-and extended children labelled by _orbit_label because their highest
-root is off the diagram) and the representatives whose children the
-descent took off the diagram.
+the descent (Levi children and extended children) and the nodes it
+placed past the enhanced diagram on the walk's view: the highest roots
+that are not diagram nodes.
 
 A third line times core_group_model, which neither command runs, and
 splits it into its steps, run on a fresh copy of the system with cold
@@ -182,14 +181,14 @@ def main(argv):
         # The walk's depth-first order is the lexicographic order of the
         # sorted node tuples, so it stopped at the greatest representative.
         last = max(_mask_nodes(found.nodes, mask) for mask in found.first)
-        levi, extended, labelled = found.children
+        levi, extended = found.children
         walk = _PiWalk(rootforge.build_root_system.__wrapped__(system.series, system.rank))
-        (below, ranks, _, _), t_descent = timed(_descent, walk)
-        _, t_first = timed(_first_subsets, walk, below, ranks)
+        (below, _), t_descent = timed(_descent, walk)
+        _, t_first = timed(_first_subsets, walk, below)
         print(
-            f"     descent {t_descent:6.3f}s: {levi:,} Levi children, {extended:,} extended on"
-            f" the diagram, {labelled:,} extended labelled, {found.off:,} representatives off"
-            f" the diagram; walk {t_first:6.3f}s: {found.visited:,} subsets visited, stopped at"
+            f"     descent {t_descent:6.3f}s: {levi:,} Levi children, {extended:,} extended,"
+            f" {len(walk.nodes) - walk.size} nodes placed past the diagram;"
+            f" walk {t_first:6.3f}s: {found.visited:,} subsets visited, stopped at"
             f" {{{','.join(names[n] for n in last)}}}"
         )
         if not core:

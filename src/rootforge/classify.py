@@ -517,7 +517,7 @@ def _reduction_schedule(view: _NodeView, core) -> list:
     moset core: at each step a is the unique neighbor of an end e that lies
     in the core, and a is removed."""
     nodes, adj = view.nodes, view.adj
-    keep = sum(1 << nodes.index(c) for c in core)
+    keep = sum(1 << view.position[c] for c in core)
     current, out = view.every, []
     while current != keep:
         for e in _bits(current & keep):
@@ -617,19 +617,19 @@ class _PiWalk(_NodeView):
     A label depends only on the key (shape multiset, d2, d3, full width),
     and on the perfect moset when _needs_moset holds, so each such key is
     labelled once.  index maps the labels met so far to their codes, which
-    count up in order of appearance.  The same state on other nodes of the
-    system, given with the index to share, labels the maximal children of a
-    Pi-system off the diagram (_descent).
+    count up in order of appearance.  The descent (_descent) places each
+    highest root off the diagram on the same view, after the diagram's
+    size nodes, so every Pi-system it labels is a mask here; the walk
+    grows subsets over the first size positions only.
     """
 
-    def __init__(self, system: RootSystem, nodes: tuple[int, ...] | None = None, index: dict | None = None):
-        if nodes is None:
-            nodes = tuple(sorted(enhanced_basis(system).nodes))
-        super().__init__(system, nodes)
+    def __init__(self, system: RootSystem):
+        super().__init__(system, sorted(enhanced_basis(system).nodes))
+        self.size = len(self.nodes)
         # key -> label code, or -1 when the label needs the moset; such a key
         # is then looked up again with its moset tag.
         self.found: dict[tuple, int] = {}
-        self.index: dict[OrbitLabel, int] = {} if index is None else index
+        self.index: dict[OrbitLabel, int] = {}
 
     def label_code(self, key: tuple, width: int, tag) -> int:
         """Code of the label of a first-seen key, or -1 when tag is None and
@@ -662,7 +662,7 @@ class _PiWalk(_NodeView):
         walk ends or visit raises _Closed.  With more, the walk grows a
         subset whose label has code code only while more(code) holds;
         without it, every subset."""
-        n, adj, support, full = len(self.nodes), self.adj, self.support, self.full
+        n, adj, support, full = self.size, self.adj, self.support, self.full
         weights, shapes, found = self.weights, self.shapes, self.found
         shape, dstep, code_of, tagged = self.shape, self.dstep, self.code, self.tagged
 
@@ -710,15 +710,12 @@ class _PiWalk(_NodeView):
     def child_codes(self, mask: int, comps, multiset: int, d2: int, d3: int, width: int, counts: list) -> list:
         """The maximal children (_maximal_children) of the Pi-subset mask,
         whose walk state is comps, multiset, d2, d3 and width, as (code,
-        child) pairs: the child is a mask, or its sorted nodes when its
-        theta is not among the view's nodes.
+        child mask) pairs; theta is placed on the view when it is not on it.
 
-        A child among the nodes is keyed from its parent: only the component
-        of x is split again, x's dstep is taken off and theta's put on.  A
-        child whose theta is off the nodes is labelled by _orbit_label.
-        counts gathers the Levi children, the extended ones among the nodes
-        and those labelled, in that order."""
-        support, index = self.support, self.index
+        Each child is keyed from its parent: only the component of x is
+        split again, x's dstep is taken off and theta's put on.  counts
+        gathers the Levi children and the extended ones, in that order."""
+        support = self.support
         # width without x: the coordinates that x alone covers go.
         once = twice = 0
         for i in _bits(mask):
@@ -726,7 +723,7 @@ class _PiWalk(_NodeView):
             once |= support[i]
         out: list = []
         for comp in comps:
-            theta, at, marks = self.highest(comp)
+            theta, marks = self.highest(comp)
             others = [c for c in comps if c != comp]
             base = multiset - self.weights[self.shapes[comp]]
             for x, mark in zip(_bits(comp), marks):
@@ -739,12 +736,8 @@ class _PiWalk(_NodeView):
                     out.append((code, parent))
                 if mark < 2:
                     continue
-                if at < 0:
-                    counts[2] += 1
-                    nodes = _child_nodes(_mask_nodes(self.nodes, mask), self.nodes[x], theta)
-                    out.append((index.setdefault(_orbit_label(self.system, nodes), len(index)), nodes))
-                    continue
                 counts[1] += 1
+                at = self.place(theta)
                 t2, t3 = self.dstep(at, parent)
                 rest = comp & ~(1 << x) | 1 << at
                 code = self._child_code(others, base, rest, d2 - s2 + t2, d3 - s3 + t3, pwidth | support[at])
@@ -777,12 +770,11 @@ class _Orbits(NamedTuple):
     """The Weyl orbits of nonempty Pi-systems, found by _orbits.
 
     index maps each label to its code; first[c] is the least Pi-subset
-    (an int mask over nodes) with the label of code c, and lower[c] the
-    bitset over codes of the labels of every Pi-system inside the subsystem
-    it generates.  visited counts the subsets the walk visited, children the
-    maximal children of the descent (Levi, extended on the diagram and
-    extended labelled by _orbit_label) and off the representatives that the
-    descent took its children from off the diagram.
+    (an int mask over nodes, the enhanced diagram's sorted nodes) with the
+    label of code c, and lower[c] the bitset over codes of the labels of
+    every Pi-system inside the subsystem it generates.  visited counts the
+    subsets the walk visited, children the maximal children of the descent
+    (Levi and extended).
     """
 
     nodes: tuple[int, ...]
@@ -790,76 +782,48 @@ class _Orbits(NamedTuple):
     first: list[int]
     lower: list[int]
     visited: int
-    children: tuple[int, int, int]
-    off: int
+    children: tuple[int, int]
 
     @property
     def orbits(self) -> list[OrbitLabel]:
         return list(self.index)
 
 
-def _descent(walk: _PiWalk) -> tuple[list[set], list[int], tuple[int, int, int], int]:
-    """The descent of _orbits on the walk's index: (below, ranks, children,
-    off), where below[c] holds the codes of the maximal children of label c
-    other than c, ranks[c] is the rank of c, children counts the children
-    by kind (_PiWalk.child_codes) and off the representatives read off the
-    diagram.  A label's representative is the first child that carried it
-    or, if that lies off the diagram, an on-diagram child with the label
-    met before the label's turn.  One on the diagram is read on the walk's
-    own tables, one off it on the state of its own nodes."""
-    system, index = walk.system, walk.index
-    position = {v: i for i, v in enumerate(walk.nodes)}
-
-    def placed(nodes: tuple[int, ...]) -> int | tuple[int, ...]:
-        """nodes as a mask on the diagram when they all lie on it."""
-        if all(v in position for v in nodes):
-            return sum(1 << position[v] for v in nodes)
-        return nodes
-
-    reps = [placed(system.projective(system.simple_basis))]
+def _descent(walk: _PiWalk) -> tuple[list[set], tuple[int, int]]:
+    """The descent of _orbits on the walk's index: (below, children), where
+    below[c] holds the codes of the maximal children of label c other than
+    c and children counts the children by kind (_PiWalk.child_codes).  A
+    label's representative is the first child mask that carried it, read
+    on the walk's own tables."""
+    system = walk.system
+    reps = [sum(1 << walk.place(v) for v in system.projective(system.simple_basis))]
     below: list[set] = []
-    counts = [0, 0, 0]
-    off = 0
+    counts = [0, 0]
     while len(below) < len(reps):
-        code, rep = len(below), reps[len(below)]
-        if isinstance(rep, int):
-            view, mask = walk, rep
-        else:
-            off += 1
-            view = _PiWalk(system, rep, index)
-            mask = view.every
-        comps, multiset = view.split(mask)
-        d2, d3, width = view.dcounts(mask)
-        if view.code((multiset, d2, d3, width == view.full), comps, width) != code:
+        code, mask = len(below), reps[len(below)]
+        comps, multiset = walk.split(mask)
+        d2, d3, width = walk.dcounts(mask)
+        if walk.code((multiset, d2, d3, width == walk.full), comps, width) != code:
             raise InvariantViolation(f"a representative in {system.name} has another label than its own")
-        children = view.child_codes(mask, comps, multiset, d2, d3, width, counts)
-        reps.extend([None] * (len(index) - len(reps)))
+        children = walk.child_codes(mask, comps, multiset, d2, d3, width, counts)
         for c, child in children:
-            if not isinstance(reps[c], int):
-                if view is not walk or isinstance(child, tuple):
-                    child = placed(child if isinstance(child, tuple) else _mask_nodes(view.nodes, child))
-                if reps[c] is None or isinstance(child, int):
-                    reps[c] = child
+            if c == len(reps):  # codes count up in order of appearance
+                reps.append(child)
         below.append({c for c, _ in children} - {code})
-    ranks = [rep.bit_count() if isinstance(rep, int) else len(rep) for rep in reps]
-    return below, ranks, tuple(counts), off
+    return below, tuple(counts)
 
 
-def _first_subsets(walk: _PiWalk, below: list[set], ranks: list[int]) -> tuple[list[int], int]:
+def _first_subsets(walk: _PiWalk, below: list[set]) -> tuple[list[int], int]:
     """The first subset the walk meets with each label of the descent, and
     the number of subsets it visits: it grows a subset of label c only
-    while a label not met yet lies above c (by below) with a larger rank,
-    and stops when every label is met."""
+    while a label not met yet lies above c (by below; visit has met c
+    itself by then), and stops when every label is met."""
     system, n = walk.system, len(below)
     parents: list[list[int]] = [[] for _ in range(n)]
     for p, children in enumerate(below):
         for c in children:
             parents[c].append(p)
     upper = _lower_bits(parents)
-    higher = [0] * (system.rank + 1)  # higher[r]: the labels of rank above r
-    for c, r in enumerate(ranks):
-        for s in range(r):
-            higher[s] |= 1 << c
     first = [0] * n
     pending, visited = (1 << n) - 1, 0
 
@@ -877,7 +841,7 @@ def _first_subsets(walk: _PiWalk, below: list[set], ranks: list[int]) -> tuple[l
             if not pending:
                 raise _Closed
 
-    walk.run(visit, lambda code: pending & upper[code] & higher[ranks[code]])
+    walk.run(visit, lambda code: pending & upper[code])
     if pending:
         missing = list(walk.index)[(pending & -pending).bit_length() - 1].render()
         raise InvariantViolation(
@@ -900,12 +864,12 @@ def _orbits(system: RootSystem) -> _Orbits:
     The walk (_first_subsets) then finds each label's first subset, its
     least representative, as the walk's order is lexicographic.  It grows
     a subset of label c only while some pending label (first subset not
-    met yet) lies above c and has a larger rank, and stops when no label
-    is pending.  No first subset is lost: let R be the least representative
-    of a pending label p.  Every proper prefix P of R in sorted order is a
-    Pi-system inside the subsystem R generates, so its label lies below p
-    and has rank |P| < |R|; the walk reaches R through its prefixes and
-    grows each of them.
+    met yet) lies above c, and stops when no label is pending.  No first
+    subset is lost: let R be the least representative of a pending label
+    p.  Every proper prefix P of R in sorted order is a Pi-system inside
+    the subsystem R generates, of smaller rank, so its label lies below p
+    and is not p; the walk reaches R through its prefixes and grows each
+    of them.
 
     Every Pi-system is conjugate to a subset of the enhanced diagram (the
     paper's main claim), so a label that the descent reaches and the walk
@@ -913,9 +877,9 @@ def _orbits(system: RootSystem) -> _Orbits:
     meets and the descent does not reach.
     """
     walk = _PiWalk(system)
-    below, ranks, children, off = _descent(walk)
-    first, visited = _first_subsets(walk, below, ranks)
-    return _Orbits(walk.nodes, walk.index, first, _lower_bits(below), visited, children, off)
+    below, children = _descent(walk)
+    first, visited = _first_subsets(walk, below)
+    return _Orbits(tuple(walk.nodes[: walk.size]), walk.index, first, _lower_bits(below), visited, children)
 
 
 @system_memo
@@ -951,24 +915,16 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
     for marks of 2 or more; every node of a component of type A has mark 1.
     The marks are read off the nodes' view (_NodeView.highest), whose signs
     make tree neighbours pair to -1: the basis the marks refer to.
-    _PiWalk.child_codes gives the same children on the enhanced diagram.
+    _PiWalk.child_codes gives the same children on the walk's view.
     """
     view = _NodeView(system, nodes)
     for comp in view.split(view.every)[0]:
-        theta, _, marks = view.highest(comp)
+        theta, marks = view.highest(comp)
         for x, mark in zip(_bits(comp), marks):
             if len(nodes) > 1:
                 yield nodes[x], None
             if mark > 1:
                 yield nodes[x], theta
-
-
-def _child_nodes(nodes: tuple[int, ...], x: int, theta: int | None) -> tuple[int, ...]:
-    """The sorted projective nodes of the child (x, theta) of nodes."""
-    rest = [v for v in nodes if v != x]
-    if theta is not None:
-        rest.append(theta)
-    return tuple(sorted(rest))
 
 
 def _lower_bits(children) -> list[int]:

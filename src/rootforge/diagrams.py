@@ -307,51 +307,89 @@ def _mask_nodes(nodes: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
 
 class _NodeView:
-    """The projective diagram of sorted projective nodes as int-mask tables:
-    the one way a node set is read.  The walk over Pi-subsets
+    """The projective diagram of projective nodes as int-mask tables: the
+    one way a node set is read.  The walk over Pi-subsets
     (classify._PiWalk) is built on it; orbit labels, D tags, perfect mosets,
     Pi-system types and maximal children read their own nodes through it.
     Callers check the indices first (RootSet, RootSystem.check_indices).
 
-    Bit i of a mask stands for nodes[i], and adj[i] masks the neighbours of
-    position i.  shape classifies a component mask once; a shape multiset
-    is an int with one count per shape.  In a D system support[i] masks the
-    coordinates nodes[i] touches, twin[i] the position on the same
-    coordinate pair, and around[k] the thick pairs whose ends both
-    neighbour k: dstep reads the tag counts off them.
+    Bit i of a mask stands for nodes[i], position[v] is the position of
+    node v, and adj[i] masks the neighbours of position i.  shape
+    classifies a component mask once; a shape multiset is an int with one
+    count per shape.  In a D system support[i] masks the coordinates
+    nodes[i] touches, twin[i] the position on the same coordinate pair,
+    and around[k] the thick pairs whose ends both neighbour k: dstep reads
+    the tag counts off them.  The view grows one node at a time (place),
+    and every table and memo keeps its meaning for the masks over the
+    positions already placed.
     """
 
-    def __init__(self, system: RootSystem, nodes: tuple[int, ...]):
+    def __init__(self, system: RootSystem, nodes):
         self.system = system
-        self.nodes = nodes
-        n = len(nodes)
-        self.every = (1 << n) - 1  # the mask of every node
-        self.adj = adj = _adjacency(system, nodes)
+        self.nodes: list[int] = []
+        self.position: dict[int, int] = {}  # node -> its position
+        self.adj: list[int] = []
+        self.every = 0  # the mask of every node
         self.tagged = system.series == "D"
-        if self.tagged:
-            covers = _support_masks(system)
-            support = [covers[v] for v in nodes]
-            owners: dict[int, int] = {}  # a support -> the positions with it
-            for i, cover in enumerate(support):
-                owners[cover] = owners.get(cover, 0) | 1 << i
-            # A node has at most one twin: the other sign on its coordinate pair.
-            twin = [owners[cover] & ~(1 << i) for i, cover in enumerate(support)]
-            around = [[] for _ in range(n)]
-            for a, t in enumerate(twin):
-                if t >> a > 1:  # each thick pair once, from its lower node
-                    for k in _bits(adj[a] & adj[t.bit_length() - 1]):
-                        around[k].append(1 << a | t)
-            self.full = (1 << system.rank) - 1
-        else:  # no tag outside the D series: the counts stay 0
-            support, twin, around = [0] * n, [0] * n, [()] * n
-            self.full = -1
-        self.support, self.twin, self.around = support, twin, around
-        self.slot = n.bit_length()  # bits per shape count: a subset has at most n components
+        # No tag outside the D series: supports and twins stay 0, so do the counts.
+        self.full = (1 << system.rank) - 1 if self.tagged else -1
+        self.covers = _support_masks(system) if self.tagged else ()
+        self.owners: dict[int, int] = {}  # a support -> the positions with it
+        self.support, self.twin, self.around = [], [], []
+        # Bits per shape count: the components of a Pi-system span
+        # orthogonal subspaces, so it has at most rank of them.
+        self.slot = system.rank.bit_length()
         self.kinds: dict = {}  # component shape -> its index, in order of appearance
         self.weights: list[int] = []  # index -> the multiset of one component of that shape
         self.shapes: dict[int, int | None] = {}  # component mask -> index of its shape
         self.types: dict[int, tuple] = {}  # shape multiset -> (its parts, its type text)
         self.tops: dict[int, tuple] = {}  # component mask -> highest(comp)
+        for v in nodes:
+            self.place(v)
+
+    def place(self, v: int) -> int:
+        """The position of projective node v, put after the others when it
+        is not in the view yet.
+
+        Placement order cannot change a label.  The shapes, the D counts
+        and the projective theta of a node set are functions of the set.
+        The perfect moset's tie rule (the class of the lowest position)
+        never applies where a label reads it: _needs_moset holds only when
+        every component is of type A with odd rank, an odd number of nodes
+        whose two colour classes differ in size.
+        """
+        at = self.position.get(v)
+        if at is not None:
+            return at
+        system, nodes, adj = self.system, self.nodes, self.adj
+        at, bit, row = len(nodes), 1 << len(nodes), 0
+        for j, u in enumerate(nodes):
+            if system.cartan(v, u):
+                row |= 1 << j
+                adj[j] |= bit
+        nodes.append(v)
+        adj.append(row)
+        self.position[v] = at
+        self.every |= bit
+        cover = twin = 0
+        around = []
+        if self.tagged:
+            cover, twins = self.covers[v], self.twin
+            # A node has at most one twin: the other sign on its coordinate pair.
+            twin = self.owners.get(cover, 0)
+            self.owners[cover] = twin | bit
+            # v is a new common neighbour of each thick pair in its row,
+            # taken once from its lower end.
+            around = [1 << a | twins[a] for a in _bits(row) if twins[a] & row and twins[a] >> a > 1]
+            if twin:
+                t = twin.bit_length() - 1
+                twins[t] |= bit
+                for k in _bits(row & adj[t]):
+                    self.around[k].append(twin | bit)
+        self.support.append(cover)
+        self.twin.append(twin)
+        self.around.append(around)
+        return at
 
     def shape(self, comp: int) -> int | None:
         """Index of the shape of a component mask; None unless plain ADE."""
@@ -441,12 +479,12 @@ class _NodeView:
             types[multiset] = (ttype.parts, ttype.render())
         return types[multiset]
 
-    def highest(self, comp: int) -> tuple[int, int, tuple[int, ...]]:
-        """(theta, its position or -1 off the nodes, the marks in position
-        order) of a component mask, memoised per mask: theta is the
-        projective highest root of the subsystem it generates
-        (rootsystem._highest_root), on the component's roots with the signs
-        that make tree neighbours pair to -1."""
+    def highest(self, comp: int) -> tuple[int, tuple[int, ...]]:
+        """(theta, the marks in position order) of a component mask,
+        memoised per mask: theta is the projective highest root of the
+        subsystem it generates (rootsystem._highest_root), on the
+        component's roots with the signs that make tree neighbours pair to
+        -1."""
         top = self.tops.get(comp)
         if top is None:
             system, nodes, adj = self.system, self.nodes, self.adj
@@ -460,9 +498,7 @@ class _NodeView:
                 system.negative(nodes[i]) if flipped >> i & 1 else nodes[i] for i in _bits(comp)
             )
             theta, marks = _highest_root(system, members)
-            theta = system.proj_rep(theta)
-            at = nodes.index(theta) if theta in nodes else -1
-            top = self.tops[comp] = (theta, at, marks)
+            top = self.tops[comp] = (system.proj_rep(theta), marks)
         return top
 
 

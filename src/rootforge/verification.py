@@ -16,7 +16,6 @@ from math import prod
 from .classify import (
     EmbeddingMap,
     _PiWalk,
-    _child_nodes,
     _lower_bits,
     _maximal_children,
     _orbits,
@@ -447,6 +446,14 @@ E8_ORDER_EDGES = {
 } | {
     (f"[A3+2A1]^{i}", f"[4A1]^{i}") for i in (0, 1)
 }
+
+
+def _child_nodes(nodes: tuple[int, ...], x: int, theta: int | None) -> tuple[int, ...]:
+    """The sorted projective nodes of the child (x, theta) of nodes."""
+    rest = [v for v in nodes if v != x]
+    if theta is not None:
+        rest.append(theta)
+    return tuple(sorted(rest))
 
 
 def descent_lower_sets(system) -> dict:

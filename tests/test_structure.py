@@ -13,6 +13,7 @@ given, so those names and that freedom are checked here too.
 import ast
 import importlib
 import importlib.util
+import inspect
 import random
 from pathlib import Path
 
@@ -187,3 +188,35 @@ def test_integer_arithmetic_only():
             if {"fractions", "decimal"} & {name.split(".")[0] for name in names}:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _calls_in(tree, names):
+    """The names called anywhere inside tree."""
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    } & set(names)
+
+
+def test_descent_labels_on_the_walks_one_view():
+    # The walk and the descent read every Pi-system as a mask on the walk's
+    # own view: no second labelling path and no second view.
+    from rootforge import classify, verification
+
+    assert list(inspect.signature(classify._PiWalk.__init__).parameters) == ["self", "system"]
+    tree = ast.parse(Path(classify.__file__).read_text())
+    scopes = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_PiWalk", "_descent")
+    ]
+    assert len(scopes) == 2
+    for scope in scopes:
+        found = _calls_in(scope, ("_orbit_label", "_PiWalk", "_NodeView"))
+        assert not found, (scope.name, found)
+    # _child_nodes builds a child's node tuple for criterion 8's second
+    # descent, its only user.
+    assert verification._child_nodes.__module__ == "rootforge.verification"
+    users = [path.name for path in SOURCES if "_child_nodes" in path.read_text()]
+    assert users == ["verification.py"], users
