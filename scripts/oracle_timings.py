@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle loop by loop: Weyl enumeration, the moset
-orbit walk, the moset stabilizer and the orbit map of the Pi-subsets.
+orbit walk, the moset stabilizer and the orbit map of the Pi-subsets, with
+the map's member count and the process's peak RSS after each system.
 
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
 
@@ -8,6 +9,7 @@ E7 enumerates all 2,903,040 elements of W(E7) and holds them at once
 (about 0.9 GB); it is left out unless named.
 """
 
+import resource
 import sys
 import time
 
@@ -34,13 +36,15 @@ def main(argv):
         del elements
         subsets = pi_node_subsets(eb)
         ids, t_ids = timed(orbit_id_map, system, subsets)
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{system.name:4} |W| = {order:>9,}"
             f"  enumerate_weyl {t_enum:6.2f}s"
             f"  moset orbit {len(orbit):>6,} sets {t_orbit:6.2f}s"
             f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
             f"  orbit_id_map {len(subsets):>6,} Pi-subsets"
-            f" -> {len(set(ids.values())):>4} orbits {t_ids:6.2f}s"
+            f" -> {len(set(ids.values())):>4} orbits {len(ids):>9,} members {t_ids:6.2f}s"
+            f"  peak RSS {peak_mib:6.1f} MiB"
         )
     return 0
 

@@ -8,11 +8,20 @@ lookup, done in C by ``bytes.translate`` on a permutation padded to a
 2,903,040 elements take 16-19 s and 0.7 GB on one core of a 2 vCPU host;
 orbit questions about subsets are answered by a generator walk that never
 materializes the whole group.
+
+The walk holds each projective subset as the sorted bytes of its root
+indices, and ``orbit_id_map`` keeps each orbit member once in that form:
+one bytes object and one dict slot, under 120 bytes a member at the
+traced peak on D5, D6 and E6, where a frozenset key took 400-630.  The
+map reads like a dict keyed by frozensets.  The orbits of E7's 1,433
+Pi-subsets have 9,555,471 members; their map takes about 70 s and an
+864 MiB peak RSS.
 """
 
 from __future__ import annotations
 
 import gc
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported
@@ -163,22 +172,47 @@ def subset_orbit_bfs(system: RootSystem, subset, cap: int = 10**7) -> set[frozen
     return {frozenset(s) for s in _orbit(system, _key(system, subset), cap)}
 
 
-def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> dict:
-    """Map each given subset (canonical projective frozenset) to a stable
-    orbit identifier (the lexicographically least member of its orbit)."""
-    out: dict[frozenset, tuple] = {}
+class _OrbitIds(Mapping):
+    """Read-only orbit map over sorted-bytes keys.  Lookups take any
+    iterable of distinct root indices, iteration yields frozensets, and a
+    key that cannot be a member (an index below 0 or above 255, a
+    non-integer) is missing like any other."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: dict[bytes, tuple]):
+        self._ids = ids
+
+    def __getitem__(self, subset) -> tuple:
+        try:
+            key = bytes(sorted(subset))
+        except (TypeError, ValueError):
+            raise KeyError(subset) from None
+        return self._ids[key]
+
+    def __iter__(self):
+        return map(frozenset, self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> Mapping:
+    """Map every member of the given subsets' orbits (a set of projective
+    representatives) to a stable orbit identifier, the lexicographically
+    least member as a sorted tuple.  The result is a read-only mapping
+    keyed like a dict of frozensets; it stores each member once, as sorted
+    bytes, at under 120 bytes a member where a frozenset key took 400-630."""
+    out: dict[bytes, tuple] = {}
     for subset in subsets:
         key = _key(system, subset)
-        if frozenset(key) in out:
+        if key in out:
             continue
         orbit = _orbit(system, key, cap)
-        rep = tuple(min(orbit))
-        for member in orbit:
-            member = frozenset(member)
-            if out.get(member, rep) != rep:
-                raise InvariantViolation("one subset lies in two orbits")
-            out[member] = rep
-    return out
+        if not out.keys().isdisjoint(orbit):
+            raise InvariantViolation("one subset lies in two orbits")
+        out.update(dict.fromkeys(orbit, tuple(min(orbit))))
+    return _OrbitIds(out)
 
 
 def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,8 +16,9 @@ from rootforge import (
     subset_orbit_bfs,
     weyl_order,
 )
+from rootforge import oracle
 from rootforge.classify import pi_node_subsets
-from rootforge.errors import CapExceeded, MixedAmbient, NoSuchRoot
+from rootforge.errors import CapExceeded, InvariantViolation, MixedAmbient, NoSuchRoot
 from rootforge.mosets import all_mosets
 from rootforge.oracle import (
     compose,
@@ -111,6 +113,68 @@ def test_oracle_outputs_are_pinned(label, weyl, stabilizer, orbits, keys):
     assert len(ids) == keys
     items = sorted((tuple(sorted(k)), v) for k, v in ids.items())
     assert digest(repr(items).encode()) == orbits
+
+
+def _frozenset_orbit_map(system, subsets):
+    # the map as a dict of frozensets, one orbit walk per new subset
+    out = {}
+    for subset in subsets:
+        if frozenset(system.projective(subset)) in out:
+            continue
+        orbit = subset_orbit_bfs(system, subset)
+        out.update(dict.fromkeys(orbit, min(tuple(sorted(m)) for m in orbit)))
+    return out
+
+
+@pytest.mark.parametrize("label", [("A", 4), ("D", 4), ("D", 5)])
+def test_orbit_map_reads_like_a_frozenset_dict(label):
+    s = build_root_system(*label)
+    subsets = pi_node_subsets(enhanced_basis(s))
+    ids = orbit_id_map(s, subsets)
+    ref = _frozenset_orbit_map(s, subsets)
+    assert ids == ref and ref == ids
+    assert len(ids) == len(ref)
+    assert all(type(k) is frozenset for k in ids)
+    assert set(ids.items()) == set(ref.items())
+    for k, v in ref.items():
+        assert k in ids and ids[k] == v and ids.get(k) == v
+    off = next(i for i in range(len(s.roots)) if s.proj_rep(i) != i)
+    absent = [frozenset({off}), frozenset({256}), frozenset({-1}), frozenset({1.5}), frozenset({0, 256})]
+    for key in absent:
+        assert key not in ref
+        assert key not in ids
+        assert ids.get(key) is None
+        with pytest.raises(KeyError):
+            ids[key]
+
+
+@pytest.mark.parametrize("starts", [(1, 2), (2, 0)], ids=["same least member", "other least member"])
+def test_overlapping_orbits_raise(monkeypatch, starts):
+    # every faked walk also reaches the second simple root
+    d4 = build_root_system("D", 4)
+    simple = d4.projective(d4.simple_basis)
+
+    def overlapping(system, start_key, cap):
+        return {start_key, bytes([simple[1]])}
+
+    monkeypatch.setattr(oracle, "_orbit", overlapping)
+    with pytest.raises(InvariantViolation):
+        orbit_id_map(d4, [(simple[k],) for k in starts])
+
+
+def test_orbit_map_costs_little_per_member():
+    # a frozenset key with its hash table took about 400 bytes a member
+    s = build_root_system("D", 5)
+    subsets = pi_node_subsets(enhanced_basis(s))
+    orbit_id_map(s, subsets[:1])  # fill the system's tables first
+    tracemalloc.start()
+    try:
+        ids = orbit_id_map(s, subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 4005
+    assert peak / len(ids) < 200
 
 
 def test_elements_preserve_pairings():
