@@ -27,7 +27,7 @@ from .diagrams import (
     _NodeView,
     _embeddings,
     _mask_nodes,
-    projective_diagram_of,
+    _projective_rows,
     subsystem_type,  # re-exported, as is subsystem_basis below
 )
 from .errors import (
@@ -283,8 +283,9 @@ def weyl_into_moset(system: RootSystem, subset) -> tuple[tuple[int, ...], dict]:
 
 @system_memo
 def _moset_mask(system: RootSystem) -> int:
-    """Int mask of the model moset's members."""
-    return sum(1 << m for m in core_group_model(system).moset)
+    """Int mask of the model moset's members: the enhanced basis's moset,
+    which the core group model is built on, read without building it."""
+    return sum(1 << m for m in enhanced_basis(system).moset)
 
 
 @system_memo
@@ -408,7 +409,7 @@ def _component_match(system: RootSystem, comp_nodes: tuple, moset_nodes: tuple):
     map carries the model moset onto the component's share of the ambient
     moset.
     """
-    comp_diagram = projective_diagram_of(system, comp_nodes)
+    comp_rows = _projective_rows(system, comp_nodes)
     count = len(comp_nodes)
     # The enhanced diagram of A_n has n nodes; that of D_n has 3(n // 2) - 1
     # (n even) or 3(n // 2) (n odd), more than n; E6, E7, E8 have 8, 11, 16.
@@ -422,12 +423,12 @@ def _component_match(system: RootSystem, comp_nodes: tuple, moset_nodes: tuple):
     m_set = set(moset_nodes)
     for series, rank_ in candidates:
         model_eb = enhanced_basis(build_root_system(series, rank_))
-        model_d = model_eb.diagram()
-        if len(model_d.nodes) != count:
+        if len(model_eb.nodes) != count:
             continue
-        for emb in _embeddings(model_d, comp_diagram, induced=True):
+        model_rows = _projective_rows(model_eb.system, tuple(sorted(model_eb.nodes)))
+        for emb in _embeddings(model_rows, comp_rows):
             if {emb[n] for n in model_eb.moset} == m_set & set(comp_nodes):
-                return model_eb, dict(emb)
+                return model_eb, emb
     raise NotInEnhancedBasis("component is not an enhanced diagram copy")
 
 

@@ -21,7 +21,7 @@ from .diagrams import to_dot
 from .errors import RootForgeError
 from .mosets import extend_to_moset
 from .oracle import DEFAULT_CAP
-from .rootsystem import RootSet, build_root_system, parse_system
+from .rootsystem import RootSet, parse_system
 
 
 def _sink(path: str | None, text: str) -> None:
@@ -34,11 +34,9 @@ def _sink(path: str | None, text: str) -> None:
 
 def _system_from(args) -> "RootSystem":
     spec = args.system
-    if len(spec) == 1:
-        return parse_system(spec[0])
-    if len(spec) == 2:
-        return build_root_system(spec[0].upper(), int(spec[1]))
-    raise RootForgeError("expected a system label like 'E7' or 'E 7'")
+    if len(spec) not in (1, 2):
+        raise RootForgeError("expected a system label like 'E7' or 'E 7'")
+    return parse_system("".join(spec))
 
 
 def _parse_labels(text: str) -> list[str]:

@@ -3,8 +3,14 @@
 Two diagram kinds appear: the plain diagram of a root set (single bonds
 between non-orthogonal non-opposite roots, quadruple bonds between a root
 and its negative) and the projective diagram obtained after identifying
-each root with its negative.  Both are small labeled graphs, so shape
-recognition and isomorphism are done by direct backtracking.
+each root with its negative.  Both are small labeled graphs, kept as
+frozenset objects for callers and DOT export.  Shape recognition and the
+searches read either kind once, into int-mask bond rows (_rows): one
+backtracking embedding search (_embeddings) compares masks, bond
+multiplicity included, and backs subdiagram search, isomorphism,
+automorphism groups and classify's match of a component with its model
+enhanced diagram.  A node set of a root system is read through its own
+int-mask view (_NodeView).
 """
 
 from __future__ import annotations
@@ -43,13 +49,6 @@ class Diagram:
                 return m
         return 0
 
-    def neighbors(self, a) -> tuple:
-        out = []
-        for pair, _ in self.bonds:
-            if a in pair:
-                out.extend(x for x in pair if x != a)
-        return tuple(sorted(out, key=_node_key))
-
 
 @dataclass(frozen=True)
 class ProjectiveDiagram:
@@ -60,10 +59,6 @@ class ProjectiveDiagram:
 
     def adjacent(self, a, b) -> bool:
         return frozenset((a, b)) in self.adjacency
-
-    def neighbors(self, a) -> tuple:
-        out = [next(iter(p - {a})) for p in self.adjacency if a in p]
-        return tuple(sorted(out, key=_node_key))
 
     def induced(self, nodes) -> "ProjectiveDiagram":
         ns = set(nodes)
@@ -155,6 +150,38 @@ def projective_diagram_of(system: RootSystem, nodes: tuple[int, ...]) -> Project
     return delta_diagram(RootSet(system, nodes))
 
 
+class _Rows(NamedTuple):
+    """A diagram on positions: bit j of adj[i] is set when nodes[i] and
+    nodes[j] are bonded, and of quad[i] when that bond is quadruple."""
+
+    nodes: tuple
+    adj: list[int]
+    quad: list[int]
+
+
+def _rows(d: Diagram | ProjectiveDiagram) -> _Rows:
+    """The bond rows of either diagram kind, on the positions of d.nodes:
+    the one reader of its bonds for shape recognition and the searches."""
+    pos = {n: i for i, n in enumerate(d.nodes)}
+    bonds = d.bonds if isinstance(d, Diagram) else [(p, 1) for p in d.adjacency]
+    adj, quad = [0] * len(pos), [0] * len(pos)
+    for pair, m in bonds:
+        a, b = (pos[x] for x in pair)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        if m == 4:
+            quad[a] |= 1 << b
+            quad[b] |= 1 << a
+    return _Rows(tuple(d.nodes), adj, quad)
+
+
+def _projective_rows(system: RootSystem, nodes: tuple[int, ...]) -> _Rows:
+    """The rows of the projective diagram on nodes (canonical projective
+    representatives) in their given order: rootsystem._adjacency, and no
+    quadruple bond."""
+    return _Rows(nodes, _adjacency(system, nodes), [0] * len(nodes))
+
+
 # -- shape recognition -----------------------------------------------------
 
 
@@ -177,31 +204,17 @@ def _tree_parity(comp: int, adj, flip) -> int:
     return odd
 
 
-def _graph_view(d: Diagram | ProjectiveDiagram):
-    """Int-mask view of either kind: bit i stands for d.nodes[i]; returns
-    the neighbour mask of every position and the mask of the positions on
-    a quadruple bond."""
-    pos = {n: i for i, n in enumerate(d.nodes)}
-    if isinstance(d, ProjectiveDiagram):
-        bonds = [(p, 1) for p in d.adjacency]
-    else:
-        bonds = d.bonds
-    adj = [0] * len(pos)
-    quads = 0
-    for pair, m in bonds:
-        a, b = (pos[x] for x in pair)
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        if m == 4:
-            quads |= 1 << a | 1 << b
-    return adj, quads
-
-
 def classify_components(d: Diagram | ProjectiveDiagram) -> TypeLabel:
     """Recognize every connected component as an ADE or extended ADE shape."""
-    adj, quads = _graph_view(d)
-    comps = _component_masks((1 << len(adj)) - 1, adj)
-    return TypeLabel(tuple(_classify_one(comp, adj, quads) for comp in comps))
+    return TypeLabel(tuple(_parts(d)))
+
+
+def _parts(d: Diagram | ProjectiveDiagram) -> list[Irreducible]:
+    """The shape of each component of d; UnrecognizedComponent for any
+    that is not ADE or extended ADE."""
+    _, adj, quad = _rows(d)
+    quads = sum(1 << i for i, row in enumerate(quad) if row)
+    return [_classify_one(comp, adj, quads) for comp in _component_masks((1 << len(adj)) - 1, adj)]
 
 
 _BRANCHED = {
@@ -278,9 +291,8 @@ def _classify_one(comp: int, adj, quads: int = 0) -> Irreducible:
 
 def is_dynkin_shape(d: ProjectiveDiagram) -> bool:
     """True iff every component is a plain (non-extended) ADE diagram."""
-    adj, quads = _graph_view(d)
     try:
-        parts = [_classify_one(comp, adj, quads) for comp in _component_masks((1 << len(adj)) - 1, adj)]
+        parts = _parts(d)
     except UnrecognizedComponent:
         return False
     return not any(p.extended for p in parts)
@@ -553,7 +565,7 @@ def find_subdiagrams(d: ProjectiveDiagram, pattern: TypeLabel) -> list[dict]:
         raise NotIrreducible("pattern must be irreducible")
     model = _model_diagram(pattern.parts[0])
     out = {}
-    for emb in _embeddings(model, d, induced=True):
+    for emb in _embeddings(_rows(model), _rows(d)):
         key = tuple(sorted(emb.values(), key=_node_key))
         if key not in out:
             out[key] = emb
@@ -598,78 +610,52 @@ def _model_diagram(part: Irreducible) -> ProjectiveDiagram:
     return ProjectiveDiagram(nodes, frozenset(frozenset(e) for e in edges))
 
 
-def _embeddings(small: ProjectiveDiagram, big: ProjectiveDiagram, induced: bool):
-    """Backtracking search for (induced) embeddings of small into big."""
-    s_nodes = sorted(small.nodes, key=lambda x: -len(small.neighbors(x)))
-    b_adj = {n: set(big.neighbors(n)) for n in big.nodes}
-    s_adj = {n: set(small.neighbors(n)) for n in small.nodes}
+def _embeddings(small: _Rows, big: _Rows):
+    """Every embedding of small into big, as node -> node dicts: injective
+    maps that keep each pair's bond, with its multiplicity, and each
+    non-bond.  small's positions are placed by falling degree, stable on
+    position, each on big's free positions in order; a candidate fits when
+    its bonds to the placed images are exactly the images of the placed
+    positions' bonds, a mask comparison per row."""
+    s_nodes, s_adj, s_quad = small
+    b_nodes, b_adj, b_quad = big
+    order = sorted(range(len(s_nodes)), key=lambda i: -s_adj[i].bit_count())
+    image = [0] * len(s_nodes)  # position in small -> the bit of its image
+    every = (1 << len(b_nodes)) - 1
 
-    def extend(i, mapping, used):
-        if i == len(s_nodes):
-            yield dict(mapping)
+    def extend(k, placed, used):
+        if k == len(order):
+            yield {s_nodes[i]: b_nodes[image[i].bit_length() - 1] for i in order}
             return
-        v = s_nodes[i]
-        req = s_adj[v]
-        for cand in big.nodes:
-            if cand in used:
-                continue
-            ok = True
-            for w in s_nodes[:i]:
-                w_img = mapping[w]
-                adj_small = w in req
-                adj_big = cand in b_adj[w_img]
-                if adj_small != adj_big and (induced or adj_small):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = cand
-                used.add(cand)
-                yield from extend(i + 1, mapping, used)
-                used.discard(cand)
-                del mapping[v]
+        v = order[k]
+        want = sum(image[i] for i in _bits(s_adj[v] & placed))
+        want4 = sum(image[i] for i in _bits(s_quad[v] & placed))
+        for c in _bits(every & ~used):
+            if b_adj[c] & used == want and b_quad[c] & used == want4:
+                image[v] = 1 << c
+                yield from extend(k + 1, placed | 1 << v, used | 1 << c)
 
-    yield from extend(0, {}, set())
+    yield from extend(0, 0, 0)
 
 
 def are_isomorphic(d1, d2) -> tuple[bool, dict | None]:
     """Isomorphism of labeled (multi)graphs, ignoring node ids."""
-    p1, p2 = _as_weighted(d1), _as_weighted(d2)
-    if len(p1.nodes) != len(p2.nodes) or len(p1.adjacency) != len(p2.adjacency):
-        return False, None
-    deg1 = sorted(len(p1.neighbors(n)) for n in p1.nodes)
-    deg2 = sorted(len(p2.neighbors(n)) for n in p2.nodes)
+    r1, r2 = _rows(d1), _rows(d2)
+    # The sorted (bonds, quadruple bonds) of every position.
+    deg1, deg2 = (sorted(zip(map(int.bit_count, r.adj), map(int.bit_count, r.quad))) for r in (r1, r2))
     if deg1 != deg2:
         return False, None
-    for emb in _embeddings(p1, p2, induced=True):
+    for emb in _embeddings(r1, r2):
         return True, emb
     return False, None
 
 
-def _as_weighted(d) -> ProjectiveDiagram:
-    """View a Diagram as a simple graph with quadruple bonds marked by
-    auxiliary degree (a pseudo node per quadruple bond)."""
-    if isinstance(d, ProjectiveDiagram):
-        return d
-    nodes = list(d.nodes)
-    adj = set()
-    extra = 0
-    for pair, m in d.bonds:
-        a, b = tuple(pair)
-        adj.add(frozenset((a, b)))
-        if m == 4:
-            marker = ("quad", extra)
-            extra += 1
-            nodes.append(marker)
-            adj.add(frozenset((a, marker)))
-            adj.add(frozenset((b, marker)))
-    return ProjectiveDiagram(tuple(nodes), frozenset(adj))
-
-
-def automorphism_group(d: ProjectiveDiagram) -> list[dict]:
+def automorphism_group(d: Diagram | ProjectiveDiagram) -> list[dict]:
     """Every automorphism of the diagram, as node -> node mappings."""
     if len(d.nodes) > MAX_NODES:
         raise TooLarge(f"{len(d.nodes)} nodes exceeds the {MAX_NODES}-node bound")
-    return list(_embeddings(d, d, induced=True))
+    rows = _rows(d)
+    return list(_embeddings(rows, rows))
 
 
 # -- elementary transformations ---------------------------------------------

@@ -165,7 +165,7 @@ def _orbit(system: RootSystem, start_key: bytes, cap: int) -> set[bytes]:
     return seen
 
 
-def subset_orbit_bfs(system: RootSystem, subset, cap: int = 10**7) -> set[frozenset]:
+def subset_orbit_bfs(system: RootSystem, subset, cap: int = DEFAULT_CAP) -> set[frozenset]:
     """Orbit of an index set under the full Weyl group, walked with the
     simple reflections only.  Sets are returned as canonical frozensets of
     projective representatives."""
@@ -197,7 +197,7 @@ class _OrbitIds(Mapping):
         return len(self._ids)
 
 
-def orbit_id_map(system: RootSystem, subsets, cap: int = 10**7) -> Mapping:
+def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> Mapping:
     """Map every member of the given subsets' orbits (a set of projective
     representatives) to a stable orbit identifier, the lexicographically
     least member as a sorted tuple.  The result is a read-only mapping

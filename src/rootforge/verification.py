@@ -32,6 +32,7 @@ from .diagrams import _mask_nodes, automorphism_group, subsystem_type
 from .errors import InvariantViolation
 from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (
+    DEFAULT_CAP,
     compose,
     enumerate_weyl,
     identity_perm,
@@ -211,7 +212,7 @@ def _words_replay(system, model) -> bool:
     )
 
 
-def check_core_stabilizer_agreement(slow: bool = False, cap: int | None = None) -> Result:
+def check_core_stabilizer_agreement(slow: bool = False, cap: int = DEFAULT_CAP) -> Result:
     """The core group equals the action the moset stabilizer induces.
 
     On D4-D6 and E6 (and E7 in slow mode) by enumerating W, where the
@@ -229,7 +230,7 @@ def check_core_stabilizer_agreement(slow: bool = False, cap: int | None = None) 
         for series, rank in enumerated:
             system = build_root_system(series, rank)
             model = core_group_model(system)
-            w = enumerate_weyl(system) if cap is None else enumerate_weyl(system, cap)
+            w = enumerate_weyl(system, cap)
             stab = set_stabilizer(system, model.moset, w)
             induced = induced_action(system, model.moset, stab)
             if (
@@ -603,7 +604,7 @@ def check_property_suites(seed: int = 0, embeddings_per_system: int = 1000) -> R
 
 
 def run_all(
-    slow: bool = False, seed: int = 0, embeddings: int = 1000, cap: int | None = None
+    slow: bool = False, seed: int = 0, embeddings: int = 1000, cap: int = DEFAULT_CAP
 ) -> list[Result]:
     checks = [
         check_moset_cardinalities(),

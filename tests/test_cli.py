@@ -102,6 +102,20 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_two_token_system_labels_parse_like_one(capsys):
+    # A bad rank token is a usage error (exit 2), not a traceback or a
+    # verification failure (exit 1).
+    assert main(["classify", "E", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot parse system label 'Ex'\n"
+    assert main(["classify", "E", "7", "x"]) == 2
+    capsys.readouterr()
+    joined = run(capsys, "classify", "E7", "--json", "-")
+    assert run(capsys, "classify", "E", "7", "--json", "-") == joined
+    assert run(capsys, "classify", "e", "7", "--json", "-") == joined
+    assert joined[0] == 0
+
+
 def test_e8_tables_are_pinned(capsys):
     # sha256 of the E8 orbit table and order graph, as pinned by the
     # benchmark's answer check

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,7 +16,7 @@ from rootforge import (
     to_dot,
     type_label,
 )
-from rootforge.diagrams import Irreducible, ProjectiveDiagram
+from rootforge.diagrams import Diagram, Irreducible, ProjectiveDiagram, _embeddings, _rows
 from rootforge.errors import TooLarge, UnrecognizedComponent
 
 
@@ -397,3 +398,78 @@ def test_mask_recognizer_rejects_nodes_of_degree_five():
     d = ProjectiveDiagram(nodes, frozenset(frozenset(e) for e in edges))
     with pytest.raises(UnrecognizedComponent):
         classify_components(d)
+
+
+def _e(system, i, j):
+    """Index of the A-series root e_i - e_j (coordinates are doubled)."""
+    coords = [0] * system.ambient_dim
+    coords[i - 1], coords[j - 1] = 2, -2
+    return system.index(tuple(coords))
+
+
+def test_quadruple_bonds_keep_gamma_diagrams_apart():
+    # A~1+A1 on 3 nodes against A~2+A1 on 4: a pseudo node standing for the
+    # quadruple bond once made them look alike.
+    a5 = build_root_system("A", 5)
+    quad = gamma_diagram(RootSet(a5, (_e(a5, 1, 2), _e(a5, 2, 1), _e(a5, 4, 5))))
+    cycle = gamma_diagram(RootSet(a5, (_e(a5, 1, 2), _e(a5, 2, 3), _e(a5, 1, 3), _e(a5, 4, 5))))
+    assert classify_components(quad).render() == "A1+A~1"
+    assert classify_components(cycle).render() == "A~2+A1"
+    assert are_isomorphic(quad, cycle) == (False, None)
+    ok, witness = are_isomorphic(quad, quad)
+    assert ok and set(witness) == set(quad.nodes)
+
+
+def test_automorphisms_keep_bond_multiplicity():
+    # A triangle with one quadruple bond: only the swap of its two ends.
+    a5 = build_root_system("A", 5)
+    a, neg, b = _e(a5, 1, 2), _e(a5, 2, 1), _e(a5, 2, 3)
+    d = gamma_diagram(RootSet(a5, (a, neg, b)))
+    auts = automorphism_group(d)
+    assert sorted(tuple(sorted(m.items())) for m in auts) == sorted(
+        [tuple(sorted({a: a, neg: neg, b: b}.items())), tuple(sorted({a: neg, neg: a, b: b}.items()))]
+    )
+
+
+def _bond(d, x, y) -> int:
+    if isinstance(d, Diagram):
+        return d.multiplicity(x, y)
+    return int(d.adjacent(x, y))
+
+
+def _brute_embeddings(small, big) -> set:
+    """Every injective node map keeping each pair's bond multiplicity, a
+    missing bond included, by trying every arrangement."""
+    out = set()
+    for images in permutations(big.nodes, len(small.nodes)):
+        f = dict(zip(small.nodes, images))
+        if all(_bond(small, x, y) == _bond(big, f[x], f[y]) for x, y in combinations(small.nodes, 2)):
+            out.add(frozenset(f.items()))
+    return out
+
+
+@pytest.mark.parametrize("kind", [gamma_diagram, delta_diagram])
+def test_embeddings_match_brute_force(kind):
+    rng = random.Random(2200 if kind is gamma_diagram else 2201)
+    checked = quads = 0
+    for name in ("A4", "D4", "A5"):
+        system = build_root_system(name[0], int(name[1:]))
+        roots = range(len(system.roots))
+        for _ in range(15):
+            picked = rng.sample(roots, rng.randint(2, 4))
+            # Half the gamma sets carry a root with its negative.
+            if kind is gamma_diagram and rng.random() < 0.5:
+                picked.append(system.negative(picked[0]))
+            big = RootSet(system, picked)
+            for small in (
+                RootSet(system, rng.sample(big.members, rng.randint(1, len(big.members)))),
+                RootSet(system, rng.sample(roots, rng.randint(1, 3))),
+            ):
+                ds, db = kind(small), kind(big)
+                found = [frozenset(m.items()) for m in _embeddings(_rows(ds), _rows(db))]
+                assert len(found) == len(set(found))
+                assert set(found) == _brute_embeddings(ds, db)
+                checked += bool(found)
+                quads += any(m == 4 for _, m in getattr(db, "bonds", ()))
+    assert checked >= 30
+    assert quads >= 10 or kind is delta_diagram

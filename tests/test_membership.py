@@ -208,6 +208,25 @@ def test_positive_mask_is_memoised_on_the_system():
     assert fresh.memo[keys[0]] == sum(1 << i for i in fresh.positive)
 
 
+def test_weyl_into_moset_builds_no_core_group():
+    # The moset targets come from the enhanced basis; the core group, which
+    # only is_weyl_embedding needs, is not built for them.
+    from rootforge.classify import weyl_into_moset
+    from rootforge.rootsystem import RootSystem
+
+    d12 = build_root_system("D", 12)
+    fresh = RootSystem("D", 12, list(d12.roots), d12.ambient_dim)
+    moset = set(enhanced_basis(fresh).moset)
+    picked = []
+    for r in fresh.positive:
+        if r not in moset and len(picked) < 4 and all(fresh.cartan(r, p) == 0 for p in picked):
+            picked.append(r)
+    word, images = weyl_into_moset(fresh, picked)
+    assert word and set(images.values()) <= moset
+    assert fresh.memo
+    assert not any(key[0] is core_group_model.__wrapped__ for key in fresh.memo)
+
+
 def _orthogonal_sets(rng, system, count):
     """count seeded orthogonal sets of raw root indices, either sign, grown
     greedily from random roots to a random size between 1 and mu."""

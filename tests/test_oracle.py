@@ -44,6 +44,22 @@ def test_cap():
         enumerate_weyl(build_root_system("D", 5), cap=100)
 
 
+def test_every_cap_defaults_to_the_one_constant():
+    import inspect
+
+    from rootforge import verification
+
+    for fn in (
+        oracle.enumerate_weyl,
+        oracle.weyl_order,
+        subset_orbit_bfs,
+        orbit_id_map,
+        verification.check_core_stabilizer_agreement,
+        verification.run_all,
+    ):
+        assert inspect.signature(fn).parameters["cap"].default == oracle.DEFAULT_CAP, fn.__name__
+
+
 def test_enumeration_restores_the_collector_state():
     a3 = build_root_system("A", 3)
     enumerate_weyl(a3)

@@ -220,3 +220,34 @@ def test_descent_labels_on_the_walks_one_view():
     assert verification._child_nodes.__module__ == "rootforge.verification"
     users = [path.name for path in SOURCES if "_child_nodes" in path.read_text()]
     assert users == ["verification.py"], users
+
+
+def test_graph_searches_read_bond_rows():
+    # Diagram objects are read once, into int-mask bond rows
+    # (diagrams._rows); the searches and the shape checks compare masks, and
+    # the embedding search keeps every non-bond and bond multiplicity
+    # itself, with no flag to turn that off.
+    from rootforge import classify, diagrams
+
+    searches = {
+        "diagrams.py": {
+            "_embeddings", "are_isomorphic", "automorphism_group", "find_subdiagrams",
+            "classify_components", "_parts", "is_dynkin_shape",
+        },
+        "classify.py": {"_component_match"},
+    }
+    found, seen = [], set()
+    for module in (diagrams, classify):
+        path = Path(module.__file__)
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in searches[path.name]:
+                seen.add(fn.name)
+                found += [
+                    f"{path.name}:{node.lineno} reads .{node.attr}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr in ("neighbors", "adjacency", "bonds")
+                ]
+    assert seen == set().union(*searches.values())
+    assert not found, found
+    assert list(inspect.signature(diagrams._embeddings).parameters) == ["small", "big"]
+    assert not hasattr(diagrams, "_as_weighted")
