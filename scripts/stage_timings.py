@@ -14,9 +14,10 @@ the process's peak RSS after them.  A second line times _orbits' two
 passes apart, on a fresh copy of the system with cold caches, and says
 what they did: the subsets the walk visited, the subset it stopped at
 (the least representative of the last label to be met), the children of
-the descent (Levi children and extended children) and the nodes it
-placed past the enhanced diagram on the walk's view: the highest roots
-that are not diagram nodes.
+the descent that it labelled (Levi children and extended children), the
+distinct masks whose components it split to label them (each is split
+once, _PiWalk.splits) and the nodes it placed past the enhanced diagram on
+the walk's view: the highest roots that are not diagram nodes.
 
 A third line times core_group_model, which neither command runs, and
 splits it into its steps, run on a fresh copy of the system with cold
@@ -187,6 +188,7 @@ def main(argv):
         _, t_first = timed(_first_subsets, walk, below)
         print(
             f"     descent {t_descent:6.3f}s: {levi:,} Levi children, {extended:,} extended,"
+            f" {len(walk.splits):,} distinct component splits,"
             f" {len(walk.nodes) - walk.size} nodes placed past the diagram;"
             f" walk {t_first:6.3f}s: {found.visited:,} subsets visited, stopped at"
             f" {{{','.join(names[n] for n in last)}}}"

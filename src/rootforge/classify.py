@@ -631,6 +631,9 @@ class _PiWalk(_NodeView):
         # is then looked up again with its moset tag.
         self.found: dict[tuple, int] = {}
         self.index: dict[OrbitLabel, int] = {}
+        # mask -> (its component masks, their shape multiset): the descent
+        # splits one mask again for each parent it is a child's part of.
+        self.splits: dict[int, tuple[list[int], int]] = {}
 
     def label_code(self, key: tuple, width: int, tag) -> int:
         """Code of the label of a first-seen key, or -1 when tag is None and
@@ -748,10 +751,13 @@ class _PiWalk(_NodeView):
     def _child_code(self, others, base: int, rest: int, d2: int, d3: int, width: int) -> int:
         """Code of the child whose components are others and those of the
         mask rest, and whose multiset is base plus the shapes of the
-        latter."""
-        pieces = _component_masks(rest, self.adj)
-        multiset = base + sum(self.weights[self.shape(p)] for p in pieces)
-        return self.code((multiset, d2, d3, width == self.full), others + pieces, width)
+        latter.  rest is split into components once (splits)."""
+        split = self.splits.get(rest)
+        if split is None:
+            pieces = _component_masks(rest, self.adj)
+            split = self.splits[rest] = (pieces, sum(self.weights[self.shape(p)] for p in pieces))
+        pieces, multiset = split
+        return self.code((base + multiset, d2, d3, width == self.full), others + pieces, width)
 
 
 def pi_node_subsets(eb: EnhancedBasis) -> list[tuple[int, ...]]:
@@ -772,8 +778,12 @@ class _Orbits(NamedTuple):
 
     index maps each label to its code; first[c] is the least Pi-subset
     (an int mask over nodes, the enhanced diagram's sorted nodes) with the
-    label of code c, and lower[c] the bitset over codes of the labels of
-    every Pi-system inside the subsystem it generates.  visited counts the
+    label of code c.  below[c] is the bitset over codes of the labels of
+    c's maximal children in the descent, c itself left out, and lower[c]
+    the bitset of the labels of every Pi-system inside the subsystem c's
+    representative generates: the closure of below, c included.  Every
+    label strictly below c is thus reached from c by a path of children,
+    which is what hasse_diagram reads its covers off.  visited counts the
     subsets the walk visited, children the maximal children of the descent
     (Levi and extended).
     """
@@ -781,6 +791,7 @@ class _Orbits(NamedTuple):
     nodes: tuple[int, ...]
     index: dict
     first: list[int]
+    below: list[int]
     lower: list[int]
     visited: int
     children: tuple[int, int]
@@ -790,15 +801,15 @@ class _Orbits(NamedTuple):
         return list(self.index)
 
 
-def _descent(walk: _PiWalk) -> tuple[list[set], tuple[int, int]]:
+def _descent(walk: _PiWalk) -> tuple[list[int], tuple[int, int]]:
     """The descent of _orbits on the walk's index: (below, children), where
-    below[c] holds the codes of the maximal children of label c other than
-    c and children counts the children by kind (_PiWalk.child_codes).  A
-    label's representative is the first child mask that carried it, read
-    on the walk's own tables."""
+    below[c] is the bitset of the codes of the maximal children of label c
+    other than c and children counts the children by kind
+    (_PiWalk.child_codes).  A label's representative is the first child
+    mask that carried it, read on the walk's own tables."""
     system = walk.system
     reps = [sum(1 << walk.place(v) for v in system.projective(system.simple_basis))]
-    below: list[set] = []
+    below: list[int] = []
     counts = [0, 0]
     while len(below) < len(reps):
         code, mask = len(below), reps[len(below)]
@@ -806,24 +817,25 @@ def _descent(walk: _PiWalk) -> tuple[list[set], tuple[int, int]]:
         d2, d3, width = walk.dcounts(mask)
         if walk.code((multiset, d2, d3, width == walk.full), comps, width) != code:
             raise InvariantViolation(f"a representative in {system.name} has another label than its own")
-        children = walk.child_codes(mask, comps, multiset, d2, d3, width, counts)
-        for c, child in children:
+        bits = 0
+        for c, child in walk.child_codes(mask, comps, multiset, d2, d3, width, counts):
             if c == len(reps):  # codes count up in order of appearance
                 reps.append(child)
-        below.append({c for c, _ in children} - {code})
+            bits |= 1 << c
+        below.append(bits & ~(1 << code))
     return below, tuple(counts)
 
 
-def _first_subsets(walk: _PiWalk, below: list[set]) -> tuple[list[int], int]:
+def _first_subsets(walk: _PiWalk, below: list[int]) -> tuple[list[int], int]:
     """The first subset the walk meets with each label of the descent, and
     the number of subsets it visits: it grows a subset of label c only
     while a label not met yet lies above c (by below; visit has met c
     itself by then), and stops when every label is met."""
     system, n = walk.system, len(below)
-    parents: list[list[int]] = [[] for _ in range(n)]
+    parents = [0] * n
     for p, children in enumerate(below):
-        for c in children:
-            parents[c].append(p)
+        for c in _bits(children):
+            parents[c] |= 1 << p
     upper = _lower_bits(parents)
     first = [0] * n
     pending, visited = (1 << n) - 1, 0
@@ -880,17 +892,26 @@ def _orbits(system: RootSystem) -> _Orbits:
     walk = _PiWalk(system)
     below, children = _descent(walk)
     first, visited = _first_subsets(walk, below)
-    return _Orbits(tuple(walk.nodes[: walk.size]), walk.index, first, _lower_bits(below), visited, children)
+    return _Orbits(tuple(walk.nodes[: walk.size]), walk.index, first, below, _lower_bits(below), visited, children)
+
+
+@system_memo
+def _ranked(system: RootSystem) -> list[int]:
+    """The codes of _orbits in the order of their labels, sorted once by
+    the tuple that OrbitLabel's own order compares."""
+    orbits = _orbits(system).orbits
+    keys = [(l.ambient, l.type_text, l.kind, l.data) for l in orbits]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @system_memo
 def enumerate_pi_orbits(system: RootSystem) -> tuple[tuple[OrbitLabel, tuple[int, ...]], ...]:
-    """All Weyl orbits of nonempty Pi-systems, each with its least
-    representative inside the enhanced basis: the first that the walk,
-    whose depth-first order is lexicographic, meets."""
+    """All Weyl orbits of nonempty Pi-systems in label order, each with its
+    least representative inside the enhanced basis: the first that the
+    walk, whose depth-first order is lexicographic, meets."""
     found = _orbits(system)
     orbits = found.orbits
-    return tuple(sorted((orbits[c], _mask_nodes(found.nodes, m)) for c, m in enumerate(found.first)))
+    return tuple((orbits[c], _mask_nodes(found.nodes, found.first[c])) for c in _ranked(system))
 
 
 # -- order between orbits --------------------------------------------------------
@@ -928,16 +949,17 @@ def _maximal_children(system: RootSystem, nodes: tuple[int, ...]):
                 yield nodes[x], theta
 
 
-def _lower_bits(children) -> list[int]:
-    """lower[i]: the bitset of i and of everything below it, where
-    children[i] lists what lies directly below i.  The relation points
-    strictly down, so the recursion ends; its depth is the longest chain."""
+def _lower_bits(children: list[int]) -> list[int]:
+    """lower[i]: the bitset of i and of everything below it, where the
+    bitset children[i] holds what lies directly below i.  The relation
+    points strictly down, so the recursion ends; its depth is the longest
+    chain."""
     lower = [0] * len(children)
 
     def visit(i: int) -> int:
         if not lower[i]:
             bits = 1 << i
-            for k in children[i]:
+            for k in _bits(children[i]):
                 bits |= visit(k)
             lower[i] = bits
         return lower[i]
@@ -976,11 +998,12 @@ class HasseDiagram:
     edges: tuple[tuple[OrbitLabel, OrbitLabel], ...]
 
     def to_json(self) -> dict:
+        name = {l: l.render() for l in self.labels}
         return {
             "schema": "rootforge/1",
             "system": self.system_name,
-            "orbits": [l.render() for l in self.labels],
-            "edges": [[a.render(), b.render()] for a, b in self.edges],
+            "orbits": list(name.values()),
+            "edges": [[name[a], name[b]] for a, b in self.edges],
         }
 
     def to_dot(self) -> str:
@@ -995,24 +1018,51 @@ class HasseDiagram:
 
 def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:
     """Transitive reduction of the orbit order over the given labels
-    (default: all orbits).
+    (default: all orbits), labels and edges in label order.
 
-    Lower sets are bitsets over the label codes of _orbits: with B the labels
-    strictly below u, the covers of u are B & ~OR(below[m] for m in B).
+    The covers are read off the descent's children (_Orbits.below), as
+    bitsets over the codes of _orbits, one way for every label set.  With L
+    the chosen labels, the frontier F(c) of a label c is the OR over its
+    children k of k itself when k is in L and of F(k) otherwise: the first
+    labels of L on the paths of children down from c.  F(u) holds only
+    labels of L below u.  It holds every cover v of u: lower is the closure
+    of below, so a path of children leads from u down to v, and the first
+    label of L on it lies between v and u, so it is v, as nothing of L lies
+    strictly between.  The covers of u are thus F(u) less the labels
+    strictly below a member of F(u).  For the full set F(u) is u's
+    children.  Labels are ranked once (_ranked) and each label's covers
+    are emitted in rank order, so the edges come out sorted.
     """
-    if labels is None:
-        labels = [l for l, _ in enumerate_pi_orbits(system)]
-    labels = list(dict.fromkeys(labels))
-    code = dict(zip(labels, _orbit_codes(system, labels)))
-    chosen = sum(1 << c for c in set(code.values()))
     found = _orbits(system)
-    lower, orbits = found.lower, found.orbits
-    below = {code[l]: lower[code[l]] & chosen & ~(1 << code[l]) for l in labels}
+    below, lower, orbits = found.below, found.lower, found.orbits
+    rank = _ranked(system)
+    if labels is None:
+        codes = rank
+    else:
+        wanted = set(_orbit_codes(system, list(labels)))
+        codes = [c for c in rank if c in wanted]
+    chosen = sum(1 << c for c in codes)
+    frontier: dict[int, int] = {}
+
+    def front(c: int) -> int:
+        bits = frontier.get(c)
+        if bits is None:
+            bits = 0
+            for k in _bits(below[c]):
+                bits |= 1 << k if chosen >> k & 1 else front(k)
+            frontier[c] = bits
+        return bits
+
+    position = [0] * len(rank)
+    for i, c in enumerate(rank):
+        position[c] = i
     edges = []
-    for upper in labels:
-        lower = below[code[upper]]
+    for u in codes:
+        near = front(u)
         covered = 0
-        for m in _bits(lower):
-            covered |= below[m]
-        edges.extend((upper, orbits[m]) for m in _bits(lower & ~covered))
-    return HasseDiagram(system.name, tuple(sorted(labels)), tuple(sorted(edges)))
+        for f in _bits(near):
+            covered |= lower[f] ^ 1 << f
+        upper = orbits[u]
+        edges.extend((upper, orbits[v]) for v in sorted(_bits(near & ~covered), key=position.__getitem__))
+    del front  # it refers to itself through its closure
+    return HasseDiagram(system.name, tuple(orbits[c] for c in codes), tuple(edges))

@@ -46,9 +46,13 @@ def d4_stars(system: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, tupl
     adj = _adjacency(system, nodes)
     stars = []
     for c, row in zip(nodes, adj):
-        for ends in combinations(_bits(row), 3):
-            if not any(adj[a] >> b & 1 for a, b in combinations(ends, 2)):
-                stars.append((c, tuple(sorted(nodes[e] for e in ends))))
+        # Ends a < b < e among the centre's neighbours, each orthogonal to
+        # the ones before it: -(2 << a) masks the positions above a.
+        for a in _bits(row):
+            after_a = row & ~adj[a] & -(2 << a)
+            for b in _bits(after_a):
+                for e in _bits(after_a & ~adj[b] & -(2 << b)):
+                    stars.append((c, tuple(sorted((nodes[a], nodes[b], nodes[e])))))
     return stars
 
 
@@ -58,7 +62,9 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
     Signs are normalized so that every end pairs to -1 with the center;
     the star is then a basis of a D4 subsystem, and the returned root d is
     its lowest root, -(ends + 2*center), which makes {ends, d} the four
-    ends of the extended star around the center.
+    ends of the extended star around the center.  The completion takes the
+    same root by one lookup (_star_root) on the stars of d4_stars; this
+    public form checks its input.
     """
     if len(ends) != 3:
         raise NotD4("a D4 set has exactly three end roots")
@@ -75,6 +81,19 @@ def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> in
     if not orthogonal(system, fixed):
         raise NotD4("end roots of a D4 set must be orthogonal")
     return system.negative(_highest_root(system, (c, *fixed))[0])
+
+
+def _star_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> int:
+    """extension_root of a star of d4_stars, whose ends are orthogonal
+    neighbours of the centre, in one lookup: each end e turned to pair to
+    -1 with the centre is -<e|c> e, so -(ends + 2*center) is the sum of
+    <e|c> e over the ends, less 2c."""
+    (a, b, d), c = (system.roots[e] for e in ends), system.roots[center]
+    pa, pb, pd = (system.cartan(e, center) for e in ends)
+    root = system.index(tuple(pa * x + pb * y + pd * z - 2 * w for x, y, z, w in zip(a, b, d, c)))
+    if root is None:
+        raise InvariantViolation(f"the star at {center} with ends {ends} has no extension root")
+    return root
 
 
 def is_complete(rs: RootSet) -> bool:
@@ -124,7 +143,7 @@ def _completion(system: RootSystem, members) -> tuple[int, ...]:
     members = set(system.symmetrize(tuple(members)))
     while True:
         stars = d4_stars(system, system.projective(members))
-        missing = {extension_root(system, c, ends) for c, ends in stars} - members
+        missing = {_star_root(system, c, ends) for c, ends in stars} - members
         if not missing:
             return tuple(sorted(members))
         members |= missing

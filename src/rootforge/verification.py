@@ -464,19 +464,19 @@ def descent_lower_sets(system) -> dict:
     over Pi-subsets is not run."""
     top = system.projective(system.simple_basis)
     ids: dict = {orbit_label(RootSet(system, top)): 0}
-    children: list[set] = []
+    children: list[int] = []
     pending = [top]
     while len(children) < len(pending):
         nodes = pending[len(children)]
-        below = set()
+        below = 0
         for x, theta in _maximal_children(system, nodes):
             child = _child_nodes(nodes, x, theta)
             label = orbit_label(RootSet(system, child))
             if label not in ids:
                 ids[label] = len(pending)
                 pending.append(child)
-            below.add(ids[label])
-        children.append(below - {len(children)})
+            below |= 1 << ids[label]
+        children.append(below & ~(1 << len(children)))
     return _label_sets(list(ids), _lower_bits(children))
 
 

@@ -868,6 +868,29 @@ def test_hasse_matches_set_based_reduction():
         assert list(hasse.edges) == edges, (series, rank)
 
 
+def test_hasse_covers_from_children_match_the_lower_set_formula():
+    # The covers read off the descent's children against the earlier
+    # formula over lower sets: on every orbit, on seeded random label
+    # subsets (shuffled, with a repeat) and on the special sets.
+    from hasse_reference import hasse_edges
+
+    rng = random.Random(23)
+    for series, rank in [("E", 8), ("D", 10), ("A", 12), ("D", 13)]:
+        s = build_root_system(series, rank)
+        labels = [l for l, _ in enumerate_pi_orbits(s)]
+        full = hasse_diagram(s)
+        assert (full.labels, full.edges) == hasse_edges(s, labels), s.name
+        for top in (0, 12, len(labels)):
+            subset = rng.sample(labels, rng.randint(0, top))
+            h = hasse_diagram(s, subset + subset[:1])
+            assert (h.labels, h.edges) == hasse_edges(s, subset), (s.name, len(subset))
+    for series, rank in [("E", 7), ("E", 8)]:
+        s = build_root_system(series, rank)
+        special = [l for l, _ in enumerate_pi_orbits(s) if l.kind == "ep"]
+        h = hasse_diagram(s, special)
+        assert h.edges and (h.labels, h.edges) == hasse_edges(s, special), s.name
+
+
 MISSING_CHILD_LABEL = """
 import sys
 from rootforge import classify

@@ -102,6 +102,20 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_main_reuses_one_parser_and_prints_the_same_bytes(capsys):
+    # main builds its parser once per process; a second call must print
+    # the same bytes and a usage error must still exit 2.
+    from rootforge.cli import build_parser
+
+    first = run(capsys, "order", "E7", "--json", "-")
+    assert run(capsys, "order", "E7", "--json", "-") == first
+    assert first[0] == 0
+    assert main(["order"]) == 2
+    assert main(["classify", "E7", "--no-such-flag"]) == 2
+    assert run(capsys, "order", "E7", "--json", "-") == first
+    assert build_parser() is not build_parser()
+
+
 def test_two_token_system_labels_parse_like_one(capsys):
     # A bad rank token is a usage error (exit 2), not a traceback or a
     # verification failure (exit 1).

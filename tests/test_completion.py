@@ -327,3 +327,63 @@ def test_columns_outside_the_d_series_raise():
 
     with pytest.raises(Unsupported):
         enhanced_basis(build_root_system("E", 6)).columns()
+
+
+def _stars_by_triples(system, nodes):
+    # d4_stars as it was written first: every triple of a centre's
+    # neighbours, kept when no two of them are joined.
+    from itertools import combinations
+
+    from rootforge.rootsystem import _adjacency, _bits
+
+    adj = _adjacency(system, nodes)
+    return [
+        (c, tuple(sorted(nodes[e] for e in ends)))
+        for c, row in zip(nodes, adj)
+        for ends in combinations(_bits(row), 3)
+        if not any(adj[a] >> b & 1 for a, b in combinations(ends, 2))
+    ]
+
+
+def _random_sets(rng):
+    # Seeded random 9-root sets of E7 and E8, several of which grow to
+    # every projective root when completed.
+    for label in [("E", 7), ("E", 8)]:
+        s = build_root_system(*label)
+        for _ in range(6):
+            yield s, tuple(rng.sample(range(len(s.roots)), rng.randint(4, 9)))
+
+
+def test_d4_stars_are_the_unjoined_triples_in_order():
+    from rootforge.verification import SMALL
+
+    rng = random.Random(23)
+    cases = [(build_root_system(*l).simple_basis, build_root_system(*l)) for l in SMALL]
+    cases += [(enhanced_basis(s).nodes, s) for _, s in cases]
+    cases += [(s.projective(x), s) for s, x in _random_sets(rng)]
+    for nodes, s in cases:
+        assert d4_stars(s, nodes) == _stars_by_triples(s, nodes), (s.name, nodes)
+
+
+def test_star_root_is_the_extension_root_of_every_star_met(monkeypatch):
+    # The completion's one-lookup root against the public extension_root
+    # on every star met while completing the SMALL simple bases and
+    # seeded random E7 and E8 sets.
+    from rootforge import completion
+    from rootforge.verification import SMALL
+
+    met = []
+    star_root = completion._star_root
+
+    def checked(system, center, ends):
+        root = star_root(system, center, ends)
+        assert root == extension_root(system, center, ends), (system.name, center, ends)
+        met.append(root)
+        return root
+
+    monkeypatch.setattr(completion, "_star_root", checked)
+    cases = [(s, s.simple_basis) for s in (build_root_system(*l) for l in SMALL)]
+    cases += list(_random_sets(random.Random(23)))
+    for s, members in cases:
+        completion._completion(s, members)
+    assert len(met) > 10_000
