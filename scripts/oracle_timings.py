@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle loop by loop: Weyl enumeration, the moset
 orbit walk, the moset stabilizer and the orbit map of the Pi-subsets, with
-the map's member count and the process's peak RSS after each system.
+the map's member count, its time per member (which compares the walk's
+cost across systems) and the process's peak RSS after each system.
 
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
 
@@ -44,6 +45,7 @@ def main(argv):
             f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
             f"  orbit_id_map {len(subsets):>6,} Pi-subsets"
             f" -> {len(set(ids.values())):>4} orbits {len(ids):>9,} members {t_ids:6.2f}s"
+            f" ({1e6 * t_ids / len(ids):5.2f} us a member)"
             f"  peak RSS {peak_mib:6.1f} MiB"
         )
     return 0

@@ -139,15 +139,28 @@ def _completion(system: RootSystem, members) -> tuple[int, ...]:
     missing root, so by induction on the rounds every added root lies in
     every complete superset of members: the result is the least one, and
     no order of single extensions could give another.
+
+    After the first round only the stars with a node added in the round
+    before are looked at.  Whether four nodes form a star depends on those
+    nodes alone, so every other star was a star of the previous round's
+    set, and its extension root went in then.  A set that holds every root
+    is complete, so the loop stops there without another round.
     """
     members = set(system.symmetrize(tuple(members)))
+    added = None  # the nodes of the last round; None before the first
     while True:
         stars = d4_stars(system, system.projective(members))
+        if added is not None:
+            stars = [(c, ends) for c, ends in stars if c in added or not added.isdisjoint(ends)]
         missing = {_star_root(system, c, ends) for c, ends in stars} - members
         if not missing:
-            return tuple(sorted(members))
+            break
         members |= missing
         members.update(system.negative(d) for d in missing)
+        if len(members) == len(system.roots):
+            break  # every root: no star lacks its root
+        added = {system.proj_rep(d) for d in missing}
+    return tuple(sorted(members))
 
 
 def complete(rs: RootSet) -> RootSet:

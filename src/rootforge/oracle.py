@@ -9,13 +9,17 @@ lookup, done in C by ``bytes.translate`` on a permutation padded to a
 orbit questions about subsets are answered by a generator walk that never
 materializes the whole group.
 
-The walk holds each projective subset as the sorted bytes of its root
-indices, and ``orbit_id_map`` keeps each orbit member once in that form:
-one bytes object and one dict slot, under 120 bytes a member at the
-traced peak on D5, D6 and E6, where a frozenset key took 400-630.  The
-map reads like a dict keyed by frozensets.  The orbits of E7's 1,433
-Pi-subsets have 9,555,471 members; their map takes about 70 s and an
-864 MiB peak RSS.
+The walk holds each projective subset as a position form, one byte per
+projective root, so that a reflection is two ``bytes.translate`` calls and
+no sort (``_orbit``).  It goes level by level and keeps the forms of only
+three levels; every member it returns, and every key of ``orbit_id_map``,
+is the sorted bytes of the subset's root indices.  The map keeps each
+orbit member once in that form: one bytes object and one dict slot, under
+120 bytes a member at the traced peak on D5, D6 and E6, where a frozenset
+key took 400-630.  The map reads like a dict keyed by frozensets.  The
+orbits of E7's 1,433 Pi-subsets have 9,555,471 members; their map takes
+about 60 s and an 852 MiB peak RSS on 2 vCPU, 6.3 us a member against 2.4
+on E6.
 """
 
 from __future__ import annotations
@@ -144,25 +148,78 @@ def _key(system: RootSystem, subset) -> bytes:
     return bytes(sorted({system.proj_rep(i) for i in system.check_indices(subset)}))
 
 
+_ABSENT = 255  # a position form's byte for a root outside the subset
+
+
+@system_memo
+def _position_reflections(system: RootSystem) -> tuple[tuple[bytes, bytes], ...]:
+    """For each simple root j, the pair (g, rename) that reflects a
+    position form in j.  g[k] is the position of the projective image of
+    positive[k] under s_j; rename is a translate table sending positive[k]
+    to positive[g[k]] and every other byte to itself."""
+    _check_size(system)
+    if len(system.roots) > _ABSENT:
+        raise Unsupported(
+            f"{system.name} has {len(system.roots)} roots; position forms mark"
+            f" an absent root with byte {_ABSENT}, so they hold at most {_ABSENT}"
+        )
+    positive = system.positive
+    at = {r: k for k, r in enumerate(positive)}
+    out = []
+    for j in system.simple_basis:
+        g = bytes(at[system.proj_rep(system.reflect(r, j))] for r in positive)
+        rename = bytearray(range(256))
+        for r, k in zip(positive, g):
+            rename[r] = positive[k]
+        out.append((g, bytes(rename)))
+    return tuple(out)
+
+
 def _orbit(system: RootSystem, start_key: bytes, cap: int) -> set[bytes]:
-    """Weyl orbit of a projective subset, each member held as sorted bytes,
-    walked with the simple reflections followed by projection."""
-    proj = _proj_table(system)
-    gens = [_table(g.translate(proj)) for g in simple_reflection_perms(system)]
-    seen = {start_key}
-    frontier = [start_key]
-    while frontier:
-        new = []
-        for s in frontier:
-            for g in gens:
-                img = bytes(sorted(s.translate(g)))
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-                    if len(seen) > cap:
-                        raise CapExceeded("subset orbit exceeded cap")
-        frontier = new
-    return seen
+    """Weyl orbit of a projective subset, each member returned as the
+    sorted bytes of its root indices.
+
+    The walk holds each member as a position form: one byte per projective
+    root, in system.positive order, the root's index if it is in the
+    subset and _ABSENT if not.  Reflecting a form x in s_j is
+    g.translate(x.ljust(256)).translate(rename) with (g, rename) from
+    _position_reflections: byte k of the first result is byte g[k] of x,
+    the root positive[g[k]] or _ABSENT, and rename turns that root into
+    positive[k], its image under the involution s_j.  Two C calls and no
+    sort per edge; the sorted key is x.translate(None, absent), since
+    system.positive is ascending.
+
+    The walk goes level by level, the level being the distance from the
+    start in the graph whose edges are the simple reflections.  Each
+    reflection is an involution, so the edges are undirected and a
+    member's neighbours lie in its own level or the next one either way:
+    a new level is the images of the current one less the current and
+    previous levels, and no older form is kept.  Each finished level goes
+    into the result as sorted keys; the cap is checked once a level.  A
+    level whose keys are not all new would mean a table is no involution,
+    and the walk could then circle without end: it raises instead."""
+    gens = _position_reflections(system)
+    absent = bytes([_ABSENT])
+    before: set[bytes] = set()
+    level = {bytes(r if r in start_key else _ABSENT for r in system.positive)}
+    out: set[bytes] = set()
+    while level:
+        size = len(out)
+        out.update(x.translate(None, absent) for x in level)
+        if len(out) != size + len(level):
+            raise InvariantViolation("an orbit member met on two levels: a reflection is no involution")
+        if len(out) > cap:
+            raise CapExceeded("subset orbit exceeded cap")
+        images: set[bytes] = set()
+        add = images.add
+        for x in level:
+            padded = x.ljust(256)  # a translate table needs 256 entries
+            for g, rename in gens:
+                add(g.translate(padded).translate(rename))
+        images -= level
+        images -= before
+        before, level = level, images
+    return out
 
 
 def subset_orbit_bfs(system: RootSystem, subset, cap: int = DEFAULT_CAP) -> set[frozenset]:

@@ -387,3 +387,22 @@ def test_star_root_is_the_extension_root_of_every_star_met(monkeypatch):
     for s, members in cases:
         completion._completion(s, members)
     assert len(met) > 10_000
+
+
+def test_completion_matches_the_every_star_loop():
+    # Later rounds look only at stars meeting a node added the round
+    # before, and a set holding every root stops: the members must be
+    # those of the loop that takes every star's root on every round.
+    from completion_reference import every_star_completion
+    from rootforge import completion
+    from rootforge.verification import SMALL
+
+    cases = [(s, s.simple_basis) for s in (build_root_system(*l) for l in SMALL)]
+    cases += list(_random_sets(random.Random(23)))
+    cases += list(_random_sets(random.Random(5)))
+    grown = 0
+    for s, members in cases:
+        got = completion._completion(s, members)
+        assert got == every_star_completion(s, members), (s.name, members)
+        grown += len(got) == len(s.roots)
+    assert grown >= 2  # some sets grow to every root

@@ -375,3 +375,77 @@ def test_permutations_beyond_a_byte_raise_typed_error():
     with pytest.raises(Unsupported, match="256"):
         decision.witness_perm(d12)
     assert len(identity_perm(build_root_system("E", 8))) == 240
+
+
+def _orbit_keys(system, subsets):
+    # one sorted-bytes key per orbit met among the subsets
+    keys, seen = [], set()
+    for subset in subsets:
+        key = oracle._key(system, subset)
+        if key not in seen:
+            keys.append(key)
+            seen |= oracle._orbit(system, key, oracle.DEFAULT_CAP)
+    return keys
+
+
+def test_position_walk_matches_the_sorted_bytes_walk():
+    # The position-form walk against the sorted-bytes walk it replaced, on
+    # every Pi-subset orbit of the small systems and on seeded random
+    # subsets, negative roots among them.
+    from oracle_reference import sorted_bytes_orbit
+
+    rng = random.Random(24)
+    cases = []
+    for label in [("A", 4), ("D", 4), ("D", 5), ("D", 6), ("E", 6)]:
+        s = build_root_system(*label)
+        cases += [(s, key) for key in _orbit_keys(s, pi_node_subsets(enhanced_basis(s)))]
+    for label, sizes in [(("D", 5), 4), (("E", 6), 4), (("E", 7), 2), (("E", 8), 2)]:
+        s = build_root_system(*label)
+        for size in range(1, sizes + 1):
+            for _ in range(4):
+                subset = rng.sample(range(len(s.roots)), size)
+                cases.append((s, oracle._key(s, subset)))
+    for s, key in cases:
+        got = oracle._orbit(s, key, oracle.DEFAULT_CAP)
+        assert got == sorted_bytes_orbit(s, key, oracle.DEFAULT_CAP), (s.name, key)
+    assert len(cases) > 120
+
+
+def test_orbit_walk_caps_across_many_levels():
+    # E6's roots form one orbit of 36 projective roots, which the walk
+    # from a simple root meets over eleven levels: the cap is checked once
+    # a level.
+    e6 = build_root_system("E", 6)
+    root = (e6.simple_basis[0],)
+    assert len(subset_orbit_bfs(e6, root, cap=36)) == 36
+    assert len(orbit_id_map(e6, [root], cap=36)) == 36
+    with pytest.raises(CapExceeded):
+        subset_orbit_bfs(e6, root, cap=35)
+    with pytest.raises(CapExceeded):
+        orbit_id_map(e6, [root], cap=35)
+
+
+def test_orbit_walks_beyond_a_byte_raise_typed_error():
+    # D12 has 264 roots: no walk packs its subsets into bytes.
+    from rootforge.errors import Unsupported
+
+    d12 = build_root_system("D", 12)
+    root = (d12.simple_basis[0],)
+    with pytest.raises(Unsupported, match="256"):
+        subset_orbit_bfs(d12, root)
+    with pytest.raises(Unsupported, match="256"):
+        orbit_id_map(d12, [root])
+
+
+def test_position_forms_refuse_a_root_index_equal_to_the_marker(monkeypatch):
+    # A byte that marks an absent root must be no root's index.  No ADE
+    # system within 256 roots has 255 of them, so a smaller marker stands
+    # in; a fresh system keeps no tables from earlier walks.
+    from rootforge.errors import Unsupported
+    from rootforge.rootsystem import RootSystem
+
+    a3 = build_root_system("A", 3)
+    monkeypatch.setattr(oracle, "_ABSENT", len(a3.roots) - 1)
+    fresh = RootSystem("A", 3, list(a3.roots), a3.ambient_dim)
+    with pytest.raises(Unsupported, match="absent"):
+        subset_orbit_bfs(fresh, (fresh.simple_basis[0],))
