@@ -61,13 +61,13 @@ from rootforge.classify import (  # noqa: E402
     hasse_diagram,
 )
 from rootforge.coregroups import (  # noqa: E402
-    _close_group,
     _derive_labeling,
     _model_element_set,
     _model_generators,
     _weyl_core_elements,
     core_group_model,
 )
+from rootforge.oracle import _closure, _table  # noqa: E402
 from rootforge.rootsystem import cartan_links  # noqa: E402
 
 MEMBERSHIP_QUERIES = 40
@@ -99,7 +99,7 @@ def core_steps(system):
     labeling, t_labeling = timed(_derive_labeling, system, eb, closed)
     model, t_model = timed(_model_element_set, system, labeling, eb.moset)
     generators = _model_generators(system, labeling, eb.moset)
-    span, t_span = timed(_close_group, dict.fromkeys(generators, ()), len(eb.moset))
+    span, t_span = timed(_closure, bytes(range(len(eb.moset))), [(_table(bytes(g)), ()) for g in generators])
     if model != closed.keys() or span.keys() != closed.keys():
         raise SystemExit(f"{system.name}: core group checks fail")
     return t_closure, t_labeling, t_model, t_span

@@ -29,12 +29,18 @@ def _sink(path: str | None, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RootForgeError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _system_from(args) -> "RootSystem":
-    spec = args.system
+    """The system a command names: its positional label, one token or two,
+    unless --series and --rank (enhance only) are both given."""
+    series, rank = getattr(args, "series", None), getattr(args, "rank", None)
+    spec = [f"{series}{rank}"] if series and rank else args.system
     if len(spec) not in (1, 2):
         raise RootForgeError("expected a system label like 'E7' or 'E 7'")
     return parse_system("".join(spec))
@@ -200,11 +206,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "enhance":
-        if args.series and args.rank:
-            args.system = [f"{args.series}{args.rank}"]
-        if not args.system:
-            parser.error("enhance needs a system (positional or --series/--rank)")
     try:
         return args.fn(args)
     except RootForgeError as exc:

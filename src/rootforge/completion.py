@@ -30,7 +30,6 @@ from .rootsystem import (
     RootSystem,
     _adjacency,
     _bits,
-    _highest_root,
     _support_masks,
     components,
     orthogonal,
@@ -59,28 +58,21 @@ def d4_stars(system: RootSystem, nodes: tuple[int, ...]) -> list[tuple[int, tupl
 def extension_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> int:
     """Root index completing a D4 set {ends, center} to its extended set.
 
-    Signs are normalized so that every end pairs to -1 with the center;
-    the star is then a basis of a D4 subsystem, and the returned root d is
-    its lowest root, -(ends + 2*center), which makes {ends, d} the four
-    ends of the extended star around the center.  The completion takes the
-    same root by one lookup (_star_root) on the stars of d4_stars; this
-    public form checks its input.
+    With signs normalized so that every end pairs to -1 with the center,
+    the star is a basis of a D4 subsystem, and the returned root d is its
+    lowest root, -(ends + 2*center), which makes {ends, d} the four ends of
+    the extended star around the center.  This public form checks that the
+    ends are three orthogonal neighbours of the center, then takes the root
+    by the completion's one lookup (_star_root).
     """
     if len(ends) != 3:
         raise NotD4("a D4 set has exactly three end roots")
     c = system.proj_rep(center)
-    fixed = []
-    for e in ends:
-        pairing = system.cartan(e, c)
-        if pairing == -1:
-            fixed.append(e)
-        elif pairing == 1:
-            fixed.append(system.negative(e))
-        else:
-            raise NotD4("end root not adjacent to the center")
-    if not orthogonal(system, fixed):
+    if any(abs(system.cartan(e, c)) != 1 for e in ends):
+        raise NotD4("end root not adjacent to the center")
+    if not orthogonal(system, ends):
         raise NotD4("end roots of a D4 set must be orthogonal")
-    return system.negative(_highest_root(system, (c, *fixed))[0])
+    return _star_root(system, c, ends)
 
 
 def _star_root(system: RootSystem, center: int, ends: tuple[int, ...]) -> int:

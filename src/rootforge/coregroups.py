@@ -3,25 +3,30 @@
 The group is generated honestly from Weyl elements of small subsystems
 spanned by nodes of the enhanced diagram (D4 stars and three-node paths),
 keeping a reflection word for every element so that each permutation can
-be replayed on actual roots.  The result is then matched against the
+be replayed on actual roots.  The local closures, the closure of the group
+they give and the span check of the structured generators all run the
+oracle's one breadth-first closure (oracle._closure), the closure that
+enumerates the Weyl group.  The result is then matched against the
 series model: the full symmetric group for A and E6, column permutations
 with row flips for D, the linear group of F2^3 for E7 and the affine
 group of F2^3 for E8.  The F2 labelings themselves are derived from the
-orbit structure of the computed group, never transcribed from pictures.
+orbit structure of the computed group, never transcribed from pictures,
+by one rule on both ranks: the zero-sum k-subsets (k = 3 on E7, 4 on E8)
+are the smaller group orbit of k-subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, permutations, product
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, xor
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
-from .oracle import MAX_ROOTS, _table
+from .oracle import MAX_ROOTS, _closure, _table
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -39,6 +44,10 @@ from .rootsystem import (
 # Sizes of the orthogonal sets of E7 and E8 whose Weyl orbit splits in two,
 # told apart by the F2^3 label-sum parity.
 SPECIAL_SIZES = {7: (3, 4), 8: (4,)}
+
+# The size k of the zero-sum sets of the E7 and E8 labelings, and the sizes
+# of the core group's two orbits of k-subsets of the moset.
+_ZERO_SUM_ORBITS = {7: (3, [7, 28]), 8: (4, [14, 56])}
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
         (_table(bytes(local[system.reflect(x, g)] for x in reach)), (g,))
         for g in basis
     ]
-    seen = _closure_words(bytes(local[x] for x in start), gens)
+    seen = _closure(bytes(local[x] for x in start), gens)
     outside = len(moset)
     where = _table(bytes(pos.get(system.proj_rep(x), outside) for x in reach))
     tpos = [pos[m] for m in touched]
@@ -220,35 +229,6 @@ def _subsystems(system: RootSystem, seeds):
     return list(out)
 
 
-def _closure_words(start: bytes, generators) -> dict:
-    """Breadth-first closure of the bytes start under the (translate table,
-    word) pairs of generators, mapping each state to the first word
-    reaching it."""
-    words = {start: ()}
-    frontier = [start]
-    while frontier:
-        new = []
-        for cur in frontier:
-            cur_word = words[cur]
-            for g, gword in generators:
-                nxt = cur.translate(g)
-                if nxt not in words:
-                    words[nxt] = cur_word + gword
-                    new.append(nxt)
-        frontier = new
-    return words
-
-
-def _close_group(generators: dict, npoints: int) -> dict:
-    """Closure of moset permutations, concatenating reflection words.  The
-    permutations are bytes: each step sends cur to g[cur[i]] by
-    cur.translate(g)."""
-    return _closure_words(
-        bytes(range(npoints)),
-        [(_table(bytes(g)), word) for g, word in generators.items()],
-    )
-
-
 def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
     moset = eb.moset
     target = core_order_formula(system.series, system.rank)
@@ -257,7 +237,9 @@ def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
         for perm, word in _local_stabilizer_perms(system, sub, moset):
             if perm not in gens or len(word) < len(gens[perm]):
                 gens[perm] = word
-    elements = _close_group(gens, len(moset))
+    # The closure of the identity on the moset positions under the local
+    # stabilizers, concatenating their words.
+    elements = _closure(bytes(range(len(moset))), [(_table(bytes(g)), word) for g, word in gens.items()])
     if len(elements) != target:
         raise LabelingInfeasible(
             f"core group generation reached order {len(elements)}, expected {target}"
@@ -285,7 +267,10 @@ def _orbit_partition(elements, subsets):
 
 
 def _solve_fano(points, lines):
-    """Labels in F2^3 \\ {0} such that the given triples are the zero-sum ones."""
+    """Labels in F2^3 \\ {0} for the seven points, spread from one line and
+    a point off it along the given lines; LabelingInfeasible unless they
+    are seven distinct labels.  The caller checks that the lines are the
+    zero-sum triples."""
     if len(points) != 7 or len(lines) != 7:
         raise LabelingInfeasible("a Fano structure needs 7 points and 7 lines")
     first = min(tuple(sorted(l)) for l in lines)
@@ -303,10 +288,6 @@ def _solve_fano(points, lines):
                 changed = True
     if len(labels) != 7 or sorted(labels.values()) != [1, 2, 3, 4, 5, 6, 7]:
         raise LabelingInfeasible("inconsistent line structure")
-    for triple in combinations(points, 3):
-        total = labels[triple[0]] ^ labels[triple[1]] ^ labels[triple[2]]
-        if (total == 0) != (frozenset(triple) in lines):
-            raise LabelingInfeasible("labels do not reproduce the line structure")
     return labels
 
 
@@ -320,40 +301,26 @@ def _derive_labeling(system: RootSystem, eb: EnhancedBasis, elements) -> MosetLa
             labels[plain] = (col, 0)
             labels[primed] = (col, 1)
         return MosetLabeling("dn_matrix", labels)
-    k = len(moset)
-    if system.rank == 7:
-        orbits = _orbit_partition(elements, [
-            frozenset(c) for c in combinations(range(k), 3)
-        ])
-        sizes = sorted(len(o) for o in orbits)
-        if sizes != [7, 28]:
-            raise LabelingInfeasible(f"triple orbits of sizes {sizes}, expected 7+28")
-        lines = min(orbits, key=len)
-        pos_labels = _solve_fano(list(range(k)), lines)
-        return MosetLabeling("f2cube", {moset[i]: pos_labels[i] for i in range(k)})
-    orbits = _orbit_partition(elements, [
-        frozenset(c) for c in combinations(range(k), 4)
-    ])
+    # E7 and E8: the zero-sum k-subsets of the F2^3 labels are the smaller
+    # group orbit of k-subsets: the 7 lines of the Fano plane on E7, the
+    # 14 affine planes on E8.  E8 fixes position 0 at label 0, so the
+    # planes through it, less 0, are the lines on the other seven.
+    k, expected = _ZERO_SUM_ORBITS[system.rank]
+    points = range(len(moset))
+    orbits = _orbit_partition(elements, [frozenset(c) for c in combinations(points, k)])
     sizes = sorted(len(o) for o in orbits)
-    if sizes != [14, 56]:
-        raise LabelingInfeasible(f"quadruple orbits of sizes {sizes}, expected 14+56")
-    planes = min(orbits, key=len)
-    zero = 0
-    others = [i for i in range(k) if i != zero]
-    lines = {
-        frozenset(t)
-        for t in combinations(others, 3)
-        if frozenset(t) | {zero} in planes
-    }
-    pos_labels = _solve_fano(others, lines)
-    pos_labels[zero] = 0
-    for quad in combinations(range(k), 4):
-        total = 0
-        for p in quad:
-            total ^= pos_labels[p]
-        if (total == 0) != (frozenset(quad) in planes):
-            raise LabelingInfeasible("labels do not reproduce the plane structure")
-    return MosetLabeling("f2cube", {moset[i]: pos_labels[i] for i in range(k)})
+    if sizes != expected:
+        raise LabelingInfeasible(f"{k}-subset orbits of sizes {sizes}, expected {expected}")
+    zero_sum = min(orbits, key=len)
+    if k == 3:
+        labels = _solve_fano(points, zero_sum)
+    else:
+        labels = _solve_fano(points[1:], {plane - {0} for plane in zero_sum if 0 in plane})
+        labels[0] = 0
+    for subset in combinations(points, k):
+        if (reduce(xor, map(labels.__getitem__, subset)) == 0) != (frozenset(subset) in zero_sum):
+            raise LabelingInfeasible("labels do not reproduce the zero-sum sets")
+    return MosetLabeling("f2cube", {moset[i]: labels[i] for i in points})
 
 
 # -- structured series models -------------------------------------------------
@@ -480,7 +447,7 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
             "series model and Weyl-generated core group disagree"
         )
     generators = _model_generators(system, labeling, eb.moset)
-    span = _close_group(dict.fromkeys(generators, ()), len(eb.moset))
+    span = _closure(bytes(range(len(eb.moset))), [(_table(bytes(g)), ()) for g in generators])
     if span.keys() != closed.keys():
         raise InvariantViolation("structured generators fail to generate")
     elements = {tuple(perm): word for perm, word in closed.items()}

@@ -11,7 +11,7 @@ from .errors import (
     NotPiSystem,
     OracleCapExceeded,
 )
-from .oracle import subset_orbit_bfs
+from .oracle import DEFAULT_CAP, subset_orbit_bfs
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -117,7 +117,7 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def all_mosets_conjugate_check(system: RootSystem, cap: int = 10**6) -> bool:
+def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bool:
     """Enumerate all mosets, verify the uniform cardinality, and verify by a
     generator orbit walk that they form a single Weyl orbit."""
     if len(system.roots) > 130:

@@ -9,6 +9,11 @@ lookup, done in C by ``bytes.translate`` on a permutation padded to a
 orbit questions about subsets are answered by a generator walk that never
 materializes the whole group.
 
+One breadth-first closure over bytes states (``_closure``) serves both the
+Weyl group here and the core groups of ``coregroups``: a state is a
+permutation or a tuple of root images, a generator a translate table with
+its reflection word, and each state keeps the first word that reaches it.
+
 The walk holds each projective subset as a position form, one byte per
 projective root, so that a reflection is two ``bytes.translate`` calls and
 no sort (``_orbit``).  It goes level by level and keeps the forms of only
@@ -93,24 +98,35 @@ def perm_from_word(system: RootSystem, word) -> bytes:
     return out
 
 
-def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
-    """All Weyl group elements by breadth-first closure of the simple
-    reflections.  Raises CapExceeded when the group outgrows the cap."""
-    gens = [_table(g) for g in simple_reflection_perms(system)]
-    ident = identity_perm(system)
-    seen = {ident}
-    frontier = [ident]
+def _closure(start: bytes, generators, cap: int | None = None) -> dict:
+    """Breadth-first closure of the bytes start under the (translate table,
+    word) pairs of generators, mapping each state to the first word that
+    reaches it.  enumerate_weyl and every closure of coregroups run here.
+    The cap is checked once a level: CapExceeded when more than cap states
+    are reached."""
+    words = {start: ()}
+    frontier = [start]
     while frontier:
         new = []
-        for w in frontier:
-            for g in gens:
-                x = w.translate(g)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"Weyl enumeration exceeded cap {cap}")
+        for cur in frontier:
+            cur_word = words[cur]
+            for g, gword in generators:
+                nxt = cur.translate(g)
+                if nxt not in words:
+                    words[nxt] = cur_word + gword
+                    new.append(nxt)
+        if cap is not None and len(words) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = new
+    return words
+
+
+def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
+    """All Weyl group elements, the closure of the identity under the
+    simple reflections.  Raises CapExceeded when the group outgrows the
+    cap.  Every word is the empty tuple, shared, so a state costs one dict
+    slot."""
+    seen = _closure(identity_perm(system), [(_table(g), ()) for g in simple_reflection_perms(system)], cap)
     ordered = sorted(seen)
     seen.clear()  # freed before the elements are built, to lower peak memory
     # The elements are millions of acyclic objects; a running cyclic

@@ -295,9 +295,15 @@ def _e8_roots() -> list[Vec]:
 def parse_system(text: str) -> RootSystem:
     """Parse a label like 'E7' or 'd5' into a root system."""
     text = text.strip()
-    if not text or text[0].upper() not in SERIES or not text[1:].isdigit():
-        raise UnsupportedType(f"cannot parse system label {text!r}")
-    return build_root_system(text[0].upper(), int(text[1:]))
+    # isdecimal, not isdigit: int refuses a superscript digit.
+    if text[:1].upper() in SERIES and text[1:].isdecimal():
+        try:
+            rank = int(text[1:])
+        except ValueError:  # more digits than int converts
+            pass
+        else:
+            return build_root_system(text[0].upper(), rank)
+    raise UnsupportedType(f"cannot parse system label {text!r}")
 
 
 # -- elementary operations ----------------------------------------------

@@ -100,6 +100,30 @@ def test_order_special(capsys):
 def test_usage_errors(capsys):
     assert main(["roots", "Q", "9"]) == 2
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+    # "2" as a superscript is a digit that int refuses.
+    assert main(["classify", "A\u00b2"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse system label 'A\u00b2'\n"
+
+
+def test_enhance_without_a_system_is_a_usage_error(capsys):
+    assert main(["enhance"]) == 2
+    assert main(["enhance", "--series", "E"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_series_and_rank_name_the_system_and_override_a_label(capsys):
+    e7 = run(capsys, "enhance", "E7", "--json", "-")
+    assert e7[0] == 0
+    assert run(capsys, "enhance", "--series", "E", "--rank", "7", "--json", "-") == e7
+    assert run(capsys, "enhance", "A3", "--series", "E", "--rank", "7", "--json", "-") == e7
+
+
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out"
+    for argv in (["enhance", "E6", "--json", str(missing)], ["order", "A3", "--dot", str(missing)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
 
 
 def test_main_reuses_one_parser_and_prints_the_same_bytes(capsys):

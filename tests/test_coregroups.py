@@ -13,7 +13,7 @@ from rootforge import (
 )
 from rootforge.coregroups import core_order_formula
 from rootforge import coregroups
-from rootforge.errors import InvariantViolation, NotInMoset, NotMoset, Unsupported
+from rootforge.errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from rootforge.coregroups import verify_moset
 from rootforge.mosets import _mu_formula
 from rootforge.verification import SMALL, core_order_by_orbit, weyl_order_by_degrees
@@ -345,3 +345,61 @@ def test_local_reach_beyond_a_byte_raises_typed_error():
     d12 = build_root_system("D", 12)  # the simple roots reach all 264 roots
     with pytest.raises(InvariantViolation, match="264 roots"):
         coregroups._reach(d12, d12.simple_basis, d12.simple_basis)
+
+
+def test_labeling_refuses_a_group_with_the_wrong_orbit_sizes():
+    # The identity alone leaves every k-subset its own orbit, not the
+    # 7 + 28 triples of E7 or the 14 + 56 quadruples of E8.
+    for rank, sizes in ((7, "expected [7, 28]"), (8, "expected [14, 56]")):
+        s = build_root_system("E", rank)
+        eb = enhanced_basis(s)
+        with pytest.raises(LabelingInfeasible, match=sizes.replace("[", r"\[")):
+            coregroups._derive_labeling(s, eb, [bytes(range(len(eb.moset)))])
+
+
+
+def _xor(labels) -> int:
+    total = 0
+    for x in labels:
+        total ^= x
+    return total
+
+
+# The lines of the Fano plane on positions 0..6, position p labelled p + 1.
+FANO = {frozenset(t) for t in combinations(range(7), 3) if _xor(p + 1 for p in t) == 0}
+
+
+def test_solve_fano_refuses_lines_that_label_two_points_alike():
+    assert coregroups._solve_fano(range(7), FANO) == {p: p + 1 for p in range(7)}
+    consecutive = {frozenset({i, (i + 1) % 7, (i + 2) % 7}) for i in range(7)}
+    with pytest.raises(LabelingInfeasible, match="inconsistent"):
+        coregroups._solve_fano(range(7), consecutive)
+
+
+def _patched_orbits(monkeypatch, zero_sum, k, n):
+    zero_sum = set(zero_sum)
+    rest = {frozenset(c) for c in combinations(range(n), k)} - zero_sum
+    monkeypatch.setattr(coregroups, "_orbit_partition", lambda elements, subsets: [zero_sum, rest])
+
+
+def test_labeling_checks_every_subset_against_the_labels(monkeypatch):
+    # Sets of the right sizes that are no Fano plane, or no set of affine
+    # planes, can still give _solve_fano seven distinct labels; the check
+    # of every k-subset refuses them.  On E7 one line is swapped for a
+    # triple whose labels do not sum to zero.
+    e7 = build_root_system("E", 7)
+    not_fano = FANO - {frozenset({2, 4, 5})} | {frozenset({0, 1, 3})}
+    assert coregroups._solve_fano(range(7), not_fano)
+    _patched_orbits(monkeypatch, not_fano, 3, 7)
+    with pytest.raises(LabelingInfeasible, match="zero-sum"):
+        coregroups._derive_labeling(e7, enhanced_basis(e7), [])
+    # On E8 (position p labelled p) the planes through 0 are right, so
+    # _solve_fano passes, but the seven planes off 0 are swapped for
+    # quadruples whose labels do not sum to zero.
+    e8 = build_root_system("E", 8)
+    quads = [frozenset(q) for q in combinations(range(8), 4)]
+    through_0 = [q for q in quads if 0 in q and _xor(q) == 0]
+    off_0 = [q for q in quads if 0 not in q and _xor(q) != 0][:7]
+    _patched_orbits(monkeypatch, through_0 + off_0, 4, 8)
+    with pytest.raises(LabelingInfeasible, match="zero-sum"):
+        coregroups._derive_labeling(e8, enhanced_basis(e8), [])

@@ -44,10 +44,20 @@ def test_cap():
         enumerate_weyl(build_root_system("D", 5), cap=100)
 
 
+def test_cap_is_checked_once_a_level_against_the_whole_group():
+    # The closure checks its cap after each level, so a cap equal to the
+    # order passes and one below it raises, whichever level overflows.
+    d4 = build_root_system("D", 4)
+    assert len(enumerate_weyl(d4, cap=192)) == weyl_order(d4, cap=192) == 192
+    for fn in (enumerate_weyl, weyl_order):
+        with pytest.raises(CapExceeded):
+            fn(d4, cap=191)
+
+
 def test_every_cap_defaults_to_the_one_constant():
     import inspect
 
-    from rootforge import verification
+    from rootforge import mosets, verification
 
     for fn in (
         oracle.enumerate_weyl,
@@ -56,6 +66,7 @@ def test_every_cap_defaults_to_the_one_constant():
         orbit_id_map,
         verification.check_core_stabilizer_agreement,
         verification.run_all,
+        mosets.all_mosets_conjugate_check,
     ):
         assert inspect.signature(fn).parameters["cap"].default == oracle.DEFAULT_CAP, fn.__name__
 

@@ -1,7 +1,7 @@
 """Every script in scripts/ runs to exit 0 on small inputs.
 
 The scripts import private names of the package, such as classify._orbits
-and coregroups._close_group, so a rename breaks them without any other
+and oracle._closure, so a rename breaks them without any other
 test noticing.
 """
 
