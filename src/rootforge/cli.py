@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--slow", action="store_true", help="include the W(E7) stabilizer check")
+    p.add_argument("--slow", action="store_true", help="add the W(E7) stabilizer and E8 criterion 5")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="Weyl enumeration cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", type=int, default=1000, help="random embeddings per system")

@@ -6,32 +6,29 @@ and D12 are the first systems beyond it).  Every step is a permutation
 lookup, done in C by ``bytes.translate`` on a permutation padded to a
 256-entry table.  Full enumeration is only feasible up to W(E7), whose
 2,903,040 elements take 16-19 s and 0.7 GB on one core of a 2 vCPU host;
-orbit questions about subsets are answered by a generator walk that never
-materializes the whole group.
+orbit questions about subsets are answered by a generator walk and a
+stabilizer tree, neither of which materializes the whole group.
 
 One breadth-first closure over bytes states (``_closure``) serves both the
 Weyl group here and the core groups of ``coregroups``: a state is a
 permutation or a tuple of root images, a generator a translate table with
 its reflection word, and each state keeps the first word that reaches it.
 
-The walk holds each projective subset as a position form, one byte per
-projective root, so that a reflection is two ``bytes.translate`` calls and
-no sort (``_orbit``).  It goes level by level and keeps the forms of only
-three levels; every member it returns, and every key of ``orbit_id_map``,
-is the sorted bytes of the subset's root indices.  The map keeps each
-orbit member once in that form: one bytes object and one dict slot, under
-120 bytes a member at the traced peak on D5, D6 and E6, where a frozenset
-key took 400-630.  The map reads like a dict keyed by frozensets.  The
-orbits of E7's 1,433 Pi-subsets have 9,555,471 members; their map takes
-about 60 s and an 852 MiB peak RSS on 2 vCPU, 6.3 us a member against 2.4
-on E6.
+``_orbit`` walks a projective subset's orbit on position forms, one byte
+per projective root: a reflection is two ``bytes.translate`` calls and no
+sort, and only three levels are kept.  ``orbit_id_map`` walks only when
+iterated: a Schreier-Sims stabilizer tree (Sims 1970; Seress 2003) and a
+smallest-image search down it (Linton 2004) give each subset's least
+conjugate and orbit size, E7's 1,433 Pi-subsets in about 0.1 s where
+walking their 9,555,471 members took 60 s and 852 MiB.
 """
 
 from __future__ import annotations
 
 import gc
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from math import prod
 
 from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported
 from .rootsystem import RootSystem, system_memo
@@ -144,6 +141,30 @@ def weyl_order(system: RootSystem, cap: int = DEFAULT_CAP) -> int:
     return len(enumerate_weyl(system, cap))
 
 
+# Degrees of the basic invariants of the exceptional Weyl groups; |W| is
+# the product of the degrees (Humphreys, Reflection Groups and Coxeter
+# Groups, 3.7).
+E_DEGREES = {
+    6: (2, 5, 6, 8, 9, 12),
+    7: (2, 6, 8, 10, 12, 14, 18),
+    8: (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+def _degrees(series: str, rank: int):
+    """2..n+1 for A_n, 2, 4, ..., 2n-2 and n for D_n."""
+    if series == "A":
+        return range(2, rank + 2)
+    if series == "D":
+        return [*range(2, 2 * rank - 1, 2), rank]
+    return E_DEGREES[rank]
+
+
+def weyl_order_by_degrees(series: str, rank: int) -> int:
+    """|W| as the product of the degrees."""
+    return prod(_degrees(series, rank))
+
+
 def subset_orbit(subset, elements) -> set[frozenset]:
     """Orbit of a projective/root index set under explicitly listed elements."""
     base = frozenset(subset)
@@ -245,47 +266,205 @@ def subset_orbit_bfs(system: RootSystem, subset, cap: int = DEFAULT_CAP) -> set[
     return {frozenset(s) for s in _orbit(system, _key(system, subset), cap)}
 
 
+# -- stabilizer tree ------------------------------------------------------------
+# The points are positions in system.positive, one a projective root.  A
+# permutation is a 256-byte translate table fixing the bytes past the
+# points: p.translate(q) applies p, then q; bytes.maketrans(p, _IDENTITY)
+# inverts p.
+
+_IDENTITY = bytes(range(256))
+
+
+class _Level:
+    """A Schreier-Sims level: a base point, generators fixing the base
+    points above, and for each x in the base point's orbit (u, u^-1) with
+    u sending the base point to x."""
+
+    __slots__ = ("point", "gens", "orbit", "below")
+
+    def __init__(self, point: int, gens=(), orbit=None):
+        self.point, self.gens, self.below = point, list(gens), None
+        self.orbit = orbit or {point: (_IDENTITY, _IDENTITY)}
+
+
+def _close(level: _Level, pairs: list) -> None:
+    """Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4): follow
+    each (point, generator) pair of the level, extending its orbit, and
+    add to the level below each Schreier generator that does not sift
+    through it.  pairs grows while it is walked, by each new point's."""
+    orbit = level.orbit
+    for x, s in pairs:
+        u, y = orbit[x][0].translate(s), s[x]
+        if y not in orbit:
+            orbit[y] = (u, bytes.maketrans(u, _IDENTITY))
+            pairs.extend((y, t) for t in level.gens)
+            continue
+        h = g = u.translate(orbit[y][1])
+        sift = level.below
+        while sift is not None and g[sift.point] in sift.orbit:
+            g, sift = g.translate(sift.orbit[g[sift.point]][1]), sift.below
+        if g != _IDENTITY:
+            if level.below is None:
+                level.below = _Level(next(i for i, v in enumerate(h) if i != v))
+            level.below.gens.append(h)
+            _close(level.below, [(z, h) for z in level.below.orbit])
+
+
+class _Node:
+    """G_P, the pointwise stabilizer of a sequence P of points: generators,
+    order and, for every point, its G_P-orbit's least point, an element
+    sending it there (to_least) and that element's inverse (from_least)."""
+
+    __slots__ = ("gens", "order", "least", "to_least", "from_least", "children")
+
+    def __init__(self, gens: list, order: int, n: int):
+        self.gens, self.order, self.children = gens, order, {}
+        least, from_least = [None] * n, [None] * n
+        for r in range(n):
+            if least[r] is None:
+                least[r], from_least[r], orbit = r, _IDENTITY, [r]
+                for x in orbit:  # grows while it is walked
+                    for s in gens:
+                        y = s[x]
+                        if least[y] is None:
+                            least[y], from_least[y] = r, from_least[x].translate(s)
+                            orbit.append(y)
+        self.least, self.from_least = bytes(least), from_least
+        self.to_least = [bytes.maketrans(u, _IDENTITY) for u in from_least]
+
+    def child(self, m: int) -> _Node:
+        """G_{P+m}, m least in its orbit, memoised: the level below m in a
+        Schreier-Sims chain of G_P with base prefix (m), whose first level
+        is this node's orbit of m.  The chain's order must be G_P's."""
+        if m in self.children:
+            return self.children[m]
+        orbit = {x: (self.from_least[x], self.to_least[x]) for x, r in enumerate(self.least) if r == m}
+        top = _Level(m, self.gens, orbit)
+        _close(top, [(x, s) for x in orbit for s in self.gens])
+        order, level = 1, top.below
+        while level is not None:
+            order, level = order * len(level.orbit), level.below
+        if order * len(orbit) != self.order:
+            raise InvariantViolation(f"|G_P+m| * |orbit(m)| = {order} * {len(orbit)} != {self.order}")
+        child = self.children[m] = _Node(top.below.gens if top.below else [], order, len(self.least))
+        return child
+
+
+@system_memo
+def _tree(system: RootSystem) -> _Node:
+    """The group W induces on the projective roots, by the g tables of
+    _position_reflections, of order |W| / |W n {1, -1}|: -1 acts trivially,
+    and lies in W when every degree is even (A1, D_even, E7, E8)."""
+    gens = [g + _IDENTITY[len(g) :] for g, _ in _position_reflections(system)]
+    degrees = _degrees(system.series, system.rank)
+    order = prod(degrees) // (2 if all(d % 2 == 0 for d in degrees) else 1)
+    return _Node(gens, order, len(system.positive))
+
+
+def _least_image(tree: _Node, points: bytes) -> tuple[bytes, int]:
+    """The lexicographically least member C of W.S, for S the sorted
+    points, and |W.S|, by a smallest-image search (Linton, ISSAC 2004).
+
+    The candidates, {S: 1} at first, are images of S with multiplicities,
+    each beginning with the points P fixed so far.  Every member of W.S
+    beginning with P is a G_P-image of a candidate, and the w in W with
+    w(S) = C number the sum of count(T) * |{h in G_P : h(T) = C}|.  A step
+    takes m, the least orbit-least point of the candidates' points outside
+    P, and replaces each T by g_t(T) for every t in T \\ P whose orbit-least
+    point is m; both facts then hold for P + m.  At the end P is C and
+    |Stab(S)| = count(C) * |G_C|."""
+    node, candidates, prefix = tree, {points: 1}, bytearray()
+    for p in range(len(points)):
+        least, to_least = node.least, node.to_least
+        m = min(least[t] for c in candidates for t in c[p:])
+        images: dict[bytes, int] = {}
+        for c, count in candidates.items():
+            for t in c[p:]:
+                if least[t] == m:
+                    image = bytes(sorted(c.translate(to_least[t])))
+                    images[image] = images.get(image, 0) + count
+        candidates, node = images, node.child(m)
+        prefix.append(m)
+    image = bytes(prefix)
+    size, rest = divmod(tree.order, candidates[image] * node.order)
+    if rest:
+        raise InvariantViolation(f"|Stab(S)| = {candidates[image] * node.order} does not divide {tree.order}")
+    return image, size
+
+
+class _WalkedItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._walk()
+
+
 class _OrbitIds(Mapping):
-    """Read-only orbit map over sorted-bytes keys.  Lookups take any
-    iterable of distinct root indices, iteration yields frozensets, and a
-    key that cannot be a member (an index below 0 or above 255, a
-    non-integer) is missing like any other."""
+    """Read-only orbit map keyed like a dict of frozensets.  A key seen at
+    construction is a dict hit; another is missing unless its entries are
+    distinct positive roots and its canonical image is one of the ids.
+    Iteration walks each orbit, checking the tree's size and least member."""
 
-    __slots__ = ("_ids",)
+    __slots__ = ("_system", "_cap", "_tree", "_positive", "_to_position", "_ids", "_sizes")
 
-    def __init__(self, ids: dict[bytes, tuple]):
-        self._ids = ids
+    def __init__(self, system: RootSystem, subsets, cap: int):
+        self._system, self._cap, self._tree = system, cap, _tree(system)
+        self._positive = bytes(system.positive)
+        self._to_position = bytes.maketrans(self._positive, _IDENTITY[: len(self._positive)])
+        self._ids: dict[bytes, tuple] = {}  # each key seen at construction -> its id
+        self._sizes: dict[tuple, int] = {}  # each id -> its orbit's size
+        for subset in subsets:
+            key = _key(system, subset)
+            if key not in self._ids:
+                oid, size = self._image(key)
+                if size > cap:
+                    raise CapExceeded(f"subset orbit of {size} members exceeded cap {cap}")
+                self._ids[key], self._sizes[oid] = oid, size
+
+    def _image(self, key: bytes) -> tuple[tuple, int]:
+        image, size = _least_image(self._tree, key.translate(self._to_position))
+        return tuple(image.translate(_table(self._positive))), size
 
     def __getitem__(self, subset) -> tuple:
         try:
             key = bytes(sorted(subset))
         except (TypeError, ValueError):
             raise KeyError(subset) from None
-        return self._ids[key]
+        if key in self._ids:
+            return self._ids[key]
+        if len(set(key)) == len(key) and not key.translate(None, self._positive):
+            oid = self._image(key)[0]
+            if oid in self._sizes:
+                return oid
+        raise KeyError(subset)
+
+    def _walk(self):
+        for oid, size in self._sizes.items():
+            start = bytes(oid)
+            orbit = _orbit(self._system, start, self._cap)
+            if len(orbit) != size or min(orbit) != start:
+                raise InvariantViolation(f"walk from {oid}: not the tree's size {size} or least member")
+            for member in orbit:
+                yield frozenset(member), oid
 
     def __iter__(self):
-        return map(frozenset, self._ids)
+        return (member for member, _ in self._walk())
+
+    def items(self):
+        return _WalkedItems(self)
+
+    def values(self):
+        return (oid for _, oid in self._walk())
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return sum(self._sizes.values())
 
 
 def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> Mapping:
     """Map every member of the given subsets' orbits (a set of projective
-    representatives) to a stable orbit identifier, the lexicographically
-    least member as a sorted tuple.  The result is a read-only mapping
-    keyed like a dict of frozensets; it stores each member once, as sorted
-    bytes, at under 120 bytes a member where a frozenset key took 400-630."""
-    out: dict[bytes, tuple] = {}
-    for subset in subsets:
-        key = _key(system, subset)
-        if key in out:
-            continue
-        orbit = _orbit(system, key, cap)
-        if not out.keys().isdisjoint(orbit):
-            raise InvariantViolation("one subset lies in two orbits")
-        out.update(dict.fromkeys(orbit, tuple(min(orbit))))
-    return _OrbitIds(out)
+    representatives) to its orbit's lexicographically least member as a
+    sorted tuple, read-only and keyed like a dict of frozensets.  It holds
+    no member: _least_image gives each subset's id and orbit size, and
+    CapExceeded when a size exceeds the cap."""
+    return _OrbitIds(system, subsets, cap)
 
 
 def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:

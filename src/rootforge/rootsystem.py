@@ -298,11 +298,9 @@ def parse_system(text: str) -> RootSystem:
     # isdecimal, not isdigit: int refuses a superscript digit.
     if text[:1].upper() in SERIES and text[1:].isdecimal():
         try:
-            rank = int(text[1:])
-        except ValueError:  # more digits than int converts
+            return build_root_system(text[0].upper(), int(text[1:]))
+        except (ValueError, OverflowError):  # more digits than int converts; a rank past the longest list
             pass
-        else:
-            return build_root_system(text[0].upper(), rank)
     raise UnsupportedType(f"cannot parse system label {text!r}")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from math import prod
 
 from .classify import (
     EmbeddingMap,
@@ -31,8 +30,9 @@ from .coregroups import core_group_model, core_order_formula
 from .diagrams import _mask_nodes, automorphism_group, subsystem_type
 from .errors import InvariantViolation
 from .mosets import all_mosets, mu, _mu_formula
-from .oracle import (
+from .oracle import (  # E_DEGREES and weyl_order_by_degrees are re-exported
     DEFAULT_CAP,
+    E_DEGREES,
     compose,
     enumerate_weyl,
     identity_perm,
@@ -42,6 +42,7 @@ from .oracle import (
     simple_reflection_perms,
     perm_from_word,
     subset_orbit_bfs,
+    weyl_order_by_degrees,
     _proj_table,
     _table,
 )
@@ -158,28 +159,6 @@ def check_core_orders() -> Result:
         return not bad, "generator closure orders" + (f"; bad {bad}" if bad else "")
 
     return _run("3a core group order table", 1.0, fn)
-
-
-# Degrees of the basic invariants of the exceptional Weyl groups; |W| is
-# the product of the degrees (Humphreys, Reflection Groups and Coxeter
-# Groups, 3.7).
-E_DEGREES = {
-    6: (2, 5, 6, 8, 9, 12),
-    7: (2, 6, 8, 10, 12, 14, 18),
-    8: (2, 8, 12, 14, 18, 20, 24, 30),
-}
-
-
-def weyl_order_by_degrees(series: str, rank: int) -> int:
-    """|W| as the product of the degrees: 2..n+1 for A_n, 2, 4, ..., 2n-2
-    and n for D_n."""
-    if series == "A":
-        degrees = range(2, rank + 2)
-    elif series == "D":
-        degrees = [*range(2, 2 * rank - 1, 2), rank]
-    else:
-        degrees = E_DEGREES[rank]
-    return prod(degrees)
 
 
 def core_order_by_orbit(system, moset) -> int:
@@ -316,15 +295,19 @@ def _extended_one_at_a_time(system) -> tuple[int, ...]:
 # -- criterion 5: small-rank classification vs oracle ---------------------------
 
 
-def check_small_rank_exactness() -> Result:
-    systems = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+def check_small_rank_exactness(slow: bool = False) -> Result:
+    """The labels partition the Pi-subsets as their Weyl orbits do, on
+    A2-A5, D4-D6, E6 and E7, and on E8 in slow mode.  orbit_id_map holds no
+    member, so its cap is |W|: E8's largest orbits outgrow the default."""
+    systems = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7)]
+    if slow:
+        systems.append(("E", 8))
 
     def fn():
         for series, rank in systems:
             system = build_root_system(series, rank)
-            eb = enhanced_basis(system)
-            subsets = pi_node_subsets(eb)
-            oracle = orbit_id_map(system, subsets)
+            subsets = pi_node_subsets(enhanced_basis(system))
+            oracle = orbit_id_map(system, subsets, weyl_order_by_degrees(series, rank))
             label_to_orbit: dict = {}
             orbit_to_label: dict = {}
             for subset in subsets:
@@ -612,7 +595,7 @@ def run_all(
         check_core_orders(),
         check_core_stabilizer_agreement(slow=slow, cap=cap),
         check_enhanced_diagrams(),
-        check_small_rank_exactness(),
+        check_small_rank_exactness(slow=slow),
         check_special_orbits(),
         check_worked_examples(),
         check_order_graphs(),

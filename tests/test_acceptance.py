@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a status line.
 
 Run with -s to see the lines; the same checks back the CLI verify command.
-The brute-force W(E7) stabilizer comparison is marked slow.
+The brute-force W(E7) stabilizer comparison and criterion 5's comparison
+on E8 are marked slow.
 """
 
 import pytest
@@ -41,6 +42,12 @@ def test_criterion_4_enhanced_diagrams():
 
 def test_criterion_5_small_rank_classification():
     _assert(v.check_small_rank_exactness())
+
+
+@pytest.mark.slow
+def test_criterion_5_small_rank_classification_e8():
+    # E8 adds 22,910 Pi-subsets in 76 orbits
+    _assert(v.check_small_rank_exactness(slow=True))
 
 
 def test_criterion_6_special_orbit_tables():

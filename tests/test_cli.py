@@ -104,6 +104,9 @@ def test_usage_errors(capsys):
     # "2" as a superscript is a digit that int refuses.
     assert main(["classify", "A\u00b2"]) == 2
     assert capsys.readouterr().err == "error: cannot parse system label 'A\u00b2'\n"
+    # a rank too long for a list of its coordinates
+    assert main(["classify", "A99999999999999999999"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse system label 'A99999999999999999999'\n"
 
 
 def test_enhance_without_a_system_is_a_usage_error(capsys):

@@ -28,6 +28,7 @@ from rootforge.oracle import (
     perm_from_word,
     reflection_perm,
     simple_reflection_perms,
+    weyl_order_by_degrees,
 )
 
 
@@ -163,6 +164,7 @@ def test_orbit_map_reads_like_a_frozenset_dict(label):
     assert len(ids) == len(ref)
     assert all(type(k) is frozenset for k in ids)
     assert set(ids.items()) == set(ref.items())
+    assert sorted(ids.values()) == sorted(ref.values())
     for k, v in ref.items():
         assert k in ids and ids[k] == v and ids.get(k) == v
     off = next(i for i in range(len(s.roots)) if s.proj_rep(i) != i)
@@ -177,7 +179,9 @@ def test_orbit_map_reads_like_a_frozenset_dict(label):
 
 @pytest.mark.parametrize("starts", [(1, 2), (2, 0)], ids=["same least member", "other least member"])
 def test_overlapping_orbits_raise(monkeypatch, starts):
-    # every faked walk also reaches the second simple root
+    # Every faked walk also reaches the second simple root.  Construction
+    # reads the tree and walks nothing; iteration walks each orbit and
+    # checks it against the tree.
     d4 = build_root_system("D", 4)
     simple = d4.projective(d4.simple_basis)
 
@@ -185,8 +189,27 @@ def test_overlapping_orbits_raise(monkeypatch, starts):
         return {start_key, bytes([simple[1]])}
 
     monkeypatch.setattr(oracle, "_orbit", overlapping)
+    ids = orbit_id_map(d4, [(simple[k],) for k in starts])
     with pytest.raises(InvariantViolation):
-        orbit_id_map(d4, [(simple[k],) for k in starts])
+        list(ids)
+    with pytest.raises(InvariantViolation):
+        dict(ids.items())
+
+
+def test_iteration_checks_the_walked_least_member(monkeypatch):
+    # A walk of the tree's size whose least member is not the tree's id.
+    d4 = build_root_system("D", 4)
+    walk = oracle._orbit
+
+    def shifted(system, start_key, cap):
+        orbit = walk(system, start_key, cap)
+        return orbit - {min(orbit)} | {bytes([255])}
+
+    ids = orbit_id_map(d4, [d4.simple_basis])
+    assert len(list(ids)) == len(ids)
+    monkeypatch.setattr(oracle, "_orbit", shifted)
+    with pytest.raises(InvariantViolation, match="least"):
+        list(ids)
 
 
 def test_orbit_map_costs_little_per_member():
@@ -397,6 +420,64 @@ def _orbit_keys(system, subsets):
             keys.append(key)
             seen |= oracle._orbit(system, key, oracle.DEFAULT_CAP)
     return keys
+
+
+@pytest.mark.parametrize(
+    "label, order",
+    [
+        (("A", 1), 2 // 2),
+        (("A", 4), 120),
+        (("D", 4), 192 // 2),
+        (("D", 5), 1920),
+        (("E", 6), 51840),
+        (("E", 7), 2903040 // 2),
+        (("E", 8), 696729600 // 2),
+    ],
+)
+def test_tree_root_order_is_w_over_w_and_minus_one(label, order):
+    # The points are projective roots, so -1 acts trivially: the root's
+    # order is |W|/2 when every degree is even, else |W|.  The Schreier-Sims
+    # run at the root must agree, and a node whose order disagrees raises.
+    s = build_root_system(*label)
+    tree = oracle._tree(s)
+    assert tree.order == order
+    assert tree.order in (weyl_order_by_degrees(*label), weyl_order_by_degrees(*label) // 2)
+    assert tree.child(0).order * tree.least.count(0) == order
+    with pytest.raises(InvariantViolation):
+        oracle._Node(tree.gens, 2 * order, len(tree.least)).child(0)
+
+
+@pytest.mark.parametrize("label", [("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_canonical_image_is_the_least_image_over_the_whole_group(label):
+    s = build_root_system(*label)
+    elements = enumerate_weyl(s)
+    proj = oracle._proj_table(s)
+    rng = random.Random(26)
+    for size in range(1, 5):
+        for _ in range(3):
+            key = oracle._key(s, rng.sample(range(len(s.roots)), size))
+            images = {
+                bytes(sorted(set(key.translate(oracle._table(w.perm)).translate(proj)))) for w in elements
+            }
+            ids = orbit_id_map(s, [key])
+            assert ids[frozenset(key)] == tuple(min(images)), (s.name, key)
+            assert ids[max(images)] == tuple(min(images)), (s.name, key)  # through the tree
+            assert len(ids) == len(images), (s.name, key)
+    # keys off the map's orbits are missing: another size, a repeated entry
+    ids = orbit_id_map(s, [s.simple_basis[:1]])
+    for subset in [s.simple_basis[:2], [s.positive[0]] * 2]:
+        with pytest.raises(KeyError):
+            ids[subset]
+
+
+@pytest.mark.parametrize("label", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)])
+def test_tree_orbit_size_is_the_walked_size_on_every_pi_subset(label):
+    s = build_root_system(*label)
+    subsets = pi_node_subsets(enhanced_basis(s))
+    keys = _orbit_keys(s, subsets)
+    sizes = [len(orbit_id_map(s, [key])) for key in keys]
+    assert sizes == [len(oracle._orbit(s, key, oracle.DEFAULT_CAP)) for key in keys]
+    assert sum(sizes) == len(orbit_id_map(s, subsets))
 
 
 def test_position_walk_matches_the_sorted_bytes_walk():
