@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the brute-force oracle loop by loop: Weyl enumeration, the moset
+"""Time the brute-force oracle loop by loop: Weyl enumeration (with the
+sizes |X_1|, ..., |X_n| of the coset transversals it multiplies), the moset
 orbit walk, the moset stabilizer and the orbit map of the Pi-subsets, then
 the process's peak RSS after each system.  The map is timed twice: built
 through the stabilizer tree, which walks no orbit, and walked, iterating
@@ -9,7 +10,7 @@ compares the walk's cost across systems).
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
 
 E7 enumerates all 2,903,040 elements of W(E7) and holds them at once
-(about 0.9 GB); it is left out unless named.
+(about 0.65 GB); it is left out unless named.
 """
 
 import resource
@@ -18,7 +19,14 @@ import time
 
 from rootforge import build_root_system, enhanced_basis
 from rootforge.classify import pi_node_subsets
-from rootforge.oracle import enumerate_weyl, orbit_id_map, set_stabilizer, subset_orbit_bfs
+from rootforge.oracle import (
+    DEFAULT_CAP,
+    _transversals,
+    enumerate_weyl,
+    orbit_id_map,
+    set_stabilizer,
+    subset_orbit_bfs,
+)
 
 
 def timed(fn, *args):
@@ -33,6 +41,7 @@ def main(argv):
         system = build_root_system(text[0].upper(), int(text[1:]))
         eb = enhanced_basis(system)
         elements, t_enum = timed(enumerate_weyl, system)
+        sizes = " x ".join(str(len(x)) for x in _transversals(system, DEFAULT_CAP))
         orbit, t_orbit = timed(subset_orbit_bfs, system, eb.moset)
         stab, t_stab = timed(set_stabilizer, system, eb.moset, elements)
         order = len(elements)
@@ -44,7 +53,7 @@ def main(argv):
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{system.name:4} |W| = {order:>9,}"
-            f"  enumerate_weyl {t_enum:6.2f}s"
+            f"  enumerate_weyl {t_enum:6.2f}s ({sizes})"
             f"  moset orbit {len(orbit):>6,} sets {t_orbit:6.2f}s"
             f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
             f"  orbit_id_map {len(subsets):>6,} Pi-subsets -> {orbits:>4} orbits"

@@ -4,15 +4,18 @@ Elements are stored as permutations of the root index list, packed into
 bytes, so the oracle serves systems of at most 256 roots (E8 has 240; A16
 and D12 are the first systems beyond it).  Every step is a permutation
 lookup, done in C by ``bytes.translate`` on a permutation padded to a
-256-entry table.  Full enumeration is only feasible up to W(E7), whose
-2,903,040 elements take 16-19 s and 0.7 GB on one core of a 2 vCPU host;
-orbit questions about subsets are answered by a generator walk and a
-stabilizer tree, neither of which materializes the whole group.
+256-entry table.  ``enumerate_weyl`` lists W as a product of coset
+transversals of the parabolic chain W_1 < ... < W_n, one translate per
+element and no hashing.  Full enumeration is only feasible up to W(E7),
+whose 2,903,040 elements take 3-4 s and 0.65 GB on one core of a 2 vCPU
+host; W(E8) is refused from the transversals' sizes alone.  Orbit questions
+about subsets are answered by a generator walk and a stabilizer tree,
+neither of which materializes the whole group.
 
-One breadth-first closure over bytes states (``_closure``) serves both the
-Weyl group here and the core groups of ``coregroups``: a state is a
-permutation or a tuple of root images, a generator a translate table with
-its reflection word, and each state keeps the first word that reaches it.
+One breadth-first closure over bytes states (``_closure``) serves the core
+groups of ``coregroups``: a state is a permutation or a tuple of root
+images, a generator a translate table with its reflection word, and each
+state keeps the first word that reaches it.
 
 ``_orbit`` walks a projective subset's orbit on position forms, one byte
 per projective root: a reflection is two ``bytes.translate`` calls and no
@@ -28,10 +31,12 @@ from __future__ import annotations
 import gc
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from math import prod
+from operator import attrgetter, eq, itemgetter
 
 from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported
-from .rootsystem import RootSystem, system_memo
+from .rootsystem import RootSystem, _reflection_closure, system_memo
 
 DEFAULT_CAP = 10**7
 MAX_ROOTS = 256  # a byte holds root indices 0..255
@@ -98,9 +103,8 @@ def perm_from_word(system: RootSystem, word) -> bytes:
 def _closure(start: bytes, generators, cap: int | None = None) -> dict:
     """Breadth-first closure of the bytes start under the (translate table,
     word) pairs of generators, mapping each state to the first word that
-    reaches it.  enumerate_weyl and every closure of coregroups run here.
-    The cap is checked once a level: CapExceeded when more than cap states
-    are reached."""
+    reaches it.  Every closure of coregroups runs here.  The cap is checked
+    once a level: CapExceeded when more than cap states are reached."""
     words = {start: ()}
     frontier = [start]
     while frontier:
@@ -118,20 +122,71 @@ def _closure(start: bytes, generators, cap: int | None = None) -> dict:
     return words
 
 
+def _transversals(system: RootSystem, cap: int) -> list[list[bytes]]:
+    """X_1, ..., X_n: X_k holds one element of each left coset of W_{k-1}
+    in W_k, where W_k is generated by the first k simple roots.
+
+    Let P_k be the positive roots of W_k, the closure of the first k simple
+    roots under their reflections less the negative roots, and S_k the
+    roots of P_k outside P_{k-1}, as a set of signed roots.  The stabilizer
+    of S_k in W_k is W_{k-1}: each of W_{k-1}'s simple reflections permutes
+    P_k less its own root and keeps P_{k-1}, so it permutes S_k; and a w in
+    W_k keeping S_k positive has its inversion set in P_{k-1}, so w lies in
+    W_{k-1} (Humphreys, Reflection Groups and Coxeter Groups, 1.10).  So the
+    W_k-orbit of S_k, walked breadth first with one element u per member
+    (u(S_k) the member), gives X_k, and |X_k| = |W_k| / |W_{k-1}|.  Each u
+    is a word as long as its member's distance from S_k, and no element of
+    its coset is shorter, so u is the coset's minimal representative.
+
+    The product of the sizes so far is a lower bound on |W|: CapExceeded as
+    soon as it exceeds the cap, so a walk never outgrows it."""
+    basis, tables = system.simple_basis, [_table(g) for g in simple_reflection_perms(system)]
+    identity, positive = identity_perm(system), set(system.positive)
+    out, below, size = [], set(), 1
+    for k in range(1, len(basis) + 1):
+        roots = positive.intersection(_reflection_closure(system, basis[:k], basis[:k]))
+        start = bytes(sorted(roots - below))
+        reps, orbit = {start: identity}, [start]
+        for t in orbit:  # grows while it is walked
+            u = reps[t]
+            for table in tables[:k]:
+                image = bytes(sorted(t.translate(table)))
+                if image not in reps:
+                    reps[image] = u.translate(table)
+                    orbit.append(image)
+                    if size * len(reps) > cap:
+                        raise CapExceeded(f"W({system.name}) has more than cap {cap} elements")
+        out.append(list(reps.values()))
+        below, size = roots, size * len(reps)
+    return out
+
+
 def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
-    """All Weyl group elements, the closure of the identity under the
-    simple reflections.  Raises CapExceeded when the group outgrows the
-    cap.  Every word is the empty tuple, shared, so a state costs one dict
-    slot."""
-    seen = _closure(identity_perm(system), [(_table(g), ()) for g in simple_reflection_perms(system)], cap)
-    ordered = sorted(seen)
-    seen.clear()  # freed before the elements are built, to lower peak memory
+    """All Weyl group elements, sorted by permutation, as the products
+    u_n ... u_1 with u_k in the coset transversal X_k of _transversals
+    (W_k = X_k W_{k-1}; Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    2.4).  Raises CapExceeded when the product of the |X_k| exceeds the
+    cap, before any element of W is built.
+
+    Each level is one bytes.translate per element, run in C by map, and
+    nothing is hashed.  Each product is a word in the simple reflections,
+    so the list lies in W; InvariantViolation if two are equal, checked on
+    the sorted list's neighbours, so a list of |W| elements is W."""
+    elements = [identity_perm(system)]
+    for transversal in _transversals(system, cap):
+        new: list[bytes] = []
+        for u in transversal:
+            new.extend(map(bytes.translate, elements, repeat(_table(u))))
+        elements = new
+    elements.sort()
+    if any(map(eq, elements, islice(elements, 1, None))):
+        raise InvariantViolation("two products of the coset transversals are one element")
     # The elements are millions of acyclic objects; a running cyclic
     # collector would rescan all of them many times over.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return [WeylElement(p) for p in ordered]
+        return [WeylElement(p) for p in elements]
     finally:
         if collecting:
             gc.enable()
@@ -189,11 +244,29 @@ _ABSENT = 255  # a position form's byte for a root outside the subset
 
 
 @system_memo
+def _position_tables(system: RootSystem) -> tuple[bytes, ...]:
+    """For each simple root j, the table g with g[k] the position in
+    system.positive of the projective image of positive[k] under s_j.  It
+    needs only the positions in a byte, so systems of up to 256 positive
+    roots (D16, A21) fit."""
+    positive = system.positive
+    if len(positive) > MAX_ROOTS:
+        raise Unsupported(
+            f"{system.name} has {len(positive)} positive roots; position tables are"
+            f" packed into bytes and hold at most {MAX_ROOTS}"
+        )
+    at = {r: k for k, r in enumerate(positive)}
+    return tuple(
+        bytes(at[system.proj_rep(system.reflect(r, j))] for r in positive) for j in system.simple_basis
+    )
+
+
+@system_memo
 def _position_reflections(system: RootSystem) -> tuple[tuple[bytes, bytes], ...]:
     """For each simple root j, the pair (g, rename) that reflects a
-    position form in j.  g[k] is the position of the projective image of
-    positive[k] under s_j; rename is a translate table sending positive[k]
-    to positive[g[k]] and every other byte to itself."""
+    position form in j: g from _position_tables, and rename a translate
+    table sending positive[k] to positive[g[k]] and every other byte to
+    itself."""
     _check_size(system)
     if len(system.roots) > _ABSENT:
         raise Unsupported(
@@ -201,10 +274,8 @@ def _position_reflections(system: RootSystem) -> tuple[tuple[bytes, bytes], ...]
             f" an absent root with byte {_ABSENT}, so they hold at most {_ABSENT}"
         )
     positive = system.positive
-    at = {r: k for k, r in enumerate(positive)}
     out = []
-    for j in system.simple_basis:
-        g = bytes(at[system.proj_rep(system.reflect(r, j))] for r in positive)
+    for g in _position_tables(system):
         rename = bytearray(range(256))
         for r, k in zip(positive, g):
             rename[r] = positive[k]
@@ -352,10 +423,10 @@ class _Node:
 
 @system_memo
 def _tree(system: RootSystem) -> _Node:
-    """The group W induces on the projective roots, by the g tables of
-    _position_reflections, of order |W| / |W n {1, -1}|: -1 acts trivially,
-    and lies in W when every degree is even (A1, D_even, E7, E8)."""
-    gens = [g + _IDENTITY[len(g) :] for g, _ in _position_reflections(system)]
+    """The group W induces on the projective roots, by _position_tables, of
+    order |W| / |W n {1, -1}|: -1 acts trivially, and lies in W when every
+    degree is even (A1, D_even, E7, E8)."""
+    gens = [g + _IDENTITY[len(g) :] for g in _position_tables(system)]
     degrees = _degrees(system.series, system.rank)
     order = prod(degrees) // (2 if all(d % 2 == 0 for d in degrees) else 1)
     return _Node(gens, order, len(system.positive))
@@ -406,6 +477,7 @@ class _OrbitIds(Mapping):
     __slots__ = ("_system", "_cap", "_tree", "_positive", "_to_position", "_ids", "_sizes")
 
     def __init__(self, system: RootSystem, subsets, cap: int):
+        _check_size(system)  # keys and walked members are bytes of root indices
         self._system, self._cap, self._tree = system, cap, _tree(system)
         self._positive = bytes(system.positive)
         self._to_position = bytes.maketrans(self._positive, _IDENTITY[: len(self._positive)])
@@ -468,17 +540,23 @@ def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> Mapping
 
 
 def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:
-    """Elements mapping the projective subset onto itself."""
+    """The listed elements mapping the projective subset onto itself: those
+    sending each of its representatives to a root whose representative is
+    in it, as an element permutes the projective roots.  The lengths are
+    checked once over the whole list, and the filter runs in C."""
     n = len(system.roots)
-    proj = _proj_table(system)
+    _check_size(system)
     key = _key(system, subset)
-    base = frozenset(key)
-
-    def stabilizes(w: WeylElement) -> bool:
-        _check_length(w.perm, n)
-        return frozenset(key.translate(_table(w.perm)).translate(proj)) == base
-
-    return [w for w in elements if stabilizes(w)]
+    elements = list(elements)  # walked twice
+    perm = attrgetter("perm")
+    wrong = set(map(len, map(perm, elements))) - {n}
+    if wrong:
+        raise MixedAmbient(f"a permutation of {min(wrong)} roots meets one of {n}")
+    if not key:
+        return elements
+    allowed = frozenset(i for i in range(n) if system.proj_rep(i) in key)
+    get = itemgetter(*key, *key[:1])  # a tuple even for one entry
+    return list(compress(elements, map(allowed.issuperset, map(get, map(perm, elements)))))
 
 
 def induced_action(system: RootSystem, subset, stabilizer) -> set[tuple[int, ...]]:

@@ -1,9 +1,13 @@
-"""The sorted-bytes orbit walk kept as an independent reference for the tests.
+"""Earlier oracle walks kept as independent references for the tests.
 
-The package walks orbits on position forms (oracle._orbit).  This is the
-earlier walk: each member is held as the sorted bytes of its root indices,
-and each image is translated through a reflection followed by projection,
-sorted and packed back into bytes.
+The package walks orbits on position forms (oracle._orbit).
+sorted_bytes_orbit is the earlier walk: each member is held as the sorted
+bytes of its root indices, and each image is translated through a
+reflection followed by projection, sorted and packed back into bytes.
+
+The package enumerates W as a product of coset transversals
+(oracle.enumerate_weyl).  closure_weyl is the earlier enumeration, the
+breadth-first closure of the identity under the simple reflections.
 """
 
 from rootforge.errors import CapExceeded
@@ -29,3 +33,25 @@ def sorted_bytes_orbit(system, start_key: bytes, cap: int) -> set[bytes]:
                         raise CapExceeded("subset orbit exceeded cap")
         frontier = new
     return seen
+
+
+def closure_weyl(system, cap: int) -> list[bytes]:
+    """Every Weyl group element as a permutation of root indices, sorted:
+    the breadth-first closure of the identity under the simple reflections,
+    each new state hashed into a set."""
+    gens = [_table(g) for g in simple_reflection_perms(system)]
+    identity = bytes(range(len(system.roots)))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for cur in frontier:
+            for g in gens:
+                nxt = cur.translate(g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+        if len(seen) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+        frontier = new
+    return sorted(seen)

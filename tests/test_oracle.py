@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import random
+import time
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -82,6 +84,72 @@ def test_enumeration_restores_the_collector_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "label", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+)
+def test_enumeration_matches_the_closure_reference(label):
+    # The product of coset transversals against the breadth-first closure
+    # it replaced.  E6's basis order makes W_5 = W(D5), so its chain passes
+    # through a D step.
+    from oracle_reference import closure_weyl
+
+    s = build_root_system(*label)
+    assert [w.perm for w in enumerate_weyl(s)] == closure_weyl(s, oracle.DEFAULT_CAP)
+
+
+@pytest.mark.parametrize(
+    "label, sizes",
+    [
+        (("A", 5), [2, 3, 4, 5, 6]),
+        (("D", 6), [2, 2, 6, 8, 10, 12]),
+        (("E", 6), [2, 2, 6, 8, 10, 27]),
+        (("E", 7), [2, 2, 6, 8, 10, 12, 126]),
+        (("E", 8), [2, 2, 6, 8, 10, 12, 14, 2160]),
+    ],
+)
+def test_transversal_sizes_multiply_to_the_group_order(label, sizes):
+    # |X_k| = |W_k| / |W_{k-1}| along the chain of the basis order, so the
+    # sizes multiply to |W|, and a cap of |W| - 1 is refused; each X_k
+    # starts at the identity and holds distinct elements.
+    s = build_root_system(*label)
+    order = weyl_order_by_degrees(*label)
+    transversals = oracle._transversals(s, order)
+    assert [len(x) for x in transversals] == sizes
+    assert prod(sizes) == order
+    for x in transversals:
+        assert x[0] == identity_perm(s) and len(set(x)) == len(x)
+    with pytest.raises(CapExceeded):
+        oracle._transversals(s, order - 1)
+
+
+def test_e8_enumeration_refuses_before_building_an_element():
+    # |W(E8)| = 696,729,600 exceeds the default cap; the transversals show
+    # it before any element is built.
+    e8 = build_root_system("E", 8)
+    for fn in (enumerate_weyl, weyl_order):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="W\\(E8\\) has more than cap"):
+            fn(e8)
+        assert time.perf_counter() - start < 2
+
+
+def test_stabilizer_filter_matches_its_definition():
+    # The filter in C against the image of each element, on seeded subsets
+    # with negative roots, single roots and the empty set; elements may
+    # come as any iterable.
+    rng = random.Random(27)
+    for label in [("A", 3), ("D", 4), ("D", 5)]:
+        s = build_root_system(*label)
+        elements = enumerate_weyl(s)
+        for size in range(5):
+            for _ in range(3):
+                subset = rng.sample(range(len(s.roots)), size)
+                base = {s.proj_rep(i) for i in subset}
+                expected = [w for w in elements if {s.proj_rep(w.perm[i]) for i in base} == base]
+                assert set_stabilizer(s, subset, elements) == expected
+                assert set_stabilizer(s, subset, iter(elements)) == expected
 
 
 def test_orbit_walk_caps():
@@ -541,3 +609,29 @@ def test_position_forms_refuse_a_root_index_equal_to_the_marker(monkeypatch):
     fresh = RootSystem("A", 3, list(a3.roots), a3.ambient_dim)
     with pytest.raises(Unsupported, match="absent"):
         subset_orbit_bfs(fresh, (fresh.simple_basis[0],))
+
+
+@pytest.mark.parametrize("label, labels", [(("D", 12), 423), (("A", 16), 296)])
+def test_label_representatives_have_distinct_canonical_images_past_255_roots(label, labels):
+    # D12 has 264 roots and A16 272, past a byte's 256 root indices, but
+    # their 132 and 136 positive roots fit: the tree reaches them.  Distinct
+    # labels have distinct canonical images, so they are not conjugate, and
+    # a seeded conjugate of each representative keeps its image.
+    from rootforge.classify import enumerate_pi_orbits
+
+    s = build_root_system(*label)
+    tree, at = oracle._tree(s), {r: k for k, r in enumerate(s.positive)}
+
+    def image(roots):
+        return oracle._least_image(tree, bytes(sorted(at[s.proj_rep(r)] for r in roots)))[0]
+
+    rng = random.Random(27)
+    images = set()
+    for _, rep in enumerate_pi_orbits(s):
+        moved = rep
+        for _ in range(8):
+            j = rng.choice(s.simple_basis)
+            moved = [s.reflect(r, j) for r in moved]
+        assert image(moved) == image(rep), rep
+        images.add(image(rep))
+    assert len(images) == labels
