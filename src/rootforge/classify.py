@@ -11,7 +11,6 @@ replays on actual roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -92,8 +91,7 @@ def _sum_form(vec) -> bool:
     return len(nz) == 2 and nz[0] * nz[1] > 0
 
 
-@dataclass(frozen=True)
-class DnTag:
+class DnTag(NamedTuple):
     d2: int
     d3: int
     thin: bool
@@ -126,8 +124,7 @@ def dn_tag(rs: RootSet) -> DnTag:
 # -- orbit labels --------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     """Canonical name of a Weyl orbit of Pi-systems."""
 
     ambient: str
@@ -470,38 +467,41 @@ def moset_embedding(eb: EnhancedBasis, subset) -> dict:
 # -- Weyl membership of embeddings ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """A pairing-preserving assignment between projective root sets."""
-
+class _EmbeddingMap(NamedTuple):
     system: RootSystem
     mapping: dict  # node -> node, canonical projective representatives
 
-    def __post_init__(self):
-        sysm = self.system
-        keys = sysm.check_indices(self.mapping)
-        values = sysm.check_indices(self.mapping.values())
+
+class EmbeddingMap(_EmbeddingMap):
+    """A pairing-preserving assignment between projective root sets: a
+    root and its negative share one image, and the map is kept on the
+    canonical representatives."""
+
+    __slots__ = ()
+
+    def __new__(cls, system: RootSystem, mapping):
+        keys = system.check_indices(mapping)
+        values = system.check_indices(mapping.values())
         fixed: dict = {}
         for k, v in zip(keys, values):
-            v = sysm.proj_rep(v)
+            v = system.proj_rep(v)
             # A root and its negative are one projective root: one image.
-            if fixed.setdefault(sysm.proj_rep(k), v) != v:
+            if fixed.setdefault(system.proj_rep(k), v) != v:
                 raise NotEmbedding(f"root {k} and its negative are given different images")
-        object.__setattr__(self, "mapping", fixed)
         src = sorted(fixed)
         for a, b in combinations(src, 2):
-            if abs(sysm.cartan(a, b)) != abs(sysm.cartan(fixed[a], fixed[b])):
+            if abs(system.cartan(a, b)) != abs(system.cartan(fixed[a], fixed[b])):
                 raise NotEmbedding("map does not preserve absolute pairings")
         if len({fixed[a] for a in src}) != len(src):
             raise NotEmbedding("map is not injective")
+        return tuple.__new__(cls, (system, fixed))
 
     @property
     def source(self) -> tuple[int, ...]:
         return tuple(sorted(self.mapping))
 
 
-@dataclass(frozen=True)
-class WeylDecision:
+class WeylDecision(NamedTuple):
     is_weyl: bool
     mode: str
     witness_word: tuple[int, ...] | None = None
@@ -989,8 +989,7 @@ def _orbit_codes(system: RootSystem, labels) -> list[int]:
     return [index[l] for l in labels]
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """Cover relations of the orbit order: an edge u -> v means v < u."""
 
     system_name: str
@@ -1007,13 +1006,9 @@ class HasseDiagram:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph orbit_order {"]
-        for l in self.labels:
-            lines.append(f'  "{l.render()}";')
-        for a, b in self.edges:
-            lines.append(f'  "{a.render()}" -> "{b.render()}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [f'  "{l.render()}";' for l in self.labels]
+        edges = [f'  "{a.render()}" -> "{b.render()}";' for a, b in self.edges]
+        return "\n".join(["digraph orbit_order {", *nodes, *edges, "}"]) + "\n"
 
 
 def hasse_diagram(system: RootSystem, labels=None) -> HasseDiagram:

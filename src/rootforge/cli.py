@@ -141,6 +141,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def count(text: str) -> int:
+    """An option value that counts something: an int of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {int(text)}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="rootforge", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -186,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--slow", action="store_true", help="add the W(E7) stabilizer and E8 criterion 5")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="Weyl enumeration cap")
+    p.add_argument("--cap", type=count, default=DEFAULT_CAP, help="Weyl enumeration cap")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embeddings", type=int, default=1000, help="random embeddings per system")
+    p.add_argument("--embeddings", type=count, default=1000, help="random embeddings per system")
     p.set_defaults(fn=cmd_verify)
     return top
 

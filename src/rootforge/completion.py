@@ -12,9 +12,9 @@ primed labels for the D series).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagrams import ProjectiveDiagram, projective_diagram_of
 from .errors import (
@@ -173,19 +173,21 @@ def completion_nodes(rs: RootSet) -> tuple[int, ...]:
 # -- enhanced bases --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnhancedBasis:
-    """Completion of a simple basis with canonical node names.
-
-    nodes are canonical projective representatives; names maps node ->
-    label string; moset is the boldfaced maximal orthogonal subset shown
-    on the enhanced diagram.
-    """
-
+class _EnhancedBasis(NamedTuple):
     system: RootSystem
     nodes: tuple[int, ...]
     names: dict
     moset: tuple[int, ...]
+
+
+class EnhancedBasis(_EnhancedBasis):
+    """Completion of a simple basis with canonical node names.
+
+    nodes are canonical projective representatives; names maps node ->
+    label string; moset is the boldfaced maximal orthogonal subset shown
+    on the enhanced diagram.  It keeps an instance dict (no __slots__)
+    for its cached view.
+    """
 
     @cached_property
     def name_to_node(self) -> dict:
@@ -216,11 +218,7 @@ class EnhancedBasis:
         """Twin columns of a D-series enhanced diagram, ordered by label."""
         if self.system.series != "D":
             raise Unsupported("twin columns exist in D-series enhanced diagrams")
-        m = self.system.rank // 2
-        out = []
-        for i in range(1, m + 1):
-            out.append((self.node(str(2 * i - 1)), self.node(f"{2 * i - 1}'")))
-        return out
+        return [(self.node(str(i)), self.node(f"{i}'")) for i in range(1, self.system.rank, 2)]
 
     def to_json(self) -> dict:
         n2n = self.name_to_node

@@ -17,11 +17,11 @@ are the smaller group orbit of k-subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, permutations, product
 from math import factorial
 from operator import itemgetter, xor
+from typing import NamedTuple
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
@@ -50,28 +50,29 @@ SPECIAL_SIZES = {7: (3, 4), 8: (4,)}
 _ZERO_SUM_ORBITS = {7: (3, [7, 28]), 8: (4, [14, 56])}
 
 
-@dataclass(frozen=True)
-class MosetLabeling:
+class MosetLabeling(NamedTuple):
     """Combinatorial labels on a moset: none, matrix slots, or F2^3 vectors."""
 
     kind: str  # "plain" | "dn_matrix" | "f2cube"
     labels: dict  # node -> label; (column, row) for dn_matrix, int bitmask for f2cube
 
 
-@dataclass(frozen=True)
-class CoreGroupModel:
-    """The moset stabilizer as explicit permutations of the moset.
-
-    elements maps each permutation (a tuple over moset positions) to a
-    reflection word realizing it inside the Weyl group; generators lists
-    the structured generators of the series model.
-    """
-
+class _CoreGroupModel(NamedTuple):
     system: RootSystem
     moset: tuple[int, ...]
     labeling: MosetLabeling
     generators: tuple[tuple[int, ...], ...]
     elements: dict
+
+
+class CoreGroupModel(_CoreGroupModel):
+    """The moset stabilizer as explicit permutations of the moset.
+
+    elements maps each permutation (a tuple over moset positions) to a
+    reflection word realizing it inside the Weyl group; generators lists
+    the structured generators of the series model.  It keeps an instance
+    dict (no __slots__) for its cached views.
+    """
 
     @property
     def order(self) -> int:
@@ -97,13 +98,11 @@ class CoreGroupModel:
         return index
 
     def to_json(self) -> dict:
-        eb = enhanced_basis(self.system)
-        labels = {}
-        for node, lab in self.labeling.labels.items():
-            if self.labeling.kind == "f2cube":
-                labels[eb.names[node]] = format(lab, "03b")
-            else:
-                labels[eb.names[node]] = list(lab)
+        eb, labeling = enhanced_basis(self.system), self.labeling
+        labels = {
+            eb.names[node]: format(lab, "03b") if labeling.kind == "f2cube" else list(lab)
+            for node, lab in labeling.labels.items()
+        }
         return {
             "schema": "rootforge/1",
             "system": self.system.name,

@@ -15,8 +15,7 @@ int-mask view (_NodeView).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 from .errors import NotIrreducible, NotPiSystem, TooLarge, UnrecognizedComponent
@@ -35,8 +34,7 @@ from .rootsystem import (
 MAX_NODES = 64
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """Multigraph on opaque node ids with bond multiplicities in {1, 4}."""
 
     nodes: tuple
@@ -44,14 +42,10 @@ class Diagram:
 
     def multiplicity(self, a, b) -> int:
         key = frozenset((a, b))
-        for pair, m in self.bonds:
-            if pair == key:
-                return m
-        return 0
+        return next((m for pair, m in self.bonds if pair == key), 0)
 
 
-@dataclass(frozen=True)
-class ProjectiveDiagram:
+class ProjectiveDiagram(NamedTuple):
     """Simple graph on projective-root ids; a bond joins non-orthogonal roots."""
 
     nodes: tuple
@@ -70,8 +64,7 @@ def _node_key(x):
     return (0, x) if isinstance(x, int) else (1, str(x))
 
 
-@dataclass(frozen=True, order=True)
-class Irreducible:
+class Irreducible(NamedTuple):
     """One irreducible diagram shape: series, rank and an extended flag."""
 
     series: str
@@ -82,43 +75,29 @@ class Irreducible:
         return f"{self.series}{'~' if self.extended else ''}{self.rank}"
 
 
-@dataclass(frozen=True)
-class TypeLabel:
-    """Multiset of irreducible shapes with a canonical rendering."""
-
+class _TypeLabel(NamedTuple):
     parts: tuple[Irreducible, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "parts",
-            tuple(sorted(self.parts, key=lambda p: (-p.rank, p.series, p.extended))),
-        )
+
+class TypeLabel(_TypeLabel):
+    """Multiset of irreducible shapes with a canonical rendering: the parts
+    are sorted by falling rank, then series, then the extended flag."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        return tuple.__new__(cls, (tuple(sorted(parts, key=lambda p: (-p.rank, p.series, p.extended))),))
 
     def render(self) -> str:
-        if not self.parts:
-            return "0"
-        out = []
-        i = 0
-        while i < len(self.parts):
-            j = i
-            while j < len(self.parts) and self.parts[j] == self.parts[i]:
-                j += 1
-            count = j - i
-            text = self.parts[i].render()
-            out.append(text if count == 1 else f"{count}{text}")
-            i = j
-        return "+".join(out)
+        runs = [(part.render(), len(list(equal))) for part, equal in groupby(self.parts)]
+        return "+".join(text if n == 1 else f"{n}{text}" for text, n in runs) or "0"
 
     def __str__(self) -> str:  # pragma: no cover
         return self.render()
 
 
 def type_label(*parts: tuple[str, int] | Irreducible) -> TypeLabel:
-    fixed = [
-        p if isinstance(p, Irreducible) else Irreducible(p[0], p[1]) for p in parts
-    ]
-    return TypeLabel(tuple(fixed))
+    return TypeLabel(Irreducible(*p) for p in parts)
 
 
 # -- building diagrams ----------------------------------------------------
@@ -482,11 +461,7 @@ class _NodeView:
         if multiset not in types:
             count = (1 << self.slot) - 1
             ttype = TypeLabel(
-                tuple(
-                    p
-                    for p, i in self.kinds.items()
-                    for _ in range(multiset >> self.slot * i & count)
-                )
+                p for p, i in self.kinds.items() for _ in range(multiset >> self.slot * i & count)
             )
             types[multiset] = (ttype.parts, ttype.render())
         return types[multiset]

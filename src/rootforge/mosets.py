@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .diagrams import _NodeView, subsystem_type
 from .errors import (
     InvariantViolation,
@@ -21,8 +22,7 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class Moset:
+class Moset(NamedTuple):
     """A maximal orthogonal subset of a scope, at the projective level."""
 
     system: RootSystem

@@ -8,12 +8,11 @@ length 8, and the Cartan pairing of roots a, b is dot(a, b) // 4.
 
 from __future__ import annotations
 
-import inspect
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, product
 from operator import mul, sub
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolation,
@@ -155,16 +154,23 @@ def _lex_positive(v: Vec) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """An ordered set of root indices inside a fixed parent system."""
-
+class _RootSet(NamedTuple):
     system: RootSystem
     members: tuple[int, ...]
 
-    def __post_init__(self):
-        members = tuple(sorted(set(self.system.check_indices(self.members))))
-        object.__setattr__(self, "members", members)
+
+class RootSet(_RootSet):
+    """An ordered set of root indices inside a fixed parent system: the
+    members are sorted, without repeats, and each one indexes a root.  It
+    iterates, sizes and tests membership over its members."""
+
+    __slots__ = ()
+
+    def __new__(cls, system: RootSystem, members):
+        return tuple.__new__(cls, (system, tuple(sorted(set(system.check_indices(members))))))
+
+    def __getnewargs__(self):
+        return self.system, self.members
 
     @property
     def symmetric(self) -> bool:
@@ -176,6 +182,9 @@ class RootSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def __contains__(self, i) -> bool:
+        return i in self.members
 
     def to_json(self) -> dict:
         return {
@@ -196,15 +205,22 @@ def system_memo(fn):
     key, not fn with an argument tuple, saves a tuple per entry: E8 keeps
     22,910 orbit labels.
     """
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters) - 1
+    code = fn.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    arity = len(names)
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
 
     @wraps(fn)
     def memoised(system: RootSystem, *args, **kwargs):
         if kwargs or len(args) != arity:
-            bound = signature.bind(system, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+            # Bind as the call would, TypeError where it would raise one.
+            rest, values = names[len(args) :], {**defaults, **kwargs}
+            if len(args) > arity or not kwargs.keys() <= set(rest) or not set(rest) <= values.keys():
+                raise TypeError(
+                    f"{fn.__name__}() takes (system, {', '.join(names)}); got {len(args) + 1}"
+                    f" positional arguments and the keywords {sorted(kwargs)}"
+                )
+            args = (*args, *map(values.__getitem__, rest))
         key = (fn, *args)
         try:
             return system.memo[key]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import (
     EmbeddingMap,
@@ -55,8 +55,7 @@ SMALL = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [
 ]
 
 
-@dataclass
-class Result:
+class Result(NamedTuple):
     name: str
     ok: bool
     detail: str

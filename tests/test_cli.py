@@ -109,6 +109,25 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().err == "error: cannot parse system label 'A99999999999999999999'\n"
 
 
+def test_verify_counts_below_one_are_usage_errors(capsys, monkeypatch):
+    # Refused while parsing: no criterion runs, so none can report a pass
+    # over zero witness replays or fail on a cap of 0.
+    from rootforge import verification
+
+    def run_all(**kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(verification, "run_all", run_all)
+    for option in ("--embeddings", "--cap"):
+        for value in ("0", "-1"):
+            assert main(["verify", option, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: argument {option}: must be at least 1, not {value}\n" in captured.err
+    assert main(["verify", "--cap", "many"]) == 2
+    assert "error: argument --cap: invalid count value: 'many'" in capsys.readouterr().err
+
+
 def test_enhance_without_a_system_is_a_usage_error(capsys):
     assert main(["enhance"]) == 2
     assert main(["enhance", "--series", "E"]) == 2

@@ -507,3 +507,21 @@ def test_system_memo_spellings_share_one_entry():
     assert calls == [2, 3]
     with pytest.raises(TypeError):
         scaled(s, 2, factor=2)
+    # The binder raises TypeError wherever the call itself would.
+    with pytest.raises(TypeError):
+        scaled(s, scale=2)  # an unknown keyword
+    with pytest.raises(TypeError):
+        scaled(s, 2, 3)  # one positional too many
+
+    @system_memo
+    def shifted(system, offset, factor=1):
+        calls.append((offset, factor))
+        return len(system.roots) * factor + offset
+
+    with pytest.raises(TypeError):
+        shifted(s)  # a required argument missing
+    with pytest.raises(TypeError):
+        shifted(s, factor=2)
+    assert shifted(s, 1) == shifted(s, offset=1) == shifted(s, 1, factor=1) == shifted(system=s, offset=1) == 7
+    assert shifted(s, factor=2, offset=1) == shifted(s, 1, 2) == 13
+    assert calls == [2, 3, (1, 1), (1, 2)]

@@ -14,7 +14,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import rootforge
@@ -163,6 +166,40 @@ def test_no_pickle_and_no_environment():
     assert not found, found
 
 
+def _imports_of(modules) -> list[str]:
+    """file:line of every import, anywhere in the package, of one of the
+    top-level modules named."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if set(modules) & {name.split(".")[0] for name in names}:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_dataclasses_and_no_inspect():
+    # Both drag their import chains (ast, dis, tokenize) into every start-up.
+    found = _imports_of({"dataclasses", "inspect"})
+    assert not found, found
+
+
+def test_the_cli_imports_no_introspection_modules():
+    src = Path(rootforge.__file__).resolve().parents[1]
+    script = (
+        "import sys, rootforge.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 def test_no_asserts():
     # python -O strips assert statements; checks must raise typed errors.
     found = [
@@ -176,17 +213,7 @@ def test_no_asserts():
 
 def test_integer_arithmetic_only():
     # Every computation is exact on ints; no rational or decimal type.
-    found = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if {"fractions", "decimal"} & {name.split(".")[0] for name in names}:
-                found.append(f"{path.name}:{node.lineno}")
+    found = _imports_of({"fractions", "decimal"})
     assert not found, found
 
 
