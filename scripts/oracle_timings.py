@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle loop by loop: Weyl enumeration (with the
 sizes |X_1|, ..., |X_n| of the coset transversals it multiplies), the moset
-orbit walk, the moset stabilizer and the orbit map of the Pi-subsets, then
-the process's peak RSS after each system.  The map is timed twice: built
-through the stabilizer tree, which walks no orbit, and walked, iterating
-every member, with the member count and the walk's time per member (which
-compares the walk's cost across systems).
+orbit size from its canonical image, the moset stabilizer and the orbit map
+of the Pi-subsets, both read from the stabilizer tree, then the process's
+peak RSS after each system.
 
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
 
@@ -22,10 +20,10 @@ from rootforge.classify import pi_node_subsets
 from rootforge.oracle import (
     DEFAULT_CAP,
     _transversals,
+    canonical_image,
     enumerate_weyl,
     orbit_id_map,
     set_stabilizer,
-    subset_orbit_bfs,
 )
 
 
@@ -42,23 +40,19 @@ def main(argv):
         eb = enhanced_basis(system)
         elements, t_enum = timed(enumerate_weyl, system)
         sizes = " x ".join(str(len(x)) for x in _transversals(system, DEFAULT_CAP))
-        orbit, t_orbit = timed(subset_orbit_bfs, system, eb.moset)
+        (_, moset_size), t_orbit = timed(canonical_image, system, eb.moset)
         stab, t_stab = timed(set_stabilizer, system, eb.moset, elements)
         order = len(elements)
         del elements
         subsets = pi_node_subsets(eb)
         ids, t_ids = timed(orbit_id_map, system, subsets)
-        orbits = len({ids[system.projective(subset)] for subset in subsets})
-        walked, t_walk = timed(lambda: sum(1 for _ in ids))
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{system.name:4} |W| = {order:>9,}"
             f"  enumerate_weyl {t_enum:6.2f}s ({sizes})"
-            f"  moset orbit {len(orbit):>6,} sets {t_orbit:6.2f}s"
+            f"  moset orbit {moset_size:>6,} sets {t_orbit:6.2f}s"
             f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
-            f"  orbit_id_map {len(subsets):>6,} Pi-subsets -> {orbits:>4} orbits"
-            f"  tree {t_ids:6.2f}s"
-            f"  walked {walked:>9,} members {t_walk:6.2f}s ({1e6 * t_walk / walked:5.2f} us a member)"
+            f"  orbit_id_map {len(subsets):>6,} Pi-subsets -> {len(set(ids.values())):>4} orbits {t_ids:6.2f}s"
             f"  peak RSS {peak_mib:6.1f} MiB"
         )
     return 0

@@ -75,10 +75,10 @@ from .classify import (
 )
 from .oracle import (
     WeylElement,
+    canonical_image,
     enumerate_weyl,
     set_stabilizer,
     subset_orbit,
-    subset_orbit_bfs,
     weyl_order,
 )
 

@@ -6,13 +6,14 @@ from typing import NamedTuple
 
 from .diagrams import _NodeView, subsystem_type
 from .errors import (
+    CapExceeded,
     InvariantViolation,
     NotIrreducible,
     NotOrthogonalSeed,
     NotPiSystem,
     OracleCapExceeded,
 )
-from .oracle import DEFAULT_CAP, subset_orbit_bfs
+from .oracle import DEFAULT_CAP, canonical_image
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -118,8 +119,9 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
 
 
 def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bool:
-    """Enumerate all mosets, verify the uniform cardinality, and verify by a
-    generator orbit walk that they form a single Weyl orbit."""
+    """Enumerate all mosets, verify the uniform cardinality, and verify
+    that they form a single Weyl orbit: one canonical image, whose orbit
+    has as many members as there are mosets (CapExceeded past the cap)."""
     if len(system.roots) > 130:
         raise OracleCapExceeded("moset conjugacy scan is limited to small ranks")
     if len(components(system, system.simple_basis)) != 1:
@@ -128,5 +130,8 @@ def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bo
     m = mu(system)
     if any(len(x) != m for x in mosets):
         return False
-    orbit = subset_orbit_bfs(system, mosets[0], cap=cap)
-    return {frozenset(x) for x in mosets} == orbit
+    images = {canonical_image(system, x) for x in mosets}
+    size = max(size for _, size in images)
+    if size > cap:
+        raise CapExceeded(f"moset orbit of {size} members exceeded cap {cap}")
+    return len(images) == 1 and size == len(mosets)

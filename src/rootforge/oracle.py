@@ -11,28 +11,28 @@ subclass whose ``perm`` is the element itself: each is made by a C copy
 inside the product ``map``, with no Python frame, in 175 bytes on E7's
 126 roots.  Full enumeration is only feasible up to W(E7), whose
 2,903,040 elements take 2-3 s and 0.54 GB on one core of a 2 vCPU host;
-W(E8) is refused from the transversals' sizes alone.  Orbit questions
-about subsets are answered by a generator walk and a stabilizer tree,
-neither of which materializes the whole group.
+W(E8) is refused from the transversals' sizes alone.
 
 One breadth-first closure over bytes states (``_closure``) serves the core
 groups of ``coregroups``: a state is a permutation or a tuple of root
 images, a generator a translate table with its reflection word, and each
 state keeps the first word that reaches it.
 
-``_orbit`` walks a projective subset's orbit on position forms, one byte
-per projective root: a reflection is two ``bytes.translate`` calls and no
-sort, and only three levels are kept.  ``orbit_id_map`` walks only when
-iterated: a Schreier-Sims stabilizer tree (Sims 1970; Seress 2003) and a
-smallest-image search down it (Linton 2004) give each subset's least
+Orbit questions about subsets have one engine, which lists neither the
+group nor an orbit: a Schreier-Sims stabilizer tree (Sims 1970; Seress
+2003) of the group W induces on the projective roots, and a smallest-image
+search down it (Linton 2004).  ``canonical_image`` gives a subset's least
 conjugate and orbit size, E7's 1,433 Pi-subsets in about 0.1 s where
-walking their 9,555,471 members took 60 s and 852 MiB.
+walking their 9,555,471 members took 60 s and 852 MiB, and
+``orbit_id_map`` keys those ids on the subsets it is given.  A point is a
+position in ``system.positive`` held in a byte, so the tree reaches every
+system with at most 256 positive roots (D16 and A21), past the 256 roots
+a permutation holds.
 """
 
 from __future__ import annotations
 
 import gc
-from collections.abc import ItemsView, Mapping
 from itertools import compress, islice, repeat
 from math import prod
 from operator import eq, itemgetter
@@ -251,7 +251,12 @@ def _key(system: RootSystem, subset) -> bytes:
     return bytes(sorted({system.proj_rep(i) for i in system.check_indices(subset)}))
 
 
-_ABSENT = 255  # a position form's byte for a root outside the subset
+@system_memo
+def _position_of(system: RootSystem) -> tuple[int, ...]:
+    """Entry i is the position in system.positive of root i's projective
+    representative: the tree's point for root i."""
+    at = {r: k for k, r in enumerate(system.positive)}
+    return tuple(at[system.proj_rep(i)] for i in range(len(system.roots)))
 
 
 @system_memo
@@ -266,86 +271,8 @@ def _position_tables(system: RootSystem) -> tuple[bytes, ...]:
             f"{system.name} has {len(positive)} positive roots; position tables are"
             f" packed into bytes and hold at most {MAX_ROOTS}"
         )
-    at = {r: k for k, r in enumerate(positive)}
-    return tuple(
-        bytes(at[system.proj_rep(system.reflect(r, j))] for r in positive) for j in system.simple_basis
-    )
-
-
-@system_memo
-def _position_reflections(system: RootSystem) -> tuple[tuple[bytes, bytes], ...]:
-    """For each simple root j, the pair (g, rename) that reflects a
-    position form in j: g from _position_tables, and rename a translate
-    table sending positive[k] to positive[g[k]] and every other byte to
-    itself."""
-    _check_size(system)
-    if len(system.roots) > _ABSENT:
-        raise Unsupported(
-            f"{system.name} has {len(system.roots)} roots; position forms mark"
-            f" an absent root with byte {_ABSENT}, so they hold at most {_ABSENT}"
-        )
-    positive = system.positive
-    out = []
-    for g in _position_tables(system):
-        rename = bytearray(range(256))
-        for r, k in zip(positive, g):
-            rename[r] = positive[k]
-        out.append((g, bytes(rename)))
-    return tuple(out)
-
-
-def _orbit(system: RootSystem, start_key: bytes, cap: int) -> set[bytes]:
-    """Weyl orbit of a projective subset, each member returned as the
-    sorted bytes of its root indices.
-
-    The walk holds each member as a position form: one byte per projective
-    root, in system.positive order, the root's index if it is in the
-    subset and _ABSENT if not.  Reflecting a form x in s_j is
-    g.translate(x.ljust(256)).translate(rename) with (g, rename) from
-    _position_reflections: byte k of the first result is byte g[k] of x,
-    the root positive[g[k]] or _ABSENT, and rename turns that root into
-    positive[k], its image under the involution s_j.  Two C calls and no
-    sort per edge; the sorted key is x.translate(None, absent), since
-    system.positive is ascending.
-
-    The walk goes level by level, the level being the distance from the
-    start in the graph whose edges are the simple reflections.  Each
-    reflection is an involution, so the edges are undirected and a
-    member's neighbours lie in its own level or the next one either way:
-    a new level is the images of the current one less the current and
-    previous levels, and no older form is kept.  Each finished level goes
-    into the result as sorted keys; the cap is checked once a level.  A
-    level whose keys are not all new would mean a table is no involution,
-    and the walk could then circle without end: it raises instead."""
-    gens = _position_reflections(system)
-    absent = bytes([_ABSENT])
-    before: set[bytes] = set()
-    level = {bytes(r if r in start_key else _ABSENT for r in system.positive)}
-    out: set[bytes] = set()
-    while level:
-        size = len(out)
-        out.update(x.translate(None, absent) for x in level)
-        if len(out) != size + len(level):
-            raise InvariantViolation("an orbit member met on two levels: a reflection is no involution")
-        if len(out) > cap:
-            raise CapExceeded("subset orbit exceeded cap")
-        images: set[bytes] = set()
-        add = images.add
-        for x in level:
-            padded = x.ljust(256)  # a translate table needs 256 entries
-            for g, rename in gens:
-                add(g.translate(padded).translate(rename))
-        images -= level
-        images -= before
-        before, level = level, images
-    return out
-
-
-def subset_orbit_bfs(system: RootSystem, subset, cap: int = DEFAULT_CAP) -> set[frozenset]:
-    """Orbit of an index set under the full Weyl group, walked with the
-    simple reflections only.  Sets are returned as canonical frozensets of
-    projective representatives."""
-    return {frozenset(s) for s in _orbit(system, _key(system, subset), cap)}
+    position = _position_of(system)
+    return tuple(bytes(position[system.reflect(r, j)] for r in positive) for j in system.simple_basis)
 
 
 # -- stabilizer tree ------------------------------------------------------------
@@ -474,80 +401,28 @@ def _least_image(tree: _Node, points: bytes) -> tuple[bytes, int]:
     return image, size
 
 
-class _WalkedItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._walk()
+def canonical_image(system: RootSystem, subset) -> tuple[tuple[int, ...], int]:
+    """The lexicographically least member of the projective subset's Weyl
+    orbit, as a sorted tuple of root indices, and the orbit's size, both
+    from _least_image; NoSuchRoot unless each index is one of the
+    system's roots."""
+    tree, position = _tree(system), _position_of(system)
+    image, size = _least_image(tree, bytes(sorted({position[i] for i in system.check_indices(subset)})))
+    return tuple(map(system.positive.__getitem__, image)), size
 
 
-class _OrbitIds(Mapping):
-    """Read-only orbit map keyed like a dict of frozensets.  A key seen at
-    construction is a dict hit; another is missing unless its entries are
-    distinct positive roots and its canonical image is one of the ids.
-    Iteration walks each orbit, checking the tree's size and least member."""
-
-    __slots__ = ("_system", "_cap", "_tree", "_positive", "_to_position", "_ids", "_sizes")
-
-    def __init__(self, system: RootSystem, subsets, cap: int):
-        _check_size(system)  # keys and walked members are bytes of root indices
-        self._system, self._cap, self._tree = system, cap, _tree(system)
-        self._positive = bytes(system.positive)
-        self._to_position = bytes.maketrans(self._positive, _IDENTITY[: len(self._positive)])
-        self._ids: dict[bytes, tuple] = {}  # each key seen at construction -> its id
-        self._sizes: dict[tuple, int] = {}  # each id -> its orbit's size
-        for subset in subsets:
-            key = _key(system, subset)
-            if key not in self._ids:
-                oid, size = self._image(key)
-                if size > cap:
-                    raise CapExceeded(f"subset orbit of {size} members exceeded cap {cap}")
-                self._ids[key], self._sizes[oid] = oid, size
-
-    def _image(self, key: bytes) -> tuple[tuple, int]:
-        image, size = _least_image(self._tree, key.translate(self._to_position))
-        return tuple(image.translate(_table(self._positive))), size
-
-    def __getitem__(self, subset) -> tuple:
-        try:
-            key = bytes(sorted(subset))
-        except (TypeError, ValueError):
-            raise KeyError(subset) from None
-        if key in self._ids:
-            return self._ids[key]
-        if len(set(key)) == len(key) and not key.translate(None, self._positive):
-            oid = self._image(key)[0]
-            if oid in self._sizes:
-                return oid
-        raise KeyError(subset)
-
-    def _walk(self):
-        for oid, size in self._sizes.items():
-            start = bytes(oid)
-            orbit = _orbit(self._system, start, self._cap)
-            if len(orbit) != size or min(orbit) != start:
-                raise InvariantViolation(f"walk from {oid}: not the tree's size {size} or least member")
-            for member in orbit:
-                yield frozenset(member), oid
-
-    def __iter__(self):
-        return (member for member, _ in self._walk())
-
-    def items(self):
-        return _WalkedItems(self)
-
-    def values(self):
-        return (oid for _, oid in self._walk())
-
-    def __len__(self) -> int:
-        return sum(self._sizes.values())
-
-
-def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> Mapping:
-    """Map every member of the given subsets' orbits (a set of projective
-    representatives) to its orbit's lexicographically least member as a
-    sorted tuple, read-only and keyed like a dict of frozensets.  It holds
-    no member: _least_image gives each subset's id and orbit size, and
-    CapExceeded when a size exceeds the cap."""
-    return _OrbitIds(system, subsets, cap)
+def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> dict:
+    """Map each given subset, as a frozenset of its projective
+    representatives, to its orbit's id, the least member from
+    canonical_image.  CapExceeded when an orbit has more than cap members."""
+    out: dict[frozenset, tuple] = {}
+    for subset in subsets:
+        key = frozenset(map(system.proj_rep, system.check_indices(subset)))
+        if key not in out:
+            out[key], size = canonical_image(system, key)
+            if size > cap:
+                raise CapExceeded(f"subset orbit of {size} members exceeded cap {cap}")
+    return out
 
 
 def set_stabilizer(system: RootSystem, subset, elements) -> list[WeylElement]:

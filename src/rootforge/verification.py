@@ -33,6 +33,7 @@ from .mosets import all_mosets, mu, _mu_formula
 from .oracle import (  # E_DEGREES and weyl_order_by_degrees are re-exported
     DEFAULT_CAP,
     E_DEGREES,
+    canonical_image,
     compose,
     enumerate_weyl,
     identity_perm,
@@ -41,7 +42,6 @@ from .oracle import (  # E_DEGREES and weyl_order_by_degrees are re-exported
     set_stabilizer,
     simple_reflection_perms,
     perm_from_word,
-    subset_orbit_bfs,
     weyl_order_by_degrees,
     _proj_table,
     _table,
@@ -169,10 +169,8 @@ def core_order_by_orbit(system, moset) -> int:
     pointwise; an element fixing each of its roots up to sign is
     therefore a product of their reflections, a group of order 2^k.
     """
-    orbit = subset_orbit_bfs(system, moset)
-    order, rest = divmod(
-        weyl_order_by_degrees(system.series, system.rank), len(orbit) * 2 ** len(moset)
-    )
+    size = canonical_image(system, moset)[1]
+    order, rest = divmod(weyl_order_by_degrees(system.series, system.rank), size * 2 ** len(moset))
     if rest:
         raise InvariantViolation(f"|W.moset| * 2^k does not divide |W({system.name})|")
     return order
@@ -296,9 +294,9 @@ def _extended_one_at_a_time(system) -> tuple[int, ...]:
 
 def check_small_rank_exactness(slow: bool = False) -> Result:
     """The labels partition the Pi-subsets as their Weyl orbits do, on
-    A2-A5, D4-D6, E6 and E7, and on E8 in slow mode.  orbit_id_map holds no
-    member, so its cap is |W|: E8's largest orbits outgrow the default."""
-    systems = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7)]
+    A2-A5, D4-D10, E6 and E7, and on E8 in slow mode.  orbit_id_map holds
+    no member, so its cap is |W|: E8's largest orbits outgrow the default."""
+    systems = [("A", n) for n in range(2, 6)] + [("D", n) for n in range(4, 11)] + [("E", 6), ("E", 7)]
     if slow:
         systems.append(("E", 8))
 

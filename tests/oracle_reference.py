@@ -1,7 +1,8 @@
 """Earlier oracle walks kept as independent references for the tests.
 
-The package walks orbits on position forms (oracle._orbit).
-sorted_bytes_orbit is the earlier walk: each member is held as the sorted
+The package answers orbit questions from a stabilizer tree and walks no
+orbit (oracle.canonical_image).  sorted_bytes_orbit is the only orbit walk
+left, kept as the tree's reference: each member is held as the sorted
 bytes of its root indices, and each image is translated through a
 reflection followed by projection, sorted and packed back into bytes.
 

@@ -264,8 +264,10 @@ def test_every_pi_system_reaches_enhanced_basis_small():
     import random
     from itertools import combinations
 
+    from oracle_reference import sorted_bytes_orbit
+
     from rootforge import is_pi_system
-    from rootforge.oracle import subset_orbit_bfs
+    from rootforge.oracle import DEFAULT_CAP, _key
 
     rng = random.Random(5)
     for label in [("A", 3), ("D", 4)]:
@@ -278,7 +280,7 @@ def test_every_pi_system_reaches_enhanced_basis_small():
             if not is_pi_system(RootSet(s, cand)):
                 continue
             found += 1
-            orbit = subset_orbit_bfs(s, cand)
+            orbit = sorted_bytes_orbit(s, _key(s, cand), DEFAULT_CAP)
             assert any(set(member) <= phi for member in orbit)
         assert found > 20
 

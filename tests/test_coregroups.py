@@ -315,10 +315,14 @@ def test_core_group_digest(name, digest):
 def test_orbit_order_formula_beyond_criterion_3b():
     # Criterion 3b checks |W| / (|W.moset| * 2^k) against enumeration on
     # D4-D6 and E6 and uses it on E7 and E8; it holds on the other series
-    # too, D odd and even and A alike.
+    # too, D odd and even and A alike, past 255 roots (D12 on) and past
+    # the default cap (A20's moset orbit has 13,749,310,575 members).
     for label in [("A", 8), ("D", 7), ("D", 8), ("D", 10)]:
         s = build_root_system(*label)
         assert core_order_by_orbit(s, core_group_model(s).moset) == core_order_formula(*label)
+    for label in [("D", 12), ("D", 14), ("D", 16), ("A", 16), ("A", 20)]:
+        s = build_root_system(*label)
+        assert core_order_by_orbit(s, enhanced_basis(s).moset) == core_order_formula(*label)
     assert weyl_order_by_degrees("A", 8) == 362880  # 9!
     assert weyl_order_by_degrees("D", 8) == 2**7 * 40320  # 2^(n-1) n!
 

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import random
 import time
-import tracemalloc
 from math import prod
 
 import pytest
@@ -15,7 +14,6 @@ from rootforge import (
     set_stabilizer,
     subsystem_generated,
     subset_orbit,
-    subset_orbit_bfs,
     weyl_order,
 )
 from rootforge import oracle
@@ -23,6 +21,7 @@ from rootforge.classify import pi_node_subsets
 from rootforge.errors import CapExceeded, InvariantViolation, MixedAmbient, NoSuchRoot
 from rootforge.mosets import all_mosets
 from rootforge.oracle import (
+    canonical_image,
     compose,
     identity_perm,
     induced_action,
@@ -32,6 +31,8 @@ from rootforge.oracle import (
     simple_reflection_perms,
     weyl_order_by_degrees,
 )
+
+from oracle_reference import sorted_bytes_orbit
 
 
 def test_weyl_orders():
@@ -65,7 +66,6 @@ def test_every_cap_defaults_to_the_one_constant():
     for fn in (
         oracle.enumerate_weyl,
         oracle.weyl_order,
-        subset_orbit_bfs,
         orbit_id_map,
         verification.check_core_stabilizer_agreement,
         verification.run_all,
@@ -155,9 +155,8 @@ def test_stabilizer_filter_matches_its_definition():
 def test_orbit_walk_caps():
     d4 = build_root_system("D", 4)
     moset = all_mosets(d4)[0]  # its orbit holds the three mosets of D4
-    assert len(subset_orbit_bfs(d4, moset, cap=3)) == 3
-    with pytest.raises(CapExceeded):
-        subset_orbit_bfs(d4, moset, cap=2)
+    assert canonical_image(d4, moset)[1] == 3
+    assert orbit_id_map(d4, [moset], cap=3)
     with pytest.raises(CapExceeded):
         orbit_id_map(d4, [moset], cap=2)
 
@@ -205,94 +204,36 @@ def test_oracle_outputs_are_pinned(label, weyl, stabilizer, orbits, keys):
     assert digest(b"".join(w.perm for w in elements)) == weyl
     stab = set_stabilizer(s, eb.moset, elements)
     assert digest(b"".join(w.perm for w in stab)) == stabilizer
-    ids = orbit_id_map(s, pi_node_subsets(eb))
-    assert len(ids) == keys
-    items = sorted((tuple(sorted(k)), v) for k, v in ids.items())
-    assert digest(repr(items).encode()) == orbits
-
-
-def _frozenset_orbit_map(system, subsets):
-    # the map as a dict of frozensets, one orbit walk per new subset
-    out = {}
-    for subset in subsets:
-        if frozenset(system.projective(subset)) in out:
-            continue
-        orbit = subset_orbit_bfs(system, subset)
-        out.update(dict.fromkeys(orbit, min(tuple(sorted(m)) for m in orbit)))
-    return out
+    # the (member, id) pairs of every Pi-subset's orbit, walked, each walk
+    # of the canonical image's size and least member
+    items = []
+    for key, orbit in _walked_orbits(s, pi_node_subsets(eb)).items():
+        oid, size = canonical_image(s, key)
+        assert (tuple(min(orbit)), len(orbit)) == (oid, size), key
+        items += [(tuple(member), oid) for member in orbit]
+    assert len(items) == keys
+    assert digest(repr(sorted(items)).encode()) == orbits
 
 
 @pytest.mark.parametrize("label", [("A", 4), ("D", 4), ("D", 5)])
 def test_orbit_map_reads_like_a_frozenset_dict(label):
+    # One frozenset key per given subset, read as its projective
+    # representatives; its id is the least member of its walked orbit.
     s = build_root_system(*label)
     subsets = pi_node_subsets(enhanced_basis(s))
     ids = orbit_id_map(s, subsets)
-    ref = _frozenset_orbit_map(s, subsets)
-    assert ids == ref and ref == ids
-    assert len(ids) == len(ref)
     assert all(type(k) is frozenset for k in ids)
-    assert set(ids.items()) == set(ref.items())
-    assert sorted(ids.values()) == sorted(ref.values())
-    for k, v in ref.items():
-        assert k in ids and ids[k] == v and ids.get(k) == v
+    assert set(ids) == {frozenset(s.projective(subset)) for subset in subsets}
+    for subset in subsets:
+        orbit = sorted_bytes_orbit(s, oracle._key(s, subset), oracle.DEFAULT_CAP)
+        assert ids[frozenset(s.proj_rep(i) for i in subset)] == tuple(min(orbit))
     off = next(i for i in range(len(s.roots)) if s.proj_rep(i) != i)
     absent = [frozenset({off}), frozenset({256}), frozenset({-1}), frozenset({1.5}), frozenset({0, 256})]
     for key in absent:
-        assert key not in ref
         assert key not in ids
         assert ids.get(key) is None
         with pytest.raises(KeyError):
             ids[key]
-
-
-@pytest.mark.parametrize("starts", [(1, 2), (2, 0)], ids=["same least member", "other least member"])
-def test_overlapping_orbits_raise(monkeypatch, starts):
-    # Every faked walk also reaches the second simple root.  Construction
-    # reads the tree and walks nothing; iteration walks each orbit and
-    # checks it against the tree.
-    d4 = build_root_system("D", 4)
-    simple = d4.projective(d4.simple_basis)
-
-    def overlapping(system, start_key, cap):
-        return {start_key, bytes([simple[1]])}
-
-    monkeypatch.setattr(oracle, "_orbit", overlapping)
-    ids = orbit_id_map(d4, [(simple[k],) for k in starts])
-    with pytest.raises(InvariantViolation):
-        list(ids)
-    with pytest.raises(InvariantViolation):
-        dict(ids.items())
-
-
-def test_iteration_checks_the_walked_least_member(monkeypatch):
-    # A walk of the tree's size whose least member is not the tree's id.
-    d4 = build_root_system("D", 4)
-    walk = oracle._orbit
-
-    def shifted(system, start_key, cap):
-        orbit = walk(system, start_key, cap)
-        return orbit - {min(orbit)} | {bytes([255])}
-
-    ids = orbit_id_map(d4, [d4.simple_basis])
-    assert len(list(ids)) == len(ids)
-    monkeypatch.setattr(oracle, "_orbit", shifted)
-    with pytest.raises(InvariantViolation, match="least"):
-        list(ids)
-
-
-def test_orbit_map_costs_little_per_member():
-    # a frozenset key with its hash table took about 400 bytes a member
-    s = build_root_system("D", 5)
-    subsets = pi_node_subsets(enhanced_basis(s))
-    orbit_id_map(s, subsets[:1])  # fill the system's tables first
-    tracemalloc.start()
-    try:
-        ids = orbit_id_map(s, subsets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(ids) == 4005
-    assert peak / len(ids) < 200
 
 
 def test_elements_preserve_pairings():
@@ -313,7 +254,7 @@ def test_oracle_keys_refuse_raw_indices_that_are_no_roots():
     e7 = build_root_system("E", 7)
     for subset in [(-1,), (999,), (1.5,), (0, 126)]:
         with pytest.raises(NoSuchRoot):
-            subset_orbit_bfs(e7, subset)
+            canonical_image(e7, subset)
         with pytest.raises(NoSuchRoot):
             orbit_id_map(e7, [(0,), subset])
         with pytest.raises(NoSuchRoot):
@@ -334,8 +275,8 @@ def test_subset_orbit():
     assert orbit1 == {frozenset((j, a1.negative(j)))}
     d4 = build_root_system("D", 4)
     mosets = all_mosets(d4)
-    orbit_m = subset_orbit_bfs(d4, mosets[0])
-    assert orbit_m == {frozenset(m) for m in mosets}
+    orbit_m = sorted_bytes_orbit(d4, oracle._key(d4, mosets[0]), oracle.DEFAULT_CAP)
+    assert {frozenset(m) for m in orbit_m} == {frozenset(m) for m in mosets}
 
 
 def test_stabilizers():
@@ -353,7 +294,7 @@ def test_all_bases_conjugate_small():
     # of the basis covers every basis obtained from Pi-systems of full rank
     for label in [("A", 3), ("D", 4)]:
         s = build_root_system(*label)
-        orbit = subset_orbit_bfs(s, tuple(s.simple_basis))
+        orbit = sorted_bytes_orbit(s, oracle._key(s, s.simple_basis), oracle.DEFAULT_CAP)
         from itertools import combinations
 
         from rootforge import is_pi_system
@@ -479,15 +420,16 @@ def test_permutations_beyond_a_byte_raise_typed_error():
     assert len(identity_perm(build_root_system("E", 8))) == 240
 
 
-def _orbit_keys(system, subsets):
-    # one sorted-bytes key per orbit met among the subsets
-    keys, seen = [], set()
+def _walked_orbits(system, subsets):
+    # one sorted-bytes key per orbit met among the subsets, with its orbit
+    # walked by the reference
+    orbits, seen = {}, set()
     for subset in subsets:
         key = oracle._key(system, subset)
         if key not in seen:
-            keys.append(key)
-            seen |= oracle._orbit(system, key, oracle.DEFAULT_CAP)
-    return keys
+            orbits[key] = sorted_bytes_orbit(system, key, oracle.DEFAULT_CAP)
+            seen |= orbits[key]
+    return orbits
 
 
 @pytest.mark.parametrize(
@@ -527,88 +469,61 @@ def test_canonical_image_is_the_least_image_over_the_whole_group(label):
             images = {
                 bytes(sorted(set(key.translate(oracle._table(w.perm)).translate(proj)))) for w in elements
             }
-            ids = orbit_id_map(s, [key])
-            assert ids[frozenset(key)] == tuple(min(images)), (s.name, key)
-            assert ids[max(images)] == tuple(min(images)), (s.name, key)  # through the tree
-            assert len(ids) == len(images), (s.name, key)
-    # keys off the map's orbits are missing: another size, a repeated entry
-    ids = orbit_id_map(s, [s.simple_basis[:1]])
-    for subset in [s.simple_basis[:2], [s.positive[0]] * 2]:
-        with pytest.raises(KeyError):
-            ids[subset]
+            expected = (tuple(min(images)), len(images))
+            assert canonical_image(s, key) == expected, (s.name, key)
+            assert canonical_image(s, max(images)) == expected, (s.name, key)
 
 
 @pytest.mark.parametrize("label", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6)])
 def test_tree_orbit_size_is_the_walked_size_on_every_pi_subset(label):
     s = build_root_system(*label)
     subsets = pi_node_subsets(enhanced_basis(s))
-    keys = _orbit_keys(s, subsets)
-    sizes = [len(orbit_id_map(s, [key])) for key in keys]
-    assert sizes == [len(oracle._orbit(s, key, oracle.DEFAULT_CAP)) for key in keys]
-    assert sum(sizes) == len(orbit_id_map(s, subsets))
+    for key, orbit in _walked_orbits(s, subsets).items():
+        assert canonical_image(s, key) == (tuple(min(orbit)), len(orbit)), (s.name, key)
 
 
 def test_position_walk_matches_the_sorted_bytes_walk():
-    # The position-form walk against the sorted-bytes walk it replaced, on
+    # The canonical image and orbit size against the sorted-bytes walk, on
     # every Pi-subset orbit of the small systems and on seeded random
     # subsets, negative roots among them.
-    from oracle_reference import sorted_bytes_orbit
-
     rng = random.Random(24)
     cases = []
     for label in [("A", 4), ("D", 4), ("D", 5), ("D", 6), ("E", 6)]:
         s = build_root_system(*label)
-        cases += [(s, key) for key in _orbit_keys(s, pi_node_subsets(enhanced_basis(s)))]
+        cases += [(s, *walked) for walked in _walked_orbits(s, pi_node_subsets(enhanced_basis(s))).items()]
     for label, sizes in [(("D", 5), 4), (("E", 6), 4), (("E", 7), 2), (("E", 8), 2)]:
         s = build_root_system(*label)
         for size in range(1, sizes + 1):
             for _ in range(4):
-                subset = rng.sample(range(len(s.roots)), size)
-                cases.append((s, oracle._key(s, subset)))
-    for s, key in cases:
-        got = oracle._orbit(s, key, oracle.DEFAULT_CAP)
-        assert got == sorted_bytes_orbit(s, key, oracle.DEFAULT_CAP), (s.name, key)
+                key = oracle._key(s, rng.sample(range(len(s.roots)), size))
+                cases.append((s, key, sorted_bytes_orbit(s, key, oracle.DEFAULT_CAP)))
+    for s, key, orbit in cases:
+        assert canonical_image(s, key) == (tuple(min(orbit)), len(orbit)), (s.name, key)
     assert len(cases) > 120
 
 
 def test_orbit_walk_caps_across_many_levels():
-    # E6's roots form one orbit of 36 projective roots, which the walk
-    # from a simple root meets over eleven levels: the cap is checked once
-    # a level.
+    # E6's roots form one orbit of 36 projective roots, which a walk from
+    # a simple root meets over eleven levels: a cap equal to the size
+    # passes and one below it raises.
     e6 = build_root_system("E", 6)
     root = (e6.simple_basis[0],)
-    assert len(subset_orbit_bfs(e6, root, cap=36)) == 36
-    assert len(orbit_id_map(e6, [root], cap=36)) == 36
-    with pytest.raises(CapExceeded):
-        subset_orbit_bfs(e6, root, cap=35)
+    assert canonical_image(e6, root)[1] == 36
+    assert len(orbit_id_map(e6, [root], cap=36)) == 1
     with pytest.raises(CapExceeded):
         orbit_id_map(e6, [root], cap=35)
 
 
 def test_orbit_walks_beyond_a_byte_raise_typed_error():
-    # D12 has 264 roots: no walk packs its subsets into bytes.
+    # D17 has 272 positive roots: the tree's points do not fit in a byte.
     from rootforge.errors import Unsupported
 
-    d12 = build_root_system("D", 12)
-    root = (d12.simple_basis[0],)
+    d17 = build_root_system("D", 17)
+    root = (d17.simple_basis[0],)
     with pytest.raises(Unsupported, match="256"):
-        subset_orbit_bfs(d12, root)
+        canonical_image(d17, root)
     with pytest.raises(Unsupported, match="256"):
-        orbit_id_map(d12, [root])
-
-
-def test_position_forms_refuse_a_root_index_equal_to_the_marker(monkeypatch):
-    # A byte that marks an absent root must be no root's index.  No ADE
-    # system within 256 roots has 255 of them, so a smaller marker stands
-    # in; a fresh system keeps no tables from earlier walks.
-    from rootforge.errors import Unsupported
-    from rootforge.rootsystem import RootSystem
-
-    a3 = build_root_system("A", 3)
-    monkeypatch.setattr(oracle, "_ABSENT", len(a3.roots) - 1)
-    fresh = RootSystem("A", 3, list(a3.roots), a3.ambient_dim)
-    with pytest.raises(Unsupported, match="absent"):
-        subset_orbit_bfs(fresh, (fresh.simple_basis[0],))
+        orbit_id_map(d17, [root])
 
 
 @pytest.mark.parametrize("label, labels", [(("D", 12), 423), (("A", 16), 296)])
@@ -620,11 +535,6 @@ def test_label_representatives_have_distinct_canonical_images_past_255_roots(lab
     from rootforge.classify import enumerate_pi_orbits
 
     s = build_root_system(*label)
-    tree, at = oracle._tree(s), {r: k for k, r in enumerate(s.positive)}
-
-    def image(roots):
-        return oracle._least_image(tree, bytes(sorted(at[s.proj_rep(r)] for r in roots)))[0]
-
     rng = random.Random(27)
     images = set()
     for _, rep in enumerate_pi_orbits(s):
@@ -632,6 +542,6 @@ def test_label_representatives_have_distinct_canonical_images_past_255_roots(lab
         for _ in range(8):
             j = rng.choice(s.simple_basis)
             moved = [s.reflect(r, j) for r in moved]
-        assert image(moved) == image(rep), rep
-        images.add(image(rep))
+        assert canonical_image(s, moved) == canonical_image(s, rep), rep
+        images.add(canonical_image(s, rep)[0])
     assert len(images) == labels
