@@ -489,11 +489,12 @@ class EmbeddingMap(_EmbeddingMap):
             if fixed.setdefault(system.proj_rep(k), v) != v:
                 raise NotEmbedding(f"root {k} and its negative are given different images")
         src = sorted(fixed)
+        # Before the pairings: two keys with one image fail those too.
+        if len(set(fixed.values())) != len(src):
+            raise NotEmbedding("map is not injective")
         for a, b in combinations(src, 2):
             if abs(system.cartan(a, b)) != abs(system.cartan(fixed[a], fixed[b])):
                 raise NotEmbedding("map does not preserve absolute pairings")
-        if len({fixed[a] for a in src}) != len(src):
-            raise NotEmbedding("map is not injective")
         return tuple.__new__(cls, (system, fixed))
 
     @property

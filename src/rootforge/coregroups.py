@@ -3,11 +3,12 @@
 The group is generated honestly from Weyl elements of small subsystems
 spanned by nodes of the enhanced diagram (D4 stars and three-node paths),
 keeping a reflection word for every element so that each permutation can
-be replayed on actual roots.  The local closures, the closure of the group
-they give and the span check of the structured generators all run the
-oracle's one breadth-first closure (oracle._closure), the closure that
-enumerates the Weyl group.  The result is then matched against the
-series model: the full symmetric group for A and E6, column permutations
+be replayed on actual roots.  The local closures and the one closure of
+the group they give run the oracle's breadth-first closure
+(oracle._closure); the structured generators are checked to generate it
+by their group's order, from the oracle's Schreier-Sims chain
+(oracle._close), not by a second listing.  The result is matched against
+the series model: the full symmetric group for A and E6, column permutations
 with row flips for D, the linear group of F2^3 for E7 and the affine
 group of F2^3 for E8.  The F2 labelings themselves are derived from the
 orbit structure of the computed group, never transcribed from pictures,
@@ -26,9 +27,8 @@ from typing import NamedTuple
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
 from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
 from .mosets import _mu_formula
-from .oracle import MAX_ROOTS, _closure, _table
+from .oracle import _IDENTITY, MAX_ROOTS, _chain_order, _close, _closure, _Level, _table
 from .rootsystem import (
-    RootSet,
     RootSystem,
     _adjacency,
     _bits,
@@ -36,7 +36,6 @@ from .rootsystem import (
     orthogonal,
     orthogonal_complement,
     subsystem_basis,
-    subsystem_generated,
     system_memo,
 )
 
@@ -160,23 +159,22 @@ def _reach(system: RootSystem, basis, start) -> list[int]:
 
 def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     """Weyl elements of a small subsystem that map the moset onto itself
-    projectively, reported as (moset position permutation, reflection word).
+    projectively, reported as (moset position permutation as bytes,
+    reflection word).
 
     An element of W(sub) is determined by its images of the basis of sub,
-    so the closure runs on the basis followed by the touched moset roots.
+    so the closure runs on the basis followed by the touched moset roots,
+    those not orthogonal to the basis (a member of sub pairs with some
+    basis root, as it pairs to 2 with itself).
     The roots those states can reach are renumbered 0, 1, ... in reach
     order, so each state is bytes and each basis reflection a translate
     table; a second table sends a local root to the moset position of its
     projective root, or to len(moset) when that lies outside the moset."""
-    touched = [
-        m
-        for m in moset
-        if any(system.cartan(m, r) != 0 for r in sub) or m in sub
-    ]
+    basis = subsystem_basis(system, sub)
+    touched = [m for m in moset if any(system.cartan(m, r) for r in basis)]
     if len(touched) < 2:
         return []
     pos = {n: k for k, n in enumerate(moset)}
-    basis = subsystem_basis(system, sub)
     start = tuple(basis) + tuple(touched)
     reach = _reach(system, basis, start)
     local = {x: k for k, x in enumerate(reach)}
@@ -187,18 +185,15 @@ def _local_stabilizer_perms(system: RootSystem, sub: tuple[int, ...], moset):
     seen = _closure(bytes(local[x] for x in start), gens)
     outside = len(moset)
     where = _table(bytes(pos.get(system.proj_rep(x), outside) for x in reach))
-    tpos = [pos[m] for m in touched]
-    tset = set(tpos)
+    tpos, ident = bytes(pos[m] for m in touched), bytes(range(len(moset)))
     out = []
     for state, word in seen.items():
         images = state[len(basis):].translate(where)
-        # The permutation fixes the untouched positions, so it is one
-        # exactly when the touched positions go onto themselves.
-        if set(images) == tset:
-            perm = list(range(len(moset)))
-            for p, q in zip(tpos, images):
-                perm[p] = q
-            out.append((tuple(perm), word))
+        # The element fixes the untouched positions and is a bijection on
+        # projective roots, so it permutes the moset exactly when no image
+        # of a touched position falls outside the touched ones.
+        if not images.translate(None, tpos):
+            out.append((ident.translate(bytes.maketrans(tpos, images)), word))
     return out
 
 
@@ -224,7 +219,7 @@ def _subsystems(system: RootSystem, seeds):
     """The distinct subsystems the seeds generate, in first-seen order."""
     out: dict[tuple[int, ...], None] = {}
     for seed in seeds:
-        out.setdefault(subsystem_generated(RootSet(system, seed)).members)
+        out.setdefault(tuple(sorted(_reflection_closure(system, seed, seed))))
     return list(out)
 
 
@@ -238,7 +233,7 @@ def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
                 gens[perm] = word
     # The closure of the identity on the moset positions under the local
     # stabilizers, concatenating their words.
-    elements = _closure(bytes(range(len(moset))), [(_table(bytes(g)), word) for g, word in gens.items()])
+    elements = _closure(bytes(range(len(moset))), [(_table(g), word) for g, word in gens.items()])
     if len(elements) != target:
         raise LabelingInfeasible(
             f"core group generation reached order {len(elements)}, expected {target}"
@@ -257,7 +252,7 @@ def _orbit_partition(elements, subsets):
     orbits = []
     while remaining:
         start = min(remaining, key=sorted)
-        orbit = {frozenset(perm[i] for i in start) for perm in elements}
+        orbit = set(map(frozenset, map(itemgetter(*start), elements)))
         if not orbit <= remaining:
             raise InvariantViolation("a group orbit leaves the given subsets")
         orbits.append(orbit)
@@ -369,6 +364,16 @@ def _f2_action(labeling: MosetLabeling, moset):
     return act
 
 
+def _generated_order(generators) -> int:
+    """The order of the group the permutations generate, from a
+    Schreier-Sims chain (oracle._close) based at position 0.  Each level's
+    orbit lies in its true stabilizer's orbit, so it is never too large."""
+    tables = [bytes(g) + _IDENTITY[len(g) :] for g in generators]
+    top = _Level(0, tables)
+    _close(top, [(0, t) for t in tables])
+    return _chain_order(top)
+
+
 def _model_element_set(system: RootSystem, labeling: MosetLabeling, moset):
     """Every permutation the series model allows, as bytes over moset
     positions.  A D element is its column permutation after its row flips
@@ -436,7 +441,8 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
 
     The element set is produced by closing Weyl elements of small
     subsystems and must match both the order table and the structured
-    series model exactly.
+    series model exactly.  The structured generators lie in it and
+    generate a group of its order, so they generate it.
     """
     eb = enhanced_basis(system)
     closed = _weyl_core_elements(system, eb)
@@ -446,8 +452,7 @@ def core_group_model(system: RootSystem) -> CoreGroupModel:
             "series model and Weyl-generated core group disagree"
         )
     generators = _model_generators(system, labeling, eb.moset)
-    span = _closure(bytes(range(len(eb.moset))), [(_table(bytes(g)), ()) for g in generators])
-    if span.keys() != closed.keys():
+    if any(bytes(g) not in closed for g in generators) or _generated_order(generators) != len(closed):
         raise InvariantViolation("structured generators fail to generate")
     elements = {tuple(perm): word for perm, word in closed.items()}
     return CoreGroupModel(system, eb.moset, labeling, generators, elements)

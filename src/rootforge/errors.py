@@ -69,10 +69,6 @@ class CapExceeded(RootForgeError):
     """Group enumeration exceeded the configured element cap."""
 
 
-class OracleCapExceeded(CapExceeded):
-    pass
-
-
 class NoSuchRoot(RootForgeError):
     """A root index lies outside the system's table of roots."""
 

@@ -11,7 +11,6 @@ from .errors import (
     NotIrreducible,
     NotOrthogonalSeed,
     NotPiSystem,
-    OracleCapExceeded,
 )
 from .oracle import DEFAULT_CAP, canonical_image
 from .rootsystem import (
@@ -121,9 +120,9 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
 def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bool:
     """Enumerate all mosets, verify the uniform cardinality, and verify
     that they form a single Weyl orbit: one canonical image, whose orbit
-    has as many members as there are mosets (CapExceeded past the cap)."""
-    if len(system.roots) > 130:
-        raise OracleCapExceeded("moset conjugacy scan is limited to small ranks")
+    has as many members as there are mosets (CapExceeded past the cap).
+    It reaches as far as canonical_image: Unsupported past 256 positive
+    roots."""
     if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducible("moset conjugacy check expects an irreducible system")
     mosets = all_mosets(system)

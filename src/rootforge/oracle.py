@@ -16,7 +16,8 @@ W(E8) is refused from the transversals' sizes alone.
 One breadth-first closure over bytes states (``_closure``) serves the core
 groups of ``coregroups``: a state is a permutation or a tuple of root
 images, a generator a translate table with its reflection word, and each
-state keeps the first word that reaches it.
+state keeps the first word that reaches it.  The Schreier-Sims chain below
+(``_close``, ``_chain_order``) gives it the order of a generated group.
 
 Orbit questions about subsets have one engine, which lists neither the
 group nor an orbit: a Schreier-Sims stabilizer tree (Sims 1970; Seress
@@ -319,6 +320,15 @@ def _close(level: _Level, pairs: list) -> None:
             _close(level.below, [(z, h) for z in level.below.orbit])
 
 
+def _chain_order(level: _Level | None) -> int:
+    """The order of the group a closed chain describes: the product of
+    its levels' orbit lengths."""
+    order = 1
+    while level is not None:
+        order, level = order * len(level.orbit), level.below
+    return order
+
+
 class _Node:
     """G_P, the pointwise stabilizer of a sequence P of points: generators,
     order and, for every point, its G_P-orbit's least point, an element
@@ -350,9 +360,7 @@ class _Node:
         orbit = {x: (self.from_least[x], self.to_least[x]) for x, r in enumerate(self.least) if r == m}
         top = _Level(m, self.gens, orbit)
         _close(top, [(x, s) for x in orbit for s in self.gens])
-        order, level = 1, top.below
-        while level is not None:
-            order, level = order * len(level.orbit), level.below
+        order = _chain_order(top.below)
         if order * len(orbit) != self.order:
             raise InvariantViolation(f"|G_P+m| * |orbit(m)| = {order} * {len(orbit)} != {self.order}")
         child = self.children[m] = _Node(top.below.gens if top.below else [], order, len(self.least))

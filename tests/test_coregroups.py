@@ -18,11 +18,15 @@ from rootforge.coregroups import verify_moset
 from rootforge.mosets import _mu_formula
 from rootforge.verification import SMALL, core_order_by_orbit, weyl_order_by_degrees
 from rootforge.oracle import (
+    _closure,
+    _table,
     enumerate_weyl,
     induced_action,
     perm_from_word,
     set_stabilizer,
 )
+
+from coregroup_reference import local_stabilizer_perms, orbit_partition, subsystems
 
 
 ALL = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [
@@ -407,3 +411,58 @@ def test_labeling_checks_every_subset_against_the_labels(monkeypatch):
     _patched_orbits(monkeypatch, through_0 + off_0, 4, 8)
     with pytest.raises(LabelingInfeasible, match="zero-sum"):
         coregroups._derive_labeling(e8, enhanced_basis(e8), [])
+
+
+# -- the span check by order, and the local steps against their references ----
+
+
+def test_chain_order_is_the_size_of_the_generated_group():
+    # core_group_model checks the structured generators by the order of
+    # their Schreier-Sims chain; it is the size of their closure.
+    labels = SMALL + [("D", n) for n in range(9, 13)] + [("A", n) for n in range(9, 13)]
+    for label in labels:
+        model = core_group_model(build_root_system(*label))
+        gens = model.generators
+        span = _closure(bytes(range(len(model.moset))), [(_table(bytes(g)), ()) for g in gens])
+        assert coregroups._generated_order(gens) == len(span) == model.order, label
+
+
+@pytest.mark.parametrize("label", [("D", 8), ("E", 7), ("A", 6)])
+def test_generators_short_of_the_group_are_refused(label, monkeypatch):
+    real = coregroups._model_generators
+    monkeypatch.setattr(coregroups, "_model_generators", lambda *args: real(*args)[:-1])
+    with pytest.raises(InvariantViolation, match="fail to generate"):
+        core_group_model(build_root_system.__wrapped__(*label))
+
+
+@pytest.mark.parametrize("label", [("D", 8), ("E", 7), ("E", 8)])
+def test_generators_of_another_group_of_the_same_order_are_refused(label, monkeypatch):
+    # Conjugated by the transposition of positions 1 and 2, the generators
+    # generate a group of the core group's order, but not the core group.
+    model = core_group_model(build_root_system(*label))
+    swap = [0, 2, 1, *range(3, len(model.moset))]
+    moved = tuple(tuple(swap[g[swap[i]]] for i in range(len(g))) for g in model.generators)
+    assert coregroups._generated_order(moved) == model.order
+    assert not all(g in model.elements for g in moved)
+    monkeypatch.setattr(coregroups, "_model_generators", lambda *args: moved)
+    with pytest.raises(InvariantViolation, match="fail to generate"):
+        core_group_model(build_root_system.__wrapped__(*label))
+
+
+def test_local_stabilizers_match_the_reference():
+    for label in SMALL + [("D", 10)]:
+        s = build_root_system(*label)
+        eb = enhanced_basis(s)
+        seeds = coregroups._generator_pool(s, eb)
+        subs = coregroups._subsystems(s, seeds)
+        assert subs == subsystems(s, seeds), label
+        for sub in subs:
+            got = [(tuple(perm), word) for perm, word in coregroups._local_stabilizer_perms(s, sub, eb.moset)]
+            assert got == local_stabilizer_perms(s, sub, eb.moset), (label, sub)
+
+
+@pytest.mark.parametrize("rank, k", [(7, 3), (8, 4)])
+def test_orbit_partition_matches_the_reference(rank, k):
+    model = core_group_model(build_root_system("E", rank))
+    subsets = [frozenset(c) for c in combinations(range(len(model.moset)), k)]
+    assert coregroups._orbit_partition(model.elements, subsets) == orbit_partition(model.elements, subsets)

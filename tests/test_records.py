@@ -180,6 +180,14 @@ def test_embedding_maps_are_validated():
         EmbeddingMap(d5, {one: len(d5.roots)})
 
 
+def test_embedding_map_refuses_two_keys_with_one_image():
+    d5 = build_root_system("D", 5)
+    one, two = enhanced_basis(d5).subset(["1", "2"])
+    for image in (one, two, d5.negative(two)):
+        with pytest.raises(NotEmbedding, match="map is not injective"):
+            EmbeddingMap(d5, {one: image, two: image})
+
+
 def test_cached_views_are_computed_once():
     eb = enhanced_basis(build_root_system("E", 6))
     assert eb.name_to_node is eb.name_to_node
