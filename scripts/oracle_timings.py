@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the brute-force oracle loop by loop: Weyl enumeration (with the
 sizes |X_1|, ..., |X_n| of the coset transversals it multiplies), the moset
-orbit size from its canonical image, the moset stabilizer and the orbit map
-of the Pi-subsets, both read from the stabilizer tree, then the process's
-peak RSS after each system.
+orbit size from its canonical image, the moset stabilizer, and the canonical
+images of the Pi-subsets and the orbits they fall in, read from the
+stabilizer tree, then the process's peak RSS after each system.
 
 Usage: python scripts/oracle_timings.py [A3 D4 D5 D6 E6 E7]
 
@@ -22,7 +22,6 @@ from rootforge.oracle import (
     _transversals,
     canonical_image,
     enumerate_weyl,
-    orbit_id_map,
     set_stabilizer,
 )
 
@@ -45,14 +44,14 @@ def main(argv):
         order = len(elements)
         del elements
         subsets = pi_node_subsets(eb)
-        ids, t_ids = timed(orbit_id_map, system, subsets)
+        ids, t_ids = timed(lambda: {canonical_image(system, subset)[0] for subset in subsets})
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(
             f"{system.name:4} |W| = {order:>9,}"
             f"  enumerate_weyl {t_enum:6.2f}s ({sizes})"
             f"  moset orbit {moset_size:>6,} sets {t_orbit:6.2f}s"
             f"  set_stabilizer {len(stab):>6,} {t_stab:6.2f}s"
-            f"  orbit_id_map {len(subsets):>6,} Pi-subsets -> {len(set(ids.values())):>4} orbits {t_ids:6.2f}s"
+            f"  canonical_image {len(subsets):>6,} Pi-subsets -> {len(ids):>4} orbits {t_ids:6.2f}s"
             f"  peak RSS {peak_mib:6.1f} MiB"
         )
     return 0

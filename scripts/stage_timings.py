@@ -23,9 +23,9 @@ A third line times core_group_model, which neither command runs, and
 splits it into its steps, run on a fresh copy of the system with cold
 caches, and freed first, so at most one core group is alive: the
 Weyl-generated closure (subsystems, their local closures and the closure
-of what they give), the labeling, the check against the series model and
-the order check of the structured generators (each lies in the group, and
-their Schreier-Sims chain has its order); then the peak RSS again.
+of what they give), the labeling and the order check of the structured
+generators (each lies in the group, and their Schreier-Sims chain has its
+order); then the peak RSS again.
 
 A fourth line, for systems whose moset has two or more members, times
 Weyl membership (is_weyl_embedding) on a seeded stream of positive
@@ -64,7 +64,6 @@ from rootforge.classify import (  # noqa: E402
 from rootforge.coregroups import (  # noqa: E402
     _derive_labeling,
     _generated_order,
-    _model_element_set,
     _model_generators,
     _weyl_core_elements,
     core_group_model,
@@ -104,12 +103,11 @@ def core_steps(system):
     eb = rootforge.enhanced_basis(system)
     closed, t_closure = timed(_weyl_core_elements, system, eb)
     labeling, t_labeling = timed(_derive_labeling, system, eb, closed)
-    model, t_model = timed(_model_element_set, system, labeling, eb.moset)
     generators = _model_generators(system, labeling, eb.moset)
     ok, t_order = timed(generates, generators, closed)
-    if model != closed.keys() or not ok:
+    if not ok:
         raise SystemExit(f"{system.name}: core group checks fail")
-    return t_closure, t_labeling, t_model, t_order
+    return t_closure, t_labeling, t_order
 
 
 def membership_stream(system, representatives, seed=0):
@@ -217,11 +215,10 @@ def main(argv):
             del cold
             gc.collect()
         _, t_core = timed(core_group_model, system)
-        t_closure, t_labeling, t_model, t_order = steps
+        t_closure, t_labeling, t_order = steps
         print(
             f"     core_group_model {t_core:6.3f}s: closure {t_closure:6.3f}s"
-            f"  labeling {t_labeling:6.3f}s  model-set check {t_model:6.3f}s"
-            f"  order check {t_order:6.3f}s  peak RSS {peak_rss_mib():,.0f} MiB"
+            f"  labeling {t_labeling:6.3f}s  order check {t_order:6.3f}s  peak RSS {peak_rss_mib():,.0f} MiB"
         )
         if member is not None:
             t_links, t_into, t_extend, t_rest, runs, hits = member

@@ -5,11 +5,9 @@ from .rootsystem import (
     RootSet,
     RootSystem,
     build_root_system,
-    cartan_pair,
     components,
     orthogonal_complement,
     parse_system,
-    reflect,
     subsystem_generated,
     theta_component,
 )
@@ -52,7 +50,6 @@ from .coregroups import (
     MosetLabeling,
     conjugate_in_moset,
     core_group_model,
-    derive_labeling,
     extend_partial_map,
     induced_group_on,
     parity,
@@ -78,8 +75,6 @@ from .oracle import (
     canonical_image,
     enumerate_weyl,
     set_stabilizer,
-    subset_orbit,
-    weyl_order,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,12 +5,13 @@ spanned by nodes of the enhanced diagram (D4 stars and three-node paths),
 keeping a reflection word for every element so that each permutation can
 be replayed on actual roots.  The local closures and the one closure of
 the group they give run the oracle's breadth-first closure
-(oracle._closure); the structured generators are checked to generate it
-by their group's order, from the oracle's Schreier-Sims chain
-(oracle._close), not by a second listing.  The result is matched against
-the series model: the full symmetric group for A and E6, column permutations
+(oracle._closure), capped at the order table's value.  The group is the
+series model: the full symmetric group for A and E6, column permutations
 with row flips for D, the linear group of F2^3 for E7 and the affine
-group of F2^3 for E8.  The F2 labelings themselves are derived from the
+group of F2^3 for E8.  That is checked without listing the model: the
+model's structured generators lie in the closed group and generate a
+group of its order, from the oracle's Schreier-Sims chain (oracle._close);
+see core_group_model.  The F2 labelings themselves are derived from the
 orbit structure of the computed group, never transcribed from pictures,
 by one rule on both ranks: the zero-sum k-subsets (k = 3 on E7, 4 on E8)
 are the smaller group orbit of k-subsets.
@@ -19,13 +20,13 @@ are the smaller group orbit of k-subsets.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import factorial
 from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .completion import EnhancedBasis, d4_stars, enhanced_basis, extension_root
-from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
+from .errors import InvariantViolation, LabelingInfeasible, NotInMoset, Unsupported, UnsupportedType
 from .mosets import _mu_formula
 from .oracle import _IDENTITY, MAX_ROOTS, _chain_order, _close, _closure, _Level, _table
 from .rootsystem import (
@@ -33,8 +34,6 @@ from .rootsystem import (
     _adjacency,
     _bits,
     _reflection_closure,
-    orthogonal,
-    orthogonal_complement,
     subsystem_basis,
     system_memo,
 )
@@ -132,11 +131,15 @@ def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
 
 
 def core_order_formula(series: str, rank: int) -> int:
+    """The core group's order from the series model; UnsupportedType for a
+    series other than A, D and E, or an E rank other than 6, 7 and 8."""
     if series == "A" or (series == "E" and rank == 6):
         return factorial(_mu_formula(series, rank))
     if series == "D":
         m = rank // 2
         return (2 ** (m - 1) if rank % 2 == 0 else 2**m) * factorial(m)
+    if series != "E" or rank not in (7, 8):
+        raise UnsupportedType(f"no core group order for {series}{rank}")
     return {7: 168, 8: 1344}[rank]
 
 
@@ -232,8 +235,9 @@ def _weyl_core_elements(system: RootSystem, eb: EnhancedBasis) -> dict:
             if perm not in gens or len(word) < len(gens[perm]):
                 gens[perm] = word
     # The closure of the identity on the moset positions under the local
-    # stabilizers, concatenating their words.
-    elements = _closure(bytes(range(len(moset))), [(_table(g), word) for g, word in gens.items()])
+    # stabilizers, concatenating their words.  Capped at the target, so a
+    # faulty local step raises CapExceeded one level past it.
+    elements = _closure(bytes(range(len(moset))), [(_table(g), word) for g, word in gens.items()], target)
     if len(elements) != target:
         raise LabelingInfeasible(
             f"core group generation reached order {len(elements)}, expected {target}"
@@ -320,18 +324,6 @@ def _derive_labeling(system: RootSystem, eb: EnhancedBasis, elements) -> MosetLa
 # -- structured series models -------------------------------------------------
 
 
-def _gl3_matrices():
-    """All invertible linear maps of F2^3, as their column triples."""
-    mats = []
-    for cols in permutations(range(1, 8), 3):
-        # invertibility: columns independent
-        a, b, c = cols
-        if a ^ b == 0 or a ^ b == c or a ^ c == 0 or b ^ c == 0 or a ^ b ^ c == 0:
-            continue
-        mats.append(cols)
-    return mats
-
-
 def _dn_action(labeling: MosetLabeling, moset):
     """The D matrix model as a map (column permutation, row flips) -> moset
     position tuple: column c moves to colperm[c - 1] and its rows swap
@@ -374,33 +366,6 @@ def _generated_order(generators) -> int:
     return _chain_order(top)
 
 
-def _model_element_set(system: RootSystem, labeling: MosetLabeling, moset):
-    """Every permutation the series model allows, as bytes over moset
-    positions.  A D element is its column permutation after its row flips
-    and an E8 element its translation after its linear part, so each
-    product is one translate of two precomputed factors."""
-    if labeling.kind == "plain":
-        return set(map(bytes, permutations(range(len(moset)))))
-    if labeling.kind == "dn_matrix":
-        m = system.rank // 2
-        even_only = system.rank % 2 == 0
-        act = _dn_action(labeling, moset)
-        ident_cols = range(1, m + 1)
-        flips = [
-            bytes(act(ident_cols, f))
-            for f in product((0, 1), repeat=m)
-            if not (even_only and sum(f) % 2 == 1)
-        ]
-        moves = [_table(bytes(act(cp, (0,) * m))) for cp in permutations(ident_cols)]
-        return {f.translate(cp) for cp in moves for f in flips}
-    # f2cube: GL3 for E7, affine maps for E8
-    act = _f2_action(labeling, moset)
-    translations = [0] if system.rank == 7 else list(range(8))
-    shifts = [_table(bytes(act((1, 2, 4), t))) for t in translations]
-    linear = [bytes(act(cols)) for cols in _gl3_matrices()]
-    return {lin.translate(t) for lin in linear for t in shifts}
-
-
 def _model_generators(system: RootSystem, labeling: MosetLabeling, moset):
     """A compact structured generating set, stated in moset positions."""
     k = len(moset)
@@ -439,29 +404,25 @@ def _model_generators(system: RootSystem, labeling: MosetLabeling, moset):
 def core_group_model(system: RootSystem) -> CoreGroupModel:
     """Core group of the system on the enhanced diagram's moset.
 
-    The element set is produced by closing Weyl elements of small
-    subsystems and must match both the order table and the structured
-    series model exactly.  The structured generators lie in it and
-    generate a group of its order, so they generate it.
+    The element set closed is produced by closing Weyl elements of small
+    subsystems.  It equals the structured series model, by four facts:
+    - _weyl_core_elements checks that |closed| equals core_order_formula;
+    - each structured generator lies in closed, and the generators'
+      Schreier-Sims chain order equals |closed|, so closed is the group
+      the generators generate;
+    - the generators are model elements by construction (_dn_action,
+      _f2_action, or transpositions and cycles of Sym(mu)), so closed lies
+      inside the model;
+    - the model's order is core_order_formula, so closed equals the model.
     """
     eb = enhanced_basis(system)
     closed = _weyl_core_elements(system, eb)
     labeling = _derive_labeling(system, eb, closed)
-    if _model_element_set(system, labeling, eb.moset) != closed.keys():
-        raise LabelingInfeasible(
-            "series model and Weyl-generated core group disagree"
-        )
     generators = _model_generators(system, labeling, eb.moset)
     if any(bytes(g) not in closed for g in generators) or _generated_order(generators) != len(closed):
         raise InvariantViolation("structured generators fail to generate")
     elements = {tuple(perm): word for perm, word in closed.items()}
     return CoreGroupModel(system, eb.moset, labeling, generators, elements)
-
-
-def derive_labeling(system: RootSystem) -> MosetLabeling:
-    """Labeling of the model moset: matrix slots for D, F2^3 vectors for
-    E7/E8 (derived from the core group's orbit structure), plain otherwise."""
-    return core_group_model(system).labeling
 
 
 def parity(model: CoreGroupModel, subset) -> int:
@@ -537,13 +498,3 @@ def induced_group_on(model: CoreGroupModel, subset) -> set[tuple[int, ...]]:
         if all(perm[p] in posindex for p in pos):
             out.add(tuple(posindex[perm[p]] for p in pos))
     return out
-
-
-def verify_moset(system: RootSystem, members) -> None:
-    """Raise NotMoset unless members form a moset of the whole system."""
-    nodes = system.projective(members)
-    if not orthogonal(system, nodes):
-        raise NotMoset("members are not pairwise orthogonal")
-    # A node pairs to 2 with itself, so the complement holds no member.
-    if orthogonal_complement(system, nodes, system.proj_nodes):
-        raise NotMoset("orthogonal set is not maximal")

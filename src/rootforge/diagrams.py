@@ -282,13 +282,6 @@ def subsystem_type(system: RootSystem, members) -> TypeLabel:
     return _NodeView(system, subsystem_basis(system, system.check_indices(members))).type_label()
 
 
-def component_type(system: RootSystem, comp) -> Irreducible:
-    label = subsystem_type(system, comp)
-    if len(label.parts) != 1:
-        raise NotIrreducible(f"expected an irreducible subsystem, got {label.render()}")
-    return label.parts[0]
-
-
 # -- the int-mask view of a node set ------------------------------------------
 
 

@@ -45,10 +45,6 @@ class NotOrthogonalSeed(RootForgeError):
     pass
 
 
-class NotMoset(RootForgeError):
-    pass
-
-
 class LabelingInfeasible(RootForgeError):
     """No moset labeling satisfies the structural constraints."""
 

@@ -6,13 +6,12 @@ from typing import NamedTuple
 
 from .diagrams import _NodeView, subsystem_type
 from .errors import (
-    CapExceeded,
     InvariantViolation,
     NotIrreducible,
     NotOrthogonalSeed,
     NotPiSystem,
 )
-from .oracle import DEFAULT_CAP, canonical_image
+from .oracle import canonical_image
 from .rootsystem import (
     RootSet,
     RootSystem,
@@ -117,12 +116,11 @@ def all_mosets(system: RootSystem, scope=None) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bool:
+def all_mosets_conjugate_check(system: RootSystem) -> bool:
     """Enumerate all mosets, verify the uniform cardinality, and verify
     that they form a single Weyl orbit: one canonical image, whose orbit
-    has as many members as there are mosets (CapExceeded past the cap).
-    It reaches as far as canonical_image: Unsupported past 256 positive
-    roots."""
+    has as many members as there are mosets.  It reaches as far as
+    canonical_image: Unsupported past 256 positive roots."""
     if len(components(system, system.simple_basis)) != 1:
         raise NotIrreducible("moset conjugacy check expects an irreducible system")
     mosets = all_mosets(system)
@@ -130,7 +128,4 @@ def all_mosets_conjugate_check(system: RootSystem, cap: int = DEFAULT_CAP) -> bo
     if any(len(x) != m for x in mosets):
         return False
     images = {canonical_image(system, x) for x in mosets}
-    size = max(size for _, size in images)
-    if size > cap:
-        raise CapExceeded(f"moset orbit of {size} members exceeded cap {cap}")
-    return len(images) == 1 and size == len(mosets)
+    return len(images) == 1 and images.pop()[1] == len(mosets)

@@ -24,11 +24,13 @@ group nor an orbit: a Schreier-Sims stabilizer tree (Sims 1970; Seress
 2003) of the group W induces on the projective roots, and a smallest-image
 search down it (Linton 2004).  ``canonical_image`` gives a subset's least
 conjugate and orbit size, E7's 1,433 Pi-subsets in about 0.1 s where
-walking their 9,555,471 members took 60 s and 852 MiB, and
-``orbit_id_map`` keys those ids on the subsets it is given.  A point is a
-position in ``system.positive`` held in a byte, so the tree reaches every
-system with at most 256 positive roots (D16 and A21), past the 256 roots
-a permutation holds.
+walking their 9,555,471 members took 60 s and 852 MiB.  It counts an
+orbit without listing it, so no cap bounds the size.  ``orbit_id_map``,
+which keys the least conjugates on the subsets it is given, is kept only
+as the entry point of perfbench's oracle workload.  A point is a position
+in ``system.positive`` held in a byte, so the tree reaches every system
+with at most 256 positive roots (D16 and A21), past the 256 roots a
+permutation holds.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from itertools import compress, islice, repeat
 from math import prod
 from operator import eq, itemgetter
 
-from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported
+from .errors import CapExceeded, InvariantViolation, MixedAmbient, Unsupported, UnsupportedType
 from .rootsystem import RootSystem, _reflection_closure, system_memo
 
 DEFAULT_CAP = 10**7
@@ -54,9 +56,6 @@ class WeylElement(bytes):
     @property
     def perm(self) -> bytes:
         return self
-
-    def apply_set(self, subset) -> frozenset:
-        return frozenset(map(self.__getitem__, subset))
 
     def __repr__(self) -> str:
         return f"WeylElement(perm={bytes(self)!r})"
@@ -204,10 +203,6 @@ def enumerate_weyl(system: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylEleme
     return elements
 
 
-def weyl_order(system: RootSystem, cap: int = DEFAULT_CAP) -> int:
-    return len(enumerate_weyl(system, cap))
-
-
 # Degrees of the basic invariants of the exceptional Weyl groups; |W| is
 # the product of the degrees (Humphreys, Reflection Groups and Coxeter
 # Groups, 3.7).
@@ -219,23 +214,20 @@ E_DEGREES = {
 
 
 def _degrees(series: str, rank: int):
-    """2..n+1 for A_n, 2, 4, ..., 2n-2 and n for D_n."""
+    """2..n+1 for A_n, 2, 4, ..., 2n-2 and n for D_n, E_DEGREES for E6-E8;
+    UnsupportedType for any other series or E rank."""
     if series == "A":
         return range(2, rank + 2)
     if series == "D":
         return [*range(2, 2 * rank - 1, 2), rank]
+    if series != "E" or rank not in E_DEGREES:
+        raise UnsupportedType(f"no Weyl group degrees for {series}{rank}")
     return E_DEGREES[rank]
 
 
 def weyl_order_by_degrees(series: str, rank: int) -> int:
     """|W| as the product of the degrees."""
     return prod(_degrees(series, rank))
-
-
-def subset_orbit(subset, elements) -> set[frozenset]:
-    """Orbit of a projective/root index set under explicitly listed elements."""
-    base = frozenset(subset)
-    return {w.apply_set(base) for w in elements}
 
 
 @system_memo
@@ -419,17 +411,15 @@ def canonical_image(system: RootSystem, subset) -> tuple[tuple[int, ...], int]:
     return tuple(map(system.positive.__getitem__, image)), size
 
 
-def orbit_id_map(system: RootSystem, subsets, cap: int = DEFAULT_CAP) -> dict:
+def orbit_id_map(system: RootSystem, subsets) -> dict:
     """Map each given subset, as a frozenset of its projective
     representatives, to its orbit's id, the least member from
-    canonical_image.  CapExceeded when an orbit has more than cap members."""
+    canonical_image."""
     out: dict[frozenset, tuple] = {}
     for subset in subsets:
         key = frozenset(map(system.proj_rep, system.check_indices(subset)))
         if key not in out:
-            out[key], size = canonical_image(system, key)
-            if size > cap:
-                raise CapExceeded(f"subset orbit of {size} members exceeded cap {cap}")
+            out[key] = canonical_image(system, key)[0]
     return out
 
 

@@ -73,9 +73,6 @@ class RootSystem:
     def index(self, coords: Vec) -> int | None:
         return self._index.get(coords)
 
-    def is_root(self, coords: Vec) -> bool:
-        return coords in self._index
-
     def negative(self, i: int) -> int:
         return self._neg[i]
 
@@ -125,10 +122,6 @@ class RootSystem:
     def projective(self, members) -> tuple[int, ...]:
         """Sorted canonical representatives of the projective roots of members."""
         return tuple(sorted({self.proj_rep(i) for i in members}))
-
-    @property
-    def proj_nodes(self) -> tuple[int, ...]:
-        return self.positive
 
     def symmetrize(self, members: tuple[int, ...]) -> tuple[int, ...]:
         out = set(members)
@@ -321,15 +314,6 @@ def parse_system(text: str) -> RootSystem:
 
 
 # -- elementary operations ----------------------------------------------
-
-
-def cartan_pair(system: RootSystem, i: int, j: int) -> int:
-    return system.cartan(i, j)
-
-
-def reflect(system: RootSystem, beta: int, alpha: int) -> int:
-    """Index of s_alpha(beta)."""
-    return system.reflect(beta, alpha)
 
 
 @system_memo

@@ -38,7 +38,6 @@ from .oracle import (  # E_DEGREES and weyl_order_by_degrees are re-exported
     enumerate_weyl,
     identity_perm,
     induced_action,
-    orbit_id_map,
     set_stabilizer,
     simple_reflection_perms,
     perm_from_word,
@@ -294,8 +293,9 @@ def _extended_one_at_a_time(system) -> tuple[int, ...]:
 
 def check_small_rank_exactness(slow: bool = False) -> Result:
     """The labels partition the Pi-subsets as their Weyl orbits do, on
-    A2-A5, D4-D10, E6 and E7, and on E8 in slow mode.  orbit_id_map holds
-    no member, so its cap is |W|: E8's largest orbits outgrow the default."""
+    A2-A5, D4-D10, E6 and E7, and on E8 in slow mode.  An orbit's id is
+    its least member, from canonical_image, which lists neither W nor the
+    orbit."""
     systems = [("A", n) for n in range(2, 6)] + [("D", n) for n in range(4, 11)] + [("E", 6), ("E", 7)]
     if slow:
         systems.append(("E", 8))
@@ -304,12 +304,11 @@ def check_small_rank_exactness(slow: bool = False) -> Result:
         for series, rank in systems:
             system = build_root_system(series, rank)
             subsets = pi_node_subsets(enhanced_basis(system))
-            oracle = orbit_id_map(system, subsets, weyl_order_by_degrees(series, rank))
             label_to_orbit: dict = {}
             orbit_to_label: dict = {}
             for subset in subsets:
                 label = orbit_label(RootSet(system, subset))
-                oid = oracle[frozenset(system.proj_rep(i) for i in subset)]
+                oid = canonical_image(system, subset)[0]
                 if label_to_orbit.setdefault(label, oid) != oid:
                     return False, f"label splits an orbit in {series}{rank}"
                 if orbit_to_label.setdefault(oid, label) != label:

@@ -77,7 +77,7 @@ def is_pi_system(system, members) -> bool:
         return False
     for a, b in combinations(members, 2):
         diff = tuple(x - y for x, y in zip(system.roots[a], system.roots[b]))
-        if system.is_root(diff):
+        if system.index(diff) is not None:
             return False
     return True
 

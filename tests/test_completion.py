@@ -101,7 +101,7 @@ def test_completion_is_minimal_by_exhaustive_scan():
 
     for label in [("A", 2), ("A", 3), ("D", 4)]:
         s = build_root_system(*label)
-        proj = s.proj_nodes
+        proj = s.positive
         seeds = [proj[:1], proj[:2], tuple(s.simple_basis)]
         for seed in seeds:
             seed_sym = set(s.symmetrize(seed))

@@ -13,9 +13,16 @@ from rootforge import (
 )
 from rootforge.coregroups import core_order_formula
 from rootforge import coregroups
-from rootforge.errors import InvariantViolation, LabelingInfeasible, NotInMoset, NotMoset, Unsupported
-from rootforge.coregroups import verify_moset
-from rootforge.mosets import _mu_formula
+from rootforge.errors import (
+    CapExceeded,
+    InvariantViolation,
+    LabelingInfeasible,
+    NotInMoset,
+    NotOrthogonalSeed,
+    Unsupported,
+    UnsupportedType,
+)
+from rootforge.mosets import _mu_formula, extend_to_moset
 from rootforge.verification import SMALL, core_order_by_orbit, weyl_order_by_degrees
 from rootforge.oracle import (
     _closure,
@@ -268,19 +275,20 @@ def test_induced_groups():
 
 
 def test_verify_moset():
+    # The members form a moset exactly when extending them to a moset of
+    # the whole system returns them unchanged.
     e7 = build_root_system("E", 7)
     model = core_group_model(e7)
-    verify_moset(e7, model.moset)
-    with pytest.raises(NotMoset):
-        verify_moset(e7, model.moset[:3])
+    assert extend_to_moset(e7, model.moset, e7.positive).members == model.moset
+    assert extend_to_moset(e7, model.moset[:3], e7.positive).members != model.moset[:3]
     adjacent = next(
         (x, y)
         for x in e7.simple_basis
         for y in e7.simple_basis
         if x != y and e7.cartan(x, y) != 0
     )
-    with pytest.raises(NotMoset):
-        verify_moset(e7, adjacent)
+    with pytest.raises(NotOrthogonalSeed):
+        extend_to_moset(e7, adjacent, e7.positive)
 
 
 def test_model_json():
@@ -433,6 +441,52 @@ def test_generators_short_of_the_group_are_refused(label, monkeypatch):
     monkeypatch.setattr(coregroups, "_model_generators", lambda *args: real(*args)[:-1])
     with pytest.raises(InvariantViolation, match="fail to generate"):
         core_group_model(build_root_system.__wrapped__(*label))
+
+
+@pytest.mark.parametrize("label", [("D", 6), ("D", 7)])
+def test_a_wrong_d_labeling_is_refused_by_the_generator_check(label, monkeypatch):
+    # With the plain nodes of columns 1 and 2 swapped, the structured
+    # generators, built from the labeling, leave the Weyl-generated group.
+    real = coregroups._derive_labeling
+
+    def swapped(system, eb, elements):
+        labeling = real(system, eb, elements)
+        (plain1, _), (plain2, _) = eb.columns()[:2]
+        labels = dict(labeling.labels)
+        labels[plain1], labels[plain2] = labels[plain2], labels[plain1]
+        return labeling._replace(labels=labels)
+
+    monkeypatch.setattr(coregroups, "_derive_labeling", swapped)
+    with pytest.raises(InvariantViolation, match="fail to generate"):
+        core_group_model(build_root_system.__wrapped__(*label))
+
+
+@pytest.mark.parametrize("label", [("E", 7), ("E", 8), ("D", 10)])
+def test_a_faulty_local_step_is_capped_at_the_core_order(label, monkeypatch):
+    # A constant map among the local steps makes the closure a monoid
+    # larger than the group; the cap stops it one level past the order.
+    real = coregroups._local_stabilizer_perms
+    monkeypatch.setattr(
+        coregroups,
+        "_local_stabilizer_perms",
+        lambda system, sub, moset: real(system, sub, moset) + [(bytes(len(moset)), ())],
+    )
+    with pytest.raises(CapExceeded):
+        core_group_model(build_root_system.__wrapped__(*label))
+
+
+@pytest.mark.parametrize(
+    "fn, series, rank",
+    [
+        (weyl_order_by_degrees, "E", 5),
+        (weyl_order_by_degrees, "B", 3),
+        (core_order_formula, "E", 9),
+        (core_order_formula, "B", 3),
+    ],
+)
+def test_order_formulas_refuse_unknown_types(fn, series, rank):
+    with pytest.raises(UnsupportedType):
+        fn(series, rank)
 
 
 @pytest.mark.parametrize("label", [("D", 8), ("E", 7), ("E", 8)])

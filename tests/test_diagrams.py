@@ -16,7 +16,7 @@ from rootforge import (
     to_dot,
     type_label,
 )
-from rootforge.diagrams import Diagram, Irreducible, ProjectiveDiagram, _embeddings, _rows
+from rootforge.diagrams import Diagram, Irreducible, ProjectiveDiagram, _embeddings, _rows, subsystem_type
 from rootforge.errors import TooLarge, UnrecognizedComponent
 
 
@@ -191,18 +191,14 @@ def test_dot_export():
     assert 'label="4"' in gtext
 
 
-# Argument checks raise typed errors, so that they hold under python -O too.
-
-
-def test_component_type_of_a_reducible_subsystem_raises():
-    from rootforge.diagrams import component_type
-    from rootforge.errors import NotIrreducible
-
+def test_subsystem_type_of_a_reducible_subsystem_has_one_part_per_component():
     d4 = build_root_system("D", 4)
     a, b = d4.index((0, 0, 2, -2)), d4.index((0, 0, 2, 2))
     assert d4.cartan(a, b) == 0
-    with pytest.raises(NotIrreducible):
-        component_type(d4, d4.symmetrize((a, b)))
+    assert subsystem_type(d4, d4.symmetrize((a, b))).parts == (Irreducible("A", 1),) * 2
+
+
+# Argument checks raise typed errors, so that they hold under python -O too.
 
 
 def test_find_subdiagrams_with_a_reducible_pattern_raises():

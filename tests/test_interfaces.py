@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 
-from rootforge import build_root_system, derive_labeling
+from rootforge import build_root_system, core_group_model
 from rootforge.classify import subsystem_type
 from rootforge.oracle import enumerate_weyl
 from rootforge.rootsystem import RootSet, orthogonal_complement
@@ -23,13 +23,13 @@ def test_oracle_writes_no_cache(tmp_path, monkeypatch):
 
 def test_derive_labeling_views():
     d6 = build_root_system("D", 6)
-    lab = derive_labeling(d6)
+    lab = core_group_model(d6).labeling
     assert lab.kind == "dn_matrix" and len(lab.labels) == 6
     e8 = build_root_system("E", 8)
-    lab8 = derive_labeling(e8)
+    lab8 = core_group_model(e8).labeling
     assert lab8.kind == "f2cube" and sorted(lab8.labels.values()) == list(range(8))
     a4 = build_root_system("A", 4)
-    assert derive_labeling(a4).kind == "plain"
+    assert core_group_model(a4).labeling.kind == "plain"
 
 
 def test_cli_outputs_are_byte_identical():

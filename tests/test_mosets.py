@@ -120,7 +120,7 @@ def test_theta_at_most_one_big_component():
 
     for label in [("A", 4), ("D", 4), ("D", 5)]:
         s = build_root_system(*label)
-        nodes = s.proj_nodes
+        nodes = s.positive
         for k in (1, 2, 3):
             for combo in combinations(nodes[: min(len(nodes), 14)], k):
                 if any(s.cartan(a, b) != 0 for a, b in combinations(combo, 2)):

@@ -13,8 +13,6 @@ from rootforge import (
     enumerate_weyl,
     set_stabilizer,
     subsystem_generated,
-    subset_orbit,
-    weyl_order,
 )
 from rootforge import oracle
 from rootforge.classify import pi_node_subsets
@@ -36,11 +34,8 @@ from oracle_reference import sorted_bytes_orbit
 
 
 def test_weyl_orders():
-    assert weyl_order(build_root_system("A", 2)) == 6
-    assert weyl_order(build_root_system("A", 3)) == 24
-    assert weyl_order(build_root_system("D", 4)) == 192
-    assert weyl_order(build_root_system("D", 5)) == 1920
-    assert weyl_order(build_root_system("E", 6)) == 51840
+    for label, order in [(("A", 2), 6), (("A", 3), 24), (("D", 4), 192), (("D", 5), 1920), (("E", 6), 51840)]:
+        assert len(enumerate_weyl(build_root_system(*label))) == order == weyl_order_by_degrees(*label)
 
 
 def test_cap():
@@ -52,24 +47,21 @@ def test_cap_is_checked_once_a_level_against_the_whole_group():
     # The closure checks its cap after each level, so a cap equal to the
     # order passes and one below it raises, whichever level overflows.
     d4 = build_root_system("D", 4)
-    assert len(enumerate_weyl(d4, cap=192)) == weyl_order(d4, cap=192) == 192
-    for fn in (enumerate_weyl, weyl_order):
-        with pytest.raises(CapExceeded):
-            fn(d4, cap=191)
+    assert len(enumerate_weyl(d4, cap=192)) == 192
+    with pytest.raises(CapExceeded):
+        enumerate_weyl(d4, cap=191)
 
 
 def test_every_cap_defaults_to_the_one_constant():
+    # Only listing W takes a cap; orbit sizes are counted, not listed.
     import inspect
 
-    from rootforge import mosets, verification
+    from rootforge import verification
 
     for fn in (
         oracle.enumerate_weyl,
-        oracle.weyl_order,
-        orbit_id_map,
         verification.check_core_stabilizer_agreement,
         verification.run_all,
-        mosets.all_mosets_conjugate_check,
     ):
         assert inspect.signature(fn).parameters["cap"].default == oracle.DEFAULT_CAP, fn.__name__
 
@@ -128,11 +120,10 @@ def test_e8_enumeration_refuses_before_building_an_element():
     # |W(E8)| = 696,729,600 exceeds the default cap; the transversals show
     # it before any element is built.
     e8 = build_root_system("E", 8)
-    for fn in (enumerate_weyl, weyl_order):
-        start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="W\\(E8\\) has more than cap"):
-            fn(e8)
-        assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="W\\(E8\\) has more than cap"):
+        enumerate_weyl(e8)
+    assert time.perf_counter() - start < 2
 
 
 def test_stabilizer_filter_matches_its_definition():
@@ -152,13 +143,13 @@ def test_stabilizer_filter_matches_its_definition():
                 assert set_stabilizer(s, subset, iter(elements)) == expected
 
 
-def test_orbit_walk_caps():
+def test_d4_moset_orbit_size():
+    # The walked orbit of a D4 moset is the three mosets of D4.
     d4 = build_root_system("D", 4)
-    moset = all_mosets(d4)[0]  # its orbit holds the three mosets of D4
-    assert canonical_image(d4, moset)[1] == 3
-    assert orbit_id_map(d4, [moset], cap=3)
-    with pytest.raises(CapExceeded):
-        orbit_id_map(d4, [moset], cap=2)
+    mosets = all_mosets(d4)
+    orbit = sorted_bytes_orbit(d4, oracle._key(d4, mosets[0]), oracle.DEFAULT_CAP)
+    assert {frozenset(m) for m in orbit} == {frozenset(m) for m in mosets}
+    assert canonical_image(d4, mosets[0]) == (tuple(min(orbit)), 3)
 
 
 def test_compose_matches_its_definition():
@@ -259,24 +250,6 @@ def test_oracle_keys_refuse_raw_indices_that_are_no_roots():
             orbit_id_map(e7, [(0,), subset])
         with pytest.raises(NoSuchRoot):
             set_stabilizer(e7, subset, [])
-
-
-def test_subset_orbit():
-    a2 = build_root_system("A", 2)
-    elements = enumerate_weyl(a2)
-    basis = frozenset(a2.simple_basis)
-    orbit = subset_orbit(basis, elements)
-    assert len(orbit) == 6
-    i = a2.simple_basis[0]
-    pair = frozenset((i, a2.negative(i)))
-    a1 = build_root_system("A", 1)
-    j = a1.simple_basis[0]
-    orbit1 = subset_orbit(frozenset((j, a1.negative(j))), enumerate_weyl(a1))
-    assert orbit1 == {frozenset((j, a1.negative(j)))}
-    d4 = build_root_system("D", 4)
-    mosets = all_mosets(d4)
-    orbit_m = sorted_bytes_orbit(d4, oracle._key(d4, mosets[0]), oracle.DEFAULT_CAP)
-    assert {frozenset(m) for m in orbit_m} == {frozenset(m) for m in mosets}
 
 
 def test_stabilizers():
@@ -502,16 +475,12 @@ def test_position_walk_matches_the_sorted_bytes_walk():
     assert len(cases) > 120
 
 
-def test_orbit_walk_caps_across_many_levels():
-    # E6's roots form one orbit of 36 projective roots, which a walk from
-    # a simple root meets over eleven levels: a cap equal to the size
-    # passes and one below it raises.
+def test_e6_root_orbit_size():
+    # E6's roots form one orbit of 36 projective roots.
     e6 = build_root_system("E", 6)
     root = (e6.simple_basis[0],)
     assert canonical_image(e6, root)[1] == 36
-    assert len(orbit_id_map(e6, [root], cap=36)) == 1
-    with pytest.raises(CapExceeded):
-        orbit_id_map(e6, [root], cap=35)
+    assert len(orbit_id_map(e6, [root])) == 1
 
 
 def test_orbit_walks_beyond_a_byte_raise_typed_error():

@@ -85,7 +85,7 @@ def test_moset_extension_is_maximal(data, label):
             seed.append(rep)
     m = extend_to_moset(system, tuple(seed), range(n))
     assert set(seed) <= set(m.members)
-    for cand in system.proj_nodes:
+    for cand in system.positive:
         if cand in m.members:
             continue
         assert any(system.cartan(cand, x) != 0 for x in m.members)

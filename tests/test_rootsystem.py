@@ -3,14 +3,12 @@ import pytest
 from rootforge import (
     RootSet,
     build_root_system,
-    cartan_pair,
     components,
     elementary_transformations,
     extended_pi_system,
     is_pi_system,
     orthogonal_complement,
     parse_system,
-    reflect,
     subsystem_generated,
     theta_component,
 )
@@ -63,29 +61,29 @@ def test_squared_lengths_and_closure():
 def test_cartan_pair_values():
     a2 = build_root_system("A", 2)
     i, j = a2.simple_basis
-    assert cartan_pair(a2, i, i) == 2
-    assert cartan_pair(a2, i, j) == -1  # adjacent simple roots
+    assert a2.cartan(i, i) == 2
+    assert a2.cartan(i, j) == -1  # adjacent simple roots
     d4 = build_root_system("D", 4)
     b = d4.simple_basis
-    vals = {cartan_pair(d4, x, y) for x in b for y in b if x != y}
+    vals = {d4.cartan(x, y) for x in b for y in b if x != y}
     assert vals <= {0, -1}
 
 
 def test_reflect_basics():
     a2 = build_root_system("A", 2)
     i, j = a2.simple_basis
-    assert reflect(a2, i, i) == a2.negative(i)
+    assert a2.reflect(i, i) == a2.negative(i)
     # orthogonal roots are fixed
     d4 = build_root_system("D", 4)
     x, y = d4.simple_basis[0], d4.simple_basis[3]
-    if cartan_pair(d4, x, y) == 0:
-        assert reflect(d4, x, y) == x
+    if d4.cartan(x, y) == 0:
+        assert d4.reflect(x, y) == x
     # s_alpha(beta) = alpha + beta for adjacent simple roots of A2
-    img = reflect(a2, j, i)
+    img = a2.reflect(j, i)
     expected = tuple(a + b for a, b in zip(a2.roots[i], a2.roots[j]))
     assert a2.roots[img] == expected
     # involutive
-    assert reflect(a2, reflect(a2, j, i), i) == j
+    assert a2.reflect(a2.reflect(j, i), i) == j
 
 
 def test_is_pi_system():
